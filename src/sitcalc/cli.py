@@ -2,8 +2,9 @@
 
 Exit codes: 0 for successful positive verdicts, 1 for negative verdicts
 (countermodel found, check failed, no decomposition), 2 for usage and
-input errors.  With --json every command prints a schema-stable report
-deterministic across runs.
+input errors, 3 when no verdict was reached because a budget ran out or
+the program failed internally.  With --json every command prints a
+schema-stable report deterministic across runs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +25,7 @@ from .decomposition import (
     group_ssas,
     syntactic_decompose,
 )
-from .errors import ParseError, SitcalcError
+from .errors import BudgetExceeded, ParseError, SitcalcError
 from .forgetting import GroundAtom, forget_atom, forget_ground_symbol
 from .oracle import (
     Countermodel,
@@ -555,9 +557,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, rep, lines = args.fn(args)
+    except BudgetExceeded as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
     except SitcalcError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a defect, not a verdict: keep it off exit code 1
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     if getattr(args, "json", False):
         print(json.dumps(rep, indent=2, sort_keys=True))
     else:

@@ -18,12 +18,8 @@ from .syntax import (
     TRUE,
     And,
     Const,
-    Exists,
     FluentAtom,
-    Forall,
     Formula,
-    Iff,
-    Implies,
     Not,
     ObjEq,
     Or,
@@ -31,8 +27,9 @@ from .syntax import (
     Stage,
     StaticAtom,
     Theory,
-    Var,
+    atoms_of,
     conj,
+    map_atoms,
     simplify,
 )
 
@@ -87,32 +84,6 @@ def _matches(f: Formula, g: GroundAtom) -> Optional[tuple]:
             return None
 
 
-def _map_atoms(f: Formula, g: GroundAtom, repl) -> Formula:
-    def walk(f: Formula) -> Formula:
-        args = _matches(f, g)
-        if args is not None:
-            return repl(f, args)
-        match f:
-            case Not(body):
-                return Not(walk(body))
-            case And(a, b):
-                return And(walk(a), walk(b))
-            case Or(a, b):
-                return Or(walk(a), walk(b))
-            case Implies(a, b):
-                return Implies(walk(a), walk(b))
-            case Iff(a, b):
-                return Iff(walk(a), walk(b))
-            case Forall(v, body):
-                return Forall(v, walk(body))
-            case Exists(v, body):
-                return Exists(v, walk(body))
-            case _:
-                return f
-
-    return walk(f)
-
-
 def relativize(f: Formula, g: GroundAtom, una: bool = True) -> Formula:
     """Split every occurrence of g's predicate on whether its arguments equal g's.
 
@@ -124,21 +95,20 @@ def relativize(f: Formula, g: GroundAtom, una: bool = True) -> Formula:
     gatom = g.to_formula()
     gconsts = tuple(Const(c) for c in g.args)
 
-    def repl(atom: Formula, args: tuple) -> Formula:
+    def split(atom: Formula) -> Formula:
+        args = _matches(atom, g)
+        if args is None:
+            return atom
         eqs = conj([ObjEq(t, c) for t, c in zip(args, gconsts)])
         return Or(And(eqs, gatom), And(Not(eqs), atom))
 
-    return simplify(_map_atoms(f, g, repl), una)
+    return simplify(map_atoms(f, split), una)
 
 
 def replace_ground(f: Formula, g: GroundAtom, value: Formula) -> Formula:
     """Replace exact occurrences of the ground atom g by the given formula."""
-    gargs = tuple(Const(c) for c in g.args)
-
-    def repl(atom: Formula, args: tuple) -> Formula:
-        return value if args == gargs else atom
-
-    return _map_atoms(f, g, repl)
+    gatom = g.to_formula()
+    return map_atoms(f, lambda a: value if a == gatom else a)
 
 
 def forget_atom(t: Theory, g: GroundAtom, una: bool = True) -> Theory:
@@ -185,27 +155,16 @@ def occurring_ground_atoms(t: Theory, pred: str) -> tuple[GroundAtom, ...]:
     argument anywhere in t.
     """
     found: set[GroundAtom] = set()
-
-    def walk(f: Formula) -> None:
-        match f:
-            case FluentAtom(name, args, stage) if name == pred:
-                if not all(isinstance(a, Const) for a in args):
-                    raise NonGroundOccurrence(f"{pred} occurs with variable arguments")
-                found.add(GroundAtom(pred, tuple(a.name for a in args), stage))
-            case StaticAtom(name, args) if name == pred:
-                if not all(isinstance(a, Const) for a in args):
-                    raise NonGroundOccurrence(f"{pred} occurs with variable arguments")
-                found.add(GroundAtom(pred, tuple(a.name for a in args), None))
-            case Not(body) | Forall(_, body) | Exists(_, body):
-                walk(body)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case _:
-                pass
-
-    for ax in t.axioms:
-        walk(ax)
+    for a in atoms_of(t):
+        if isinstance(a, FluentAtom) and a.fluent == pred:
+            stage = a.stage
+        elif isinstance(a, StaticAtom) and a.pred == pred:
+            stage = None
+        else:
+            continue
+        if not all(isinstance(x, Const) for x in a.args):
+            raise NonGroundOccurrence(f"{pred} occurs with variable arguments")
+        found.add(GroundAtom(pred, tuple(x.name for x in a.args), stage))
     return sorted_atoms(found)
 
 

@@ -11,7 +11,7 @@ action.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .bat import BAT, GroundAction, characteristic_set, instantiate_ssas
 from .decomposition import (
@@ -42,8 +42,6 @@ from .syntax import (
     substitute,
 )
 
-Verdict = object
-
 
 @dataclass(frozen=True)
 class ProgressionResult:
@@ -58,7 +56,7 @@ class ProgressionResult:
 @dataclass(frozen=True)
 class StepVerdict:
     action: GroundAction
-    verdict: Verdict
+    verdict: Union[EntailedFinite, Countermodel]
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def project(
     actions: Sequence[GroundAction],
     query: Formula,
     cfg: OracleConfig = DEFAULT_CONFIG,
-) -> Verdict:
+) -> Union[EntailedFinite, Countermodel]:
     """Does the theory after the actions entail the current-stage query?"""
     t = progress_sequence(b, actions)
     return entails(t, query, cfg, sig=signature_of(b.init) | b.sig)

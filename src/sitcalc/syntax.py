@@ -5,13 +5,36 @@ current initial situation, NEXT is the situation reached by the single ground
 action under consideration.  Uniform formulas in the usual sense are formulas
 whose fluent atoms all carry the same tag.  Object terms are variables and
 constants only; there are no object function symbols of positive arity.
+
+Formulas are walked by two primitives that keep their own stack, so a deep
+or wide formula costs memory, not interpreter recursion:
+
+- atoms_of(x) yields the atomic subformulas of a formula or theory, left
+  to right;
+- map_atoms(x, fn) rebuilds a formula or theory around fn(atom), sharing
+  every subtree that fn left unchanged.
+
+New code that folds over atoms or rewrites atoms uses them.  signature_of,
+stages_of, contains_action_eq, rename_stage, rewrite_action_equalities and
+forgetting's relativize, replace_ground and occurring_ground_atoms do.
+flatten_and/flatten_or walk a connective spine and free_vars carries the
+bound variables on its stack; neither recurses.
+
+These still recurse, because they compute something per connective rather
+than per atom: simplify (rewrite rules per connective, run to a fixed
+point), substitute (capture-avoiding renaming at each binder), the
+printer surface._fmt1 (precedence and parentheses per connective) and the
+oracle's evaluate and _Grounder.ground (semantics per connective).  The
+dataclass-generated __eq__, __hash__ and __repr__ of the nodes recurse
+too, so comparing or hashing two deep trees can still hit the recursion
+limit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import SitcalcError, SortError, UnsubstitutedActionVariable
 
@@ -177,26 +200,28 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return FALSE if out is None else out
 
 
+def _spine(f: Formula, node: type, unit: type) -> list[Formula]:
+    """Operands along the spine of binary `node`s, left to right, dropping `unit`s."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, node):
+            stack.append(f.rhs)
+            stack.append(f.lhs)
+        elif not isinstance(f, unit):
+            out.append(f)
+    return out
+
+
 def flatten_and(f: Formula) -> list[Formula]:
     """Conjuncts along the And spine.  TRUE yields [], other nodes yield [f]."""
-    match f:
-        case Truth():
-            return []
-        case And(lhs, rhs):
-            return flatten_and(lhs) + flatten_and(rhs)
-        case _:
-            return [f]
+    return _spine(f, And, Truth)
 
 
 def flatten_or(f: Formula) -> list[Formula]:
     """Disjuncts along the Or spine.  FALSE yields [], other nodes yield [f]."""
-    match f:
-        case Falsity():
-            return []
-        case Or(lhs, rhs):
-            return flatten_or(lhs) + flatten_or(rhs)
-        case _:
-            return [f]
+    return _spine(f, Or, Falsity)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +338,75 @@ class Theory:
 SyntaxLike = Union[Var, Const, ActionVar, ActionTerm, Formula, Theory]
 
 
+# ---------------------------------------------------------------------------
+# traversal
+
+_ATOMIC = (Truth, Falsity, FluentAtom, StaticAtom, ObjEq, ActionEq)
+_BINARY = (And, Or, Implies, Iff)
+_UNARY = (Not, Forall, Exists)  # one subformula, in .body
+_REBUILD = object()  # map_atoms stack marker: the node below it gets its children back
+
+
+def atoms_of(x: Union[Formula, Theory]) -> Iterator[Formula]:
+    """Atomic subformulas of a formula or theory, left to right.
+
+    Atomic means fluent and static atoms, equalities, TRUE and FALSE.
+    """
+    stack = list(reversed(x.axioms)) if isinstance(x, Theory) else [x]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, _ATOMIC):
+            yield f
+        elif isinstance(f, _BINARY):
+            stack.append(f.rhs)
+            stack.append(f.lhs)
+        elif isinstance(f, _UNARY):
+            stack.append(f.body)
+        else:
+            raise SitcalcError(f"not a formula: {f!r}")
+
+
+def map_atoms(x: Union[Formula, Theory], fn: Callable[[Formula], Formula]):
+    """Replace every atomic subformula a of a formula or theory by fn(a).
+
+    Connectives and quantifiers are rebuilt around the results; a subtree in
+    which fn changed nothing comes back as the very same object.  What fn
+    returns is not walked again.
+    """
+    if isinstance(x, Theory):
+        axioms = tuple(map_atoms(ax, fn) for ax in x.axioms)
+        return x if all(new is old for new, old in zip(axioms, x.axioms)) else Theory(axioms)
+    todo: list = [x]
+    done: list[Formula] = []
+    while todo:
+        f = todo.pop()
+        if f is _REBUILD:
+            f = todo.pop()
+            if isinstance(f, _BINARY):
+                rhs = done.pop()
+                lhs = done.pop()
+                done.append(f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs))
+            else:
+                body = done.pop()
+                if body is f.body:
+                    done.append(f)
+                else:
+                    done.append(Not(body) if isinstance(f, Not) else type(f)(f.var, body))
+        elif isinstance(f, _ATOMIC):
+            done.append(fn(f))
+        elif isinstance(f, _BINARY):
+            todo += (f, _REBUILD, f.rhs, f.lhs)
+        elif isinstance(f, _UNARY):
+            todo += (f, _REBUILD, f.body)
+        else:
+            raise SitcalcError(f"not a formula: {f!r}")
+    return done[0]
+
+
+# ---------------------------------------------------------------------------
+# symbols, free variables, stages
+
+
 def _sig_of_term(t: Union[ObjTerm, ActionVar, ActionTerm], objects: set[str], actions: set[tuple[str, int]]) -> None:
     match t:
         case Const(name):
@@ -327,6 +421,17 @@ def _sig_of_term(t: Union[ObjTerm, ActionVar, ActionTerm], objects: set[str], ac
             raise SitcalcError(f"not a term: {t!r}")
 
 
+def _atom_terms(a: Formula) -> tuple:
+    """The terms an atomic formula applies its symbol or equality to."""
+    match a:
+        case FluentAtom(_, args, _) | StaticAtom(_, args):
+            return args
+        case ObjEq(lhs, rhs) | ActionEq(lhs, rhs):
+            return (lhs, rhs)
+        case _:
+            return ()
+
+
 def signature_of(x: SyntaxLike) -> Signature:
     """Symbols occurring in a term, formula or theory.  Variables contribute nothing."""
     objects: set[str] = set()
@@ -334,40 +439,16 @@ def signature_of(x: SyntaxLike) -> Signature:
     fluents: set[tuple[str, int]] = set()
     actions: set[tuple[str, int]] = set()
 
-    def walk(f: Formula) -> None:
-        match f:
-            case Truth() | Falsity():
-                pass
-            case FluentAtom(name, args, _):
-                fluents.add((name, len(args)))
-                for t in args:
-                    _sig_of_term(t, objects, actions)
-            case StaticAtom(name, args):
-                statics.add((name, len(args)))
-                for t in args:
-                    _sig_of_term(t, objects, actions)
-            case ObjEq(lhs, rhs):
-                _sig_of_term(lhs, objects, actions)
-                _sig_of_term(rhs, objects, actions)
-            case ActionEq(lhs, rhs):
-                _sig_of_term(lhs, objects, actions)
-                _sig_of_term(rhs, objects, actions)
-            case Not(body):
-                walk(body)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case Forall(_, body) | Exists(_, body):
-                walk(body)
-            case _:
-                raise SitcalcError(f"not a formula: {f!r}")
-
     match x:
-        case Theory(axioms):
-            for ax in axioms:
-                walk(ax)
-        case Formula():
-            walk(x)
+        case Theory() | Formula():
+            for a in atoms_of(x):
+                match a:
+                    case FluentAtom(name, args, _):
+                        fluents.add((name, len(args)))
+                    case StaticAtom(name, args):
+                        statics.add((name, len(args)))
+                for t in _atom_terms(a):
+                    _sig_of_term(t, objects, actions)
         case Var() | Const() | ActionVar() | ActionTerm():
             _sig_of_term(x, objects, actions)
         case _:
@@ -379,65 +460,27 @@ def signature_of(x: SyntaxLike) -> Signature:
 def free_vars(f: Formula) -> frozenset[str]:
     """Names of free object variables."""
     out: set[str] = set()
-
-    def term(t: Union[ObjTerm, ActionVar, ActionTerm], bound: frozenset[str]) -> None:
-        match t:
-            case Var(name):
-                if name not in bound:
-                    out.add(name)
-            case ActionTerm(_, args):
-                for arg in args:
-                    term(arg, bound)
-            case _:
-                pass
-
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        match f:
-            case Truth() | Falsity():
-                pass
-            case FluentAtom(_, args, _) | StaticAtom(_, args):
-                for t in args:
-                    term(t, bound)
-            case ObjEq(lhs, rhs):
-                term(lhs, bound)
-                term(rhs, bound)
-            case ActionEq(lhs, rhs):
-                term(lhs, bound)
-                term(rhs, bound)
-            case Not(body):
-                walk(body, bound)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a, bound)
-                walk(b, bound)
-            case Forall(v, body) | Exists(v, body):
-                walk(body, bound | {v.name})
-
-    walk(f, frozenset())
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        f, bound = stack.pop()
+        if isinstance(f, _BINARY):
+            stack.append((f.rhs, bound))
+            stack.append((f.lhs, bound))
+        elif isinstance(f, Not):
+            stack.append((f.body, bound))
+        elif isinstance(f, (Forall, Exists)):
+            stack.append((f.body, bound | {f.var.name}))
+        else:
+            for t in _atom_terms(f):
+                for v in t.args if isinstance(t, ActionTerm) else (t,):
+                    if isinstance(v, Var) and v.name not in bound:
+                        out.add(v.name)
     return frozenset(out)
 
 
 def stages_of(x: Union[Formula, Theory]) -> frozenset[Stage]:
     """Stages of the fluent atoms occurring in a formula or theory."""
-    out: set[Stage] = set()
-
-    def walk(f: Formula) -> None:
-        match f:
-            case FluentAtom(_, _, stage):
-                out.add(stage)
-            case Not(body) | Forall(_, body) | Exists(_, body):
-                walk(body)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case _:
-                pass
-
-    if isinstance(x, Theory):
-        for ax in x:
-            walk(ax)
-    else:
-        walk(x)
-    return frozenset(out)
+    return frozenset(a.stage for a in atoms_of(x) if isinstance(a, FluentAtom))
 
 
 @dataclass(frozen=True)
@@ -472,30 +515,12 @@ def check_uniform(t: Theory) -> UniformityReport:
 def rename_stage(x: Union[Formula, Theory], frm: Stage, to: Stage):
     """Retag every fluent atom at stage `frm` with stage `to`."""
 
-    def walk(f: Formula) -> Formula:
-        match f:
-            case FluentAtom(name, args, stage) if stage == frm:
-                return FluentAtom(name, args, to)
-            case Not(body):
-                return Not(walk(body))
-            case And(a, b):
-                return And(walk(a), walk(b))
-            case Or(a, b):
-                return Or(walk(a), walk(b))
-            case Implies(a, b):
-                return Implies(walk(a), walk(b))
-            case Iff(a, b):
-                return Iff(walk(a), walk(b))
-            case Forall(v, body):
-                return Forall(v, walk(body))
-            case Exists(v, body):
-                return Exists(v, walk(body))
-            case _:
-                return f
+    def retag(a: Formula) -> Formula:
+        if isinstance(a, FluentAtom) and a.stage == frm:
+            return FluentAtom(a.fluent, a.args, to)
+        return a
 
-    if isinstance(x, Theory):
-        return Theory(tuple(walk(ax) for ax in x.axioms))
-    return walk(x)
+    return map_atoms(x, retag)
 
 
 # ---------------------------------------------------------------------------
@@ -792,43 +817,19 @@ def rewrite_action_equalities(f: Formula) -> Formula:
     An equality still mentioning the SSA action variable is an error.
     """
 
-    def walk(f: Formula) -> Formula:
-        match f:
-            case ActionEq(lhs, rhs):
-                if isinstance(lhs, ActionVar) or isinstance(rhs, ActionVar):
-                    raise UnsubstitutedActionVariable(
-                        "action equality still mentions the action variable; substitute a ground action first"
-                    )
-                if lhs.fn != rhs.fn:
-                    return FALSE
-                return conj([_simp_eq(x, y, una=False) for x, y in zip(lhs.args, rhs.args)])
-            case Not(body):
-                return Not(walk(body))
-            case And(a, b):
-                return And(walk(a), walk(b))
-            case Or(a, b):
-                return Or(walk(a), walk(b))
-            case Implies(a, b):
-                return Implies(walk(a), walk(b))
-            case Iff(a, b):
-                return Iff(walk(a), walk(b))
-            case Forall(v, body):
-                return Forall(v, walk(body))
-            case Exists(v, body):
-                return Exists(v, walk(body))
-            case _:
-                return f
+    def rewrite(a: Formula) -> Formula:
+        if not isinstance(a, ActionEq):
+            return a
+        if isinstance(a.lhs, ActionVar) or isinstance(a.rhs, ActionVar):
+            raise UnsubstitutedActionVariable(
+                "action equality still mentions the action variable; substitute a ground action first"
+            )
+        if a.lhs.fn != a.rhs.fn:
+            return FALSE
+        return conj([_simp_eq(x, y, una=False) for x, y in zip(a.lhs.args, a.rhs.args)])
 
-    return walk(f)
+    return map_atoms(f, rewrite)
 
 
 def contains_action_eq(f: Formula) -> bool:
-    match f:
-        case ActionEq():
-            return True
-        case Not(body) | Forall(_, body) | Exists(_, body):
-            return contains_action_eq(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return contains_action_eq(a) or contains_action_eq(b)
-        case _:
-            return False
+    return any(isinstance(a, ActionEq) for a in atoms_of(f))

@@ -1,6 +1,7 @@
 import pytest
 
 from sitcalc import OracleConfig, corpus_path, parse_bat, parse_theory
+from sitcalc.syntax import Exists, Forall, Not, Var, conj
 
 
 def load_bat(name):
@@ -64,3 +65,32 @@ def chain():
 @pytest.fixture(scope="session")
 def insep_pair():
     return load_theory("insep_forgetting_t1.bat"), load_theory("insep_forgetting_t2.bat")
+
+
+def _wide(leaf):
+    return conj([leaf] * 10_000), 10_000
+
+
+def _negations(leaf):
+    f = leaf
+    for _ in range(3_000):
+        f = Not(f)
+    return f, 1
+
+
+def _quantifiers(leaf):
+    f = leaf
+    for i in range(1_000):
+        f = (Forall if i % 2 else Exists)(Var(f"v{i}"), f)
+    return f, 1
+
+
+@pytest.fixture(params=[_wide, _negations, _quantifiers], ids=["wide", "negations", "quantifiers"])
+def deep(request):
+    """Wraps a leaf formula into a shape past the default recursion limit.
+
+    deep(leaf) returns the formula and the number of leaf copies in it.
+    Compare results by set, count or identity, never with == on the whole
+    tree: the dataclass __eq__ of a deep tree still recurses.
+    """
+    return request.param

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from sitcalc import corpus_path
+from sitcalc import cli, corpus_path
 from sitcalc.cli import main
+from sitcalc.errors import BudgetExceeded
 from sitcalc.surface import parse_bat
 
 
@@ -296,3 +297,20 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "decompose", path("blocks_stacks.bat"))
         assert code == 2
+
+
+class TestNoVerdict:
+    @pytest.mark.parametrize(
+        "exc, prefix",
+        [(RuntimeError("boom"), "internal error:"), (BudgetExceeded("search ran out"), "budget exceeded:")],
+        ids=["internal-error", "budget-exceeded"],
+    )
+    def test_failures_without_a_verdict_exit_3(self, capsys, monkeypatch, exc, prefix):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_parse", fail)
+        code, out, err = run(capsys, "parse", path("blocks_stacks.bat"))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith(prefix)

@@ -14,7 +14,7 @@ from sitcalc.forgetting import (
 )
 from sitcalc.oracle import OracleConfig, entails, equivalent, is_positive, verify_forgetting
 from sitcalc.surface import parse_formula, render
-from sitcalc.syntax import TRUE, Signature, Stage, Theory
+from sitcalc.syntax import TRUE, Const, FluentAtom, Or, Signature, Stage, StaticAtom, Theory, atoms_of
 
 SIG = Signature(
     objects=frozenset({"b", "c"}),
@@ -146,3 +146,18 @@ class TestRewriteHelpers:
     def test_replace_ground_hits_exact_occurrences_only(self):
         g = replace_ground(f("P(c) & P(b)"), Pc, TRUE)
         assert g == parse_formula("true & P(b)", SIG)
+
+
+class TestDeepAndWide:
+    LEAF = Or(StaticAtom("P", (Const("c"),)), FluentAtom("F", (Const("b"),), Stage.NEXT))
+
+    def test_occurring_ground_atoms(self, deep):
+        f, _ = deep(self.LEAF)
+        assert occurring_ground_atoms(Theory((f,)), "P") == (Pc,)
+        assert occurring_ground_atoms(Theory((f,)), "F") == (GroundAtom("F", ("b",), Stage.NEXT),)
+
+    def test_replace_ground(self, deep):
+        f, copies = deep(self.LEAF)
+        g = replace_ground(f, Pc, TRUE)
+        assert sum(at is TRUE for at in atoms_of(g)) == copies
+        assert replace_ground(f, GroundAtom("P", ("b",), None), TRUE) is f

@@ -6,6 +6,8 @@ from sitcalc.errors import SitcalcError
 from sitcalc.syntax import (
     FALSE,
     TRUE,
+    ActionEq,
+    ActionTerm,
     And,
     Const,
     Exists,
@@ -21,13 +23,17 @@ from sitcalc.syntax import (
     StaticAtom,
     Theory,
     Var,
+    atoms_of,
     check_uniform,
     conj,
+    contains_action_eq,
     disj,
     flatten_and,
     flatten_or,
     free_vars,
+    map_atoms,
     rename_stage,
+    rewrite_action_equalities,
     signature_of,
     simplify,
     split_conjunctions,
@@ -160,3 +166,56 @@ class TestConnectiveHelpers:
     def test_split_conjunctions_expands_theory_axioms(self):
         t = split_conjunctions(Theory((And(P(a), And(P(b), P(c))),)))
         assert t.axioms == (P(a), P(b), P(c))
+
+
+class TestTraversal:
+    def test_atoms_of_yields_atoms_left_to_right(self):
+        t = Theory((And(P(a), Not(Forall(x, Or(P(x), TRUE)))), ObjEq(x, c)))
+        assert list(atoms_of(t)) == [P(a), P(x), TRUE, ObjEq(x, c)]
+
+    def test_map_atoms_shares_unchanged_subtrees(self):
+        f = And(Exists(x, P(x)), Not(F(c, Stage.NEXT)))
+        assert map_atoms(f, lambda at: at) is f
+        g = rename_stage(f, Stage.NEXT, Stage.NOW)
+        assert g.lhs is f.lhs
+        assert g.rhs == Not(F(c, Stage.NOW))
+
+    def test_map_atoms_on_a_theory_keeps_it_when_nothing_changes(self):
+        t = Theory((P(a), F(b)))
+        assert map_atoms(t, lambda at: at) is t
+
+
+class TestDeepAndWide:
+    # x is free in the leaf; c, F and A are its only symbols
+    LEAF = And(F(x, Stage.NEXT), ActionEq(ActionTerm("A", (x,)), ActionTerm("A", (c,))))
+
+    def test_atoms_of_and_identity_map(self, deep):
+        f, copies = deep(self.LEAF)
+        assert len(list(atoms_of(f))) == 2 * copies
+        assert map_atoms(f, lambda at: at) is f
+
+    def test_symbols_stages_and_free_variables(self, deep):
+        f, _ = deep(self.LEAF)
+        assert signature_of(f) == Signature(
+            objects=frozenset({"c"}), fluents=frozenset({("F", 1)}), actions=frozenset({("A", 1)})
+        )
+        assert stages_of(Theory((f,))) == {Stage.NEXT}
+        assert contains_action_eq(f)
+        assert free_vars(f) == {"x"}
+
+    def test_rename_stage(self, deep):
+        f, copies = deep(self.LEAF)
+        g = rename_stage(f, Stage.NEXT, Stage.NOW)
+        assert stages_of(g) == {Stage.NOW}
+        assert sum(isinstance(at, FluentAtom) for at in atoms_of(g)) == copies
+
+    def test_rewrite_action_equalities(self, deep):
+        f, copies = deep(self.LEAF)
+        g = rewrite_action_equalities(f)
+        assert not contains_action_eq(g)
+        assert [at for at in atoms_of(g) if isinstance(at, ObjEq)] == [ObjEq(x, c)] * copies
+
+    def test_flatten_walks_wide_spines(self):
+        parts = [P(Const(f"c{i}")) for i in range(10_000)]
+        assert flatten_and(conj(parts)) == parts
+        assert flatten_or(disj(parts)) == parts
