@@ -454,7 +454,7 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-una", action="store_true",
                    help="drop the unique-names assumption on constants")
     p.add_argument("--max-models", type=int, default=None, metavar="N",
-                   help="model enumeration budget")
+                   help="cap on the models or reducts one enumeration may produce")
     p.add_argument("--budget", type=int, default=None, metavar="N",
                    help="witness search budget for separability checks")
 

@@ -7,12 +7,13 @@ labelled with the bound they hold up to; negative verdicts carry a concrete
 witness model or sentence and re-validate by direct evaluation before being
 returned.
 
-Entailment, equivalence and satisfiability ground the formulas over each
-candidate domain and run a small DPLL solver, so they scale past the point
-where exhaustive model streaming is feasible.  Inseparability enumerates
-diagrams over the shared signature only, asking the solver whether each one
-is realized; forgetting verification streams full model sets and is meant
-for desk-scale vocabularies.
+Every question is answered on one propositional engine: the formulas are
+grounded over each candidate domain, Tseitin-encoded and handed to a small
+DPLL solver.  Entailment, equivalence and satisfiability ask for one model.
+Inseparability grounds each theory once per domain and lets one search
+enumerate the distinct reducts to the shared signature, deciding those
+atoms first.  Forgetting verification asks two satisfiability questions per
+domain, one for each way the result can be wrong.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, SitcalcError
 from .forgetting import GroundAtom
@@ -60,7 +61,8 @@ class OracleConfig:
     max_extra: anonymous domain elements allowed on top of the named constants.
     una: interpret distinct constants as distinct elements; switching it off
          additionally enumerates all identifications of constants.
-    max_models: cap on enumerated interpretations for the streaming checks.
+    max_models: cap on the models or reducts one enumeration may produce
+         (models(), inseparability, consequence containment, expansion).
     time_limit: wall-clock budget in seconds, None for unlimited.
     witness_depth: quantifier/connective depth for separation witnesses.
     witness_budget: cap on candidate witness sentences.
@@ -119,6 +121,11 @@ class FiniteModel:
             (k, table ^ {tup} if k == key else table) for k, table in self.relations
         )
         return FiniteModel(self.size, self.consts, out)
+
+    def sort_key(self) -> tuple:
+        """A total order that depends only on the interpretation, not on how
+        its tables were built."""
+        return (self.size, self.consts, tuple((k, sorted(t)) for k, t in self.relations))
 
     def reduct(self, delta: Signature) -> FiniteModel:
         """Restriction to the delta symbols; the domain is kept."""
@@ -261,7 +268,7 @@ class _Budget:
     def spend(self, what: str = "model enumeration") -> None:
         self.count += 1
         if self.max_models is not None and self.count > self.max_models:
-            raise BudgetExceeded(f"{what} exceeded the budget of {self.max_models} interpretations")
+            raise BudgetExceeded(f"{what} exceeded the budget of {self.max_models} models or reducts")
         self.check_time(what)
 
     def check_time(self, what: str = "oracle search") -> None:
@@ -270,38 +277,24 @@ class _Budget:
             raise BudgetExceeded(f"{what} exceeded the time budget")
 
 
-def _interpretations(
-    vocab: Signature,
-    stages: frozenset[Stage],
-    cfg: OracleConfig,
-    budget: Optional[_Budget] = None,
-    specs: Optional[Sequence[tuple[int, tuple[tuple[str, int], ...]]]] = None,
-) -> Iterator[FiniteModel]:
-    """Every interpretation over the vocabulary within the domain bounds."""
-    budget = budget or _Budget(cfg)
-    keys = _rel_keys(vocab, stages)
-    for n, consts in specs if specs is not None else _domain_specs(vocab, cfg):
-        tuple_lists = [tuple(itertools.product(range(n), repeat=ar)) for _, ar in keys]
-        for masks in itertools.product(*[range(1 << len(tl)) for tl in tuple_lists]):
-            budget.spend()
-            rels = tuple(
-                (key, frozenset(tl[i] for i in range(len(tl)) if mask >> i & 1))
-                for (key, _), tl, mask in zip(keys, tuple_lists, masks)
-            )
-            yield FiniteModel(n, consts, rels)
-
-
 def models(
     t: Theory,
     cfg: OracleConfig = DEFAULT_CONFIG,
     sig: Optional[Signature] = None,
     stages: Optional[frozenset[Stage]] = None,
 ) -> Iterator[FiniteModel]:
-    """Stream the bounded finite models of a theory in canonical order."""
+    """Stream the bounded finite models of a theory, each exactly once.
+
+    Domains come in the order of their specs; within one domain the models
+    come in the solver's search order.
+    """
     vocab = signature_of(t) | (sig or Signature())
     stages = stages if stages is not None else stages_of(t)
-    for m in _interpretations(vocab, stages, cfg):
-        if theory_holds(m, t):
+    keys = _rel_keys(vocab, stages)
+    budget = _Budget(cfg)
+    for n, consts in _domain_specs(vocab, cfg):
+        for m in _projections(t.axioms, n, consts, keys, consts, budget, "model enumeration"):
+            _require(theory_holds(m, t), "enumerated model does not re-validate")
             yield m
 
 
@@ -468,13 +461,26 @@ class _CNF:
             self.clauses.append([self._encode(c) for c in children])
 
 
-def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[list[Optional[bool]]]:
-    """Deterministic DPLL with unit propagation; returns an assignment or None."""
+def _dpll_models(
+    nvars: int,
+    clauses: list[list[int]],
+    budget: _Budget,
+    project: Collection[int] = (),
+) -> Iterator[list[Optional[bool]]]:
+    """Deterministic DPLL with unit propagation, enumerating models.
+
+    The variables in project are decided before all others.  After each model
+    the search backtracks to the deepest decision on a projected variable as
+    if that decision had hit a conflict, so it yields exactly one model per
+    assignment of the projected variables that extends to a model; with
+    project empty it yields at most one.  The yielded list is the solver's
+    own assignment, indexed by variable: read it before resuming.
+    """
     assign: list[Optional[bool]] = [None] * (nvars + 1)
     occ: dict[int, list[int]] = {}
     for ci, cl in enumerate(clauses):
         if not cl:
-            return None
+            return
         for lit in cl:
             occ.setdefault(lit, []).append(ci)
 
@@ -482,7 +488,10 @@ def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[lis
     for cl in clauses:
         for lit in cl:
             counts[abs(lit)] += 1
-    order = sorted(range(1, nvars + 1), key=lambda v: (-counts[v], v))
+    projected = [False] * (nvars + 1)
+    for v in project:
+        projected[v] = True
+    order = sorted(range(1, nvars + 1), key=lambda v: (not projected[v], -counts[v], v))
 
     trail: list[int] = []
     qhead = 0
@@ -539,9 +548,9 @@ def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[lis
 
     for cl in clauses:
         if len(cl) == 1 and not set_lit(cl[0]):
-            return None
+            return
     if not propagate():
-        return None
+        return
 
     # decision stack entries: (trail mark before the decision, literal, flipped?)
     decisions: list[tuple[int, int, bool]] = []
@@ -554,20 +563,32 @@ def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[lis
                 break
             oi += 1
         if var is None:
-            return assign
-        decisions.append((len(trail), -var, False))
-        ok = set_lit(-var) and propagate()
+            yield assign
+            # Projected variables are decided first, so the decisions above
+            # the deepest projected one only choose among models with the
+            # projection just reported.
+            while decisions and not projected[abs(decisions[-1][1])]:
+                undo_to(decisions.pop()[0])
+            ok = False
+        else:
+            decisions.append((len(trail), -var, False))
+            ok = set_lit(-var) and propagate()
         while not ok:
             while decisions and decisions[-1][2]:
                 mark, _, _ = decisions.pop()
                 undo_to(mark)
             if not decisions:
-                return None
+                return
             mark, lit, _ = decisions.pop()
             undo_to(mark)
             decisions.append((mark, -lit, True))
             ok = set_lit(-lit) and propagate()
             oi = 0
+
+
+def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[list[Optional[bool]]]:
+    """The first model DPLL finds, or None."""
+    return next(_dpll_models(nvars, clauses, budget), None)
 
 
 def _solve_domain(
@@ -577,25 +598,27 @@ def _solve_domain(
     vocab: Signature,
     stages: frozenset[Stage],
     budget: _Budget,
-    forced: Optional[Mapping[tuple[RelKey, tuple[int, ...]], bool]] = None,
 ) -> Optional[FiniteModel]:
-    """A model of the conjunction of formulas over the given domain, or None.
-
-    forced pins individual ground atoms to truth values via unit clauses, so
-    callers can ask whether a partial diagram extends to a full model.
-    """
+    """A model of the conjunction of formulas over the given domain, or None."""
     g = _Grounder(n, dict(consts))
-    props = [g.ground(f, {}, False) for f in formulas]
-    units: list[int] = []
-    if forced:
-        for (key, tup), val in sorted(forced.items()):
-            v = g._var(key, tup)
-            units.append(v if val else -v)
+    return _solve_ground(g, [g.ground(f, {}, False) for f in formulas], consts, vocab, stages, budget)
+
+
+def _solve_ground(
+    g: _Grounder,
+    props: Sequence[object],
+    consts: tuple[tuple[str, int], ...],
+    vocab: Signature,
+    stages: frozenset[Stage],
+    budget: _Budget,
+) -> Optional[FiniteModel]:
+    """A model of the conjunction of ground trees built by g, or None.
+
+    Atoms that no tree mentions are false in the model.
+    """
     cnf = _CNF(g.nvars)
     for p in props:
         cnf.assert_root(p)
-    for u in units:
-        cnf.clauses.append([u])
     if cnf.trivially_false:
         return None
     assignment = _dpll(cnf.nvars, cnf.clauses, budget)
@@ -606,7 +629,40 @@ def _solve_domain(
         if assignment[var]:
             tables.setdefault(key, set()).add(tup)
     rels = tuple((key, frozenset(tables[key])) for key in sorted(tables))
-    return FiniteModel(n, consts, rels)
+    return FiniteModel(g.size, consts, rels)
+
+
+def _projections(
+    axioms: Sequence[Formula],
+    n: int,
+    consts: tuple[tuple[str, int], ...],
+    keys: Sequence[tuple[RelKey, int]],
+    shown_consts: tuple[tuple[str, int], ...],
+    budget: _Budget,
+    what: str,
+) -> Iterator[FiniteModel]:
+    """Each interpretation of the relations in keys that extends to a model
+    of the axioms over the given domain, exactly once.
+
+    Every ground atom over keys gets a variable before grounding, so atoms the
+    axioms do not mention are enumerated both ways.  The yielded models
+    interpret only keys and shown_consts.
+    """
+    g = _Grounder(n, dict(consts))
+    atoms = [(key, tup, g._var(key, tup)) for key, ar in keys for tup in itertools.product(range(n), repeat=ar)]
+    props = [g.ground(f, {}, False) for f in axioms]
+    cnf = _CNF(g.nvars)
+    for p in props:
+        cnf.assert_root(p)
+    if cnf.trivially_false:
+        return
+    for assignment in _dpll_models(cnf.nvars, cnf.clauses, budget, [v for _, _, v in atoms]):
+        budget.spend(what)
+        tables: dict[RelKey, list[tuple[int, ...]]] = {key: [] for key, _ in keys}
+        for key, tup, v in atoms:
+            if assignment[v]:
+                tables[key].append(tup)
+        yield FiniteModel(n, shown_consts, tuple((key, frozenset(tables[key])) for key, _ in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +732,19 @@ class Unknown:
     mismatch: Optional[FiniteModel] = None  # a reduct realized by exactly one theory
 
 
-Verdict = Union[
-    EntailedFinite,
-    Countermodel,
-    EquivalentFinite,
-    NotEquivalent,
-    Sat,
-    UnsatFinite,
-    VerifiedFinite,
-    ForgettingMismatch,
-    InseparableFinite,
-    Separated,
-    Unknown,
-]
+Verdict = (
+    EntailedFinite
+    | Countermodel
+    | EquivalentFinite
+    | NotEquivalent
+    | Sat
+    | UnsatFinite
+    | VerifiedFinite
+    | ForgettingMismatch
+    | InseparableFinite
+    | Separated
+    | Unknown
+)
 
 _POSITIVE = (EntailedFinite, EquivalentFinite, Sat, VerifiedFinite, InseparableFinite)
 
@@ -776,21 +832,49 @@ def verify_forgetting(
 ) -> Union[VerifiedFinite, ForgettingMismatch]:
     """Check that r's bounded models are exactly t's models with g released.
 
-    M must satisfy r iff M or its g-toggled variant satisfies t.
+    M must satisfy r iff M or its g-toggled variant satisfies t.  Over each
+    domain the theories are grounded once; writing t' for t with g's variable
+    negated, r is too strong where (t or t') and not r is satisfiable, and
+    too weak where r and not t and not t' is.
     """
     vocab = signature_of(t) | signature_of(r) | g.signature()
     stages = stages_of(t) | stages_of(r)
     if g.stage is not None:
         stages = stages | {g.stage}
-    bound = search_bound(vocab, cfg)
-    for m in _interpretations(vocab, stages, cfg):
-        reachable = theory_holds(m, t) or theory_holds(m.with_toggled(g), t)
-        admitted = theory_holds(m, r)
-        if reachable and not admitted:
-            return ForgettingMismatch(m, "result-too-strong")
-        if admitted and not reachable:
-            return ForgettingMismatch(m, "result-too-weak")
-    return VerifiedFinite(bound)
+    budget = _Budget(cfg)
+    for n, consts in _domain_specs(vocab, cfg):
+        gr = _Grounder(n, dict(consts))
+        gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
+        t_pos = _pand([gr.ground(f, {}, False) for f in t.axioms])
+        t_neg = _por([gr.ground(f, {}, True) for f in t.axioms])
+        r_pos = _pand([gr.ground(f, {}, False) for f in r.axioms])
+        r_neg = _por([gr.ground(f, {}, True) for f in r.axioms])
+        queries = (
+            ("result-too-strong", [_por([t_pos, _negate_var(t_pos, gv)]), r_neg]),
+            ("result-too-weak", [r_pos, t_neg, _negate_var(t_neg, gv)]),
+        )
+        for direction, props in queries:
+            m = _solve_ground(gr, props, consts, vocab, stages, budget)
+            if m is None:
+                continue
+            reachable = theory_holds(m, t) or theory_holds(m.with_toggled(g), t)
+            admitted = theory_holds(m, r)
+            _require(
+                reachable != admitted and admitted == (direction == "result-too-weak"),
+                "forgetting mismatch does not re-validate",
+            )
+            return ForgettingMismatch(m, direction)
+    return VerifiedFinite(search_bound(vocab, cfg))
+
+
+def _negate_var(p, var: int) -> object:
+    """The ground tree p with every occurrence of variable var negated."""
+    if isinstance(p, int):
+        return -p if abs(p) == var else p
+    if p == _PTRUE or p == _PFALSE:
+        return p
+    kind, children = p
+    return (kind, [_negate_var(c, var) for c in children])
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +891,8 @@ def _reduct_sets_by_size(
 ) -> list[tuple[int, frozenset[FiniteModel], frozenset[FiniteModel]]]:
     """Delta-reducts of each theory's bounded models, grouped by domain size.
 
-    Candidate reducts are enumerated as complete diagrams over the delta
-    symbols; membership is a solver call with the diagram pinned, so the
+    Each theory is grounded once per domain spec, and one solver search that
+    decides the delta atoms first yields each realized reduct once, so the
     interpretations of the remaining symbols are never enumerated.  Grouping
     by size (rather than by constant placement) matters without unique names:
     the same reduct may be realized under different placements.
@@ -817,24 +901,11 @@ def _reduct_sets_by_size(
     delta_keys = _rel_keys(delta, stages)
     by_size: dict[int, tuple[set[FiniteModel], set[FiniteModel]]] = {}
     for n, consts in _domain_specs(vocab, cfg):
-        r1, r2 = by_size.setdefault(n, (set(), set()))
         delta_consts = tuple((nm, e) for nm, e in consts if nm in delta.objects)
-        tuple_lists = [tuple(itertools.product(range(n), repeat=ar)) for _, ar in delta_keys]
-        for masks in itertools.product(*[range(1 << len(tl)) for tl in tuple_lists]):
-            budget.spend("reduct enumeration")
-            diagram: dict[tuple[RelKey, tuple[int, ...]], bool] = {}
-            rels = []
-            for (key, _), tl, mask in zip(delta_keys, tuple_lists, masks):
-                rels.append((key, frozenset(tl[i] for i in range(len(tl)) if mask >> i & 1)))
-                for i, tup in enumerate(tl):
-                    diagram[(key, tup)] = bool(mask >> i & 1)
-            reduct = FiniteModel(n, delta_consts, tuple(rels))
-            if reduct in r1 and reduct in r2:
-                continue
-            if reduct not in r1 and _solve_domain(t1.axioms, n, consts, vocab, stages, budget, forced=diagram):
-                r1.add(reduct)
-            if reduct not in r2 and _solve_domain(t2.axioms, n, consts, vocab, stages, budget, forced=diagram):
-                r2.add(reduct)
+        for t, reducts in zip((t1, t2), by_size.setdefault(n, (set(), set()))):
+            reducts.update(
+                _projections(t.axioms, n, consts, delta_keys, delta_consts, budget, "reduct enumeration")
+            )
     return [(n, frozenset(r1), frozenset(r2)) for n, (r1, r2) in sorted(by_size.items())]
 
 
@@ -935,11 +1006,11 @@ def check_inseparable(
     if all(r1 == r2 for _, r1, r2 in sets):
         return InseparableFinite(bound, counts)
     mismatch = next(
-        m for _, r1, r2 in sets for m in sorted(r1 ^ r2, key=repr)
+        m for _, r1, r2 in sets for m in sorted(r1 ^ r2, key=FiniteModel.sort_key)
     )
 
-    all1 = sorted({m for _, r1, _ in sets for m in r1}, key=repr)
-    all2 = sorted({m for _, _, r2 in sets for m in r2}, key=repr)
+    all1 = sorted({m for _, r1, _ in sets for m in r1}, key=FiniteModel.sort_key)
+    all2 = sorted({m for _, _, r2 in sets for m in r2}, key=FiniteModel.sort_key)
     seen_vectors: set[tuple[bool, ...]] = set()
     budget = _Budget(cfg)
     # Constant-free witnesses first: they are the more portable separators, so

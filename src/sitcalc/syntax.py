@@ -67,7 +67,9 @@ class Const:
         return f"Const({self.name!r})"
 
 
-ObjTerm = Union[Var, Const]
+# Module-level unions are written with `|`: a typing.Union alias enters
+# typing's caches, which then keep every earlier import of the package alive.
+ObjTerm = Var | Const
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ class Theory:
         return len(self.axioms)
 
 
-SyntaxLike = Union[Var, Const, ActionVar, ActionTerm, Formula, Theory]
+SyntaxLike = Var | Const | ActionVar | ActionTerm | Formula | Theory
 
 
 # ---------------------------------------------------------------------------

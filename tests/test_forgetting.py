@@ -99,6 +99,25 @@ class TestSemanticCheck:
         assert not is_positive(v)
         assert v.direction == "result-too-weak"
 
+    def test_identified_constants_share_the_atom(self):
+        # Without unique names b may denote c, and then P(b) is the atom released.
+        theory = t("P(b)")
+        no_una = OracleConfig(max_extra=1, una=False)
+        assert is_positive(verify_forgetting(theory, Pc, theory, CFG))
+        v = verify_forgetting(theory, Pc, theory, no_una)
+        assert v.direction == "result-too-strong"
+        assert v.model.const("b") == v.model.const("c")
+        assert is_positive(verify_forgetting(theory, Pc, forget_atom(theory, Pc, una=False), no_una))
+
+    def test_next_stage_atom_is_released_apart_from_the_current_one(self):
+        theory = t("F'(c) & (F(c) | P(c))")
+        g = GroundAtom("F", ("c",), Stage.NEXT)
+        assert is_positive(verify_forgetting(theory, g, forget_atom(theory, g), CFG))
+        assert is_positive(verify_forgetting(theory, g, t("F(c) | P(c)"), CFG))
+        v = verify_forgetting(theory, g, theory, CFG)
+        assert v.direction == "result-too-strong"
+        assert not v.model.holds(("F", "next"), (v.model.const("c"),))
+
 
 class TestSymbolForgetting:
     def test_middle_symbol_elimination_keeps_the_chain(self, chain, cfg1):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sitcalc.errors import BudgetExceeded
 from sitcalc.forgetting import GroundAtom, forget_atom
 from sitcalc.oracle import (
     Countermodel,
@@ -56,6 +57,12 @@ class TestEvaluation:
         assert len(list(models(Theory(()), CFG, sig=sig))) == 6
         no_una = OracleConfig(max_extra=1, una=False)
         assert len(list(models(Theory(()), no_una, sig=sig))) == 10
+
+    def test_sort_key_ignores_how_tables_were_built(self):
+        one = FiniteModel(3, (), ((("R", ""), frozenset([(0, 0), (2, 2)])),))
+        other = FiniteModel(3, (), ((("R", ""), frozenset([(2, 2), (0, 0)])),))
+        assert one == other and repr(one) != repr(other)
+        assert one.sort_key() == other.sort_key()
 
     def test_unique_names_constrain_models(self):
         sig = Signature(objects=frozenset({"a", "b"}))
@@ -139,6 +146,26 @@ class TestInseparability:
         tiny = OracleConfig(max_extra=1, witness_budget=1)
         v = check_inseparable(one, two, DELTA_R, tiny, depth=3)
         assert isinstance(v, Unknown)
+
+
+class TestReductEnumeration:
+    def test_forgotten_corpus_pair_reduct_counts(self, insep_pair):
+        (sig1, one), (sig2, two) = insep_pair
+        delta = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
+        g = GroundAtom("R", ("c", "c"), None)
+        no_witness = OracleConfig(max_extra=1, witness_budget=0)
+        v = check_inseparable(forget_atom(one, g), forget_atom(two, g), delta, no_witness)
+        assert isinstance(v, Unknown)
+        assert v.reduct_counts == ((2, 6, 12), (3, 196, 392))
+
+    def test_delta_atoms_the_theories_do_not_mention_count_both_ways(self):
+        v = check_inseparable(t("c == c"), t("c == c"), DELTA_P, CFG)
+        assert v == InseparableFinite(bound=2, reduct_counts=((1, 2, 2), (2, 4, 4)))
+
+    def test_enumeration_budget_counts_reducts(self):
+        tiny = OracleConfig(max_extra=1, max_models=5)
+        with pytest.raises(BudgetExceeded, match="reduct enumeration"):
+            check_inseparable(t("c == c"), t("c == c"), DELTA_P, tiny)
 
 
 class TestConsequenceContainment:

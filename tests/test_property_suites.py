@@ -2,8 +2,8 @@
 
 Each property gets one hundred generated cases.  Cases are derived from the
 seed alone, so every run sees the same theories.  The verification suite uses
-a two-constant vocabulary because it enumerates the full interpretation
-space, which grows steeply with the search bound.
+a two-constant vocabulary, small enough for the brute-force reference that
+test_oracle_differential.py runs on cases from the same generators.
 """
 
 import random

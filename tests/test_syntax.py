@@ -1,7 +1,12 @@
 """Formula AST: signatures, substitution, staging, simplification."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sitcalc
 from sitcalc.errors import SitcalcError
 from sitcalc.syntax import (
     FALSE,
@@ -219,3 +224,27 @@ class TestDeepAndWide:
         parts = [P(Const(f"c{i}")) for i in range(10_000)]
         assert flatten_and(conj(parts)) == parts
         assert flatten_or(disj(parts)) == parts
+
+
+# Run in a child interpreter: re-importing the package here would give the
+# other tests' modules classes of a different identity.
+_REIMPORT = """
+import gc, importlib, sys, weakref
+sys.path.insert(0, sys.argv[1])
+
+def fresh():
+    for name in [n for n in sys.modules if n == "sitcalc" or n.startswith("sitcalc.")]:
+        del sys.modules[name]
+    return importlib.import_module("sitcalc")
+
+old = weakref.ref(fresh().syntax.And)
+fresh()
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+
+
+def test_reimport_frees_the_previous_package():
+    src = str(Path(sitcalc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT, src], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "the previous import of sitcalc is still alive"
