@@ -5,6 +5,16 @@ are exactly the models of T with the truth value of g released: M' satisfies
 the result iff some model of T agrees with M' everywhere except possibly on g.
 The syntactic computation relativizes every occurrence of g's predicate so the
 value of g is isolated, then resolves on g.
+
+Forgetting is local: only axioms that can denote g take part.  An axiom
+without an atom of g's predicate, kind, stage and arity cannot, and neither,
+under unique names, can one whose every such atom has a constant argument
+other than g's constant at that position.  These axioms pass through as the
+same objects, without being relativized.  The test is exact: relativizing
+such an axiom yields g only in conjunctions with an equality between
+distinct constants, which simplification under unique names turns into
+FALSE, so the relativized form never mentions g and resolution would have
+kept the axiom verbatim anyway.
 """
 
 from __future__ import annotations
@@ -84,6 +94,18 @@ def _matches(f: Formula, g: GroundAtom) -> Optional[tuple]:
             return None
 
 
+def _may_denote(f: Formula, g: GroundAtom, una: bool) -> bool:
+    """Can an atom of f denote g?  Under unique names an atom whose argument
+    is a constant other than g's constant at that position cannot."""
+    for atom in atoms_of(f):
+        args = _matches(atom, g)
+        if args is not None and not (
+            una and any(isinstance(t, Const) and t.name != c for t, c in zip(args, g.args))
+        ):
+            return True
+    return False
+
+
 def relativize(f: Formula, g: GroundAtom, una: bool = True) -> Formula:
     """Split every occurrence of g's predicate on whether its arguments equal g's.
 
@@ -114,15 +136,20 @@ def replace_ground(f: Formula, g: GroundAtom, value: Formula) -> Formula:
 def forget_atom(t: Theory, g: GroundAtom, una: bool = True) -> Theory:
     """Forget one ground atom.
 
-    Axioms whose relativized form does not mention g pass through verbatim;
-    the rest are relativized, conjoined and expanded to (AND phi[g/true]) |
-    (AND phi[g/false]).  Keeping g-free axioms out of the disjunction is
-    sound because a conjunct without g factors out of it.
+    Axioms that cannot denote g (see the module docstring) pass through as
+    the same objects without being relativized, and so do axioms whose
+    relativized form does not mention g.  The rest are relativized,
+    conjoined and expanded to (AND phi[g/true]) | (AND phi[g/false]).
+    Keeping g-free axioms out of the disjunction is sound because a conjunct
+    without g factors out of it.
     """
     kept: list[Formula] = []
     pos_parts: list[Formula] = []
     neg_parts: list[Formula] = []
     for ax in t.axioms:
+        if not _may_denote(ax, g, una):
+            kept.append(ax)
+            continue
         rel = relativize(ax, g, una)
         pos = replace_ground(rel, g, TRUE)
         neg = replace_ground(rel, g, FALSE)

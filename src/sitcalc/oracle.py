@@ -59,8 +59,11 @@ class OracleConfig:
     """Bounds and budgets for oracle calls.
 
     max_extra: anonymous domain elements allowed on top of the named constants.
-    una: interpret distinct constants as distinct elements; switching it off
-         additionally enumerates all identifications of constants.
+    una: interpret distinct constants as distinct elements.  Switching it
+         off also searches the identifications of constants: entailment,
+         satisfiability, equivalence and forgetting verification try one
+         constant placement per identification, up to renaming of elements;
+         models() and inseparability try every placement.
     max_models: cap on the models or reducts one enumeration may produce
          (models(), inseparability, consequence containment, expansion).
     time_limit: wall-clock budget in seconds, None for unlimited.
@@ -232,7 +235,34 @@ def _rel_keys(vocab: Signature, stages: frozenset[Stage]) -> tuple[tuple[RelKey,
     return tuple(sorted(keys))
 
 
-def _domain_specs(vocab: Signature, cfg: OracleConfig) -> list[tuple[int, tuple[tuple[str, int], ...]]]:
+def _growth_strings(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Placements of m constants in range(n) where each constant goes to an
+    element at most one above the largest used before it, in lexicographic
+    order: one placement per identification of the constants, up to renaming
+    of elements."""
+
+    def extend(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == m:
+            yield prefix
+            return
+        for e in range(min(top + 2, n)):
+            yield from extend(prefix + (e,), max(top, e))
+
+    return extend((), -1)
+
+
+def _domain_specs(
+    vocab: Signature, cfg: OracleConfig, canonical: bool = False
+) -> list[tuple[int, tuple[tuple[str, int], ...]]]:
+    """Domain sizes and constant placements to search, smallest domains first.
+
+    Without unique names every placement of the constants is a spec of its
+    own.  canonical keeps only the restricted-growth placements, which is
+    enough for a question that asks whether some bounded model exists: a
+    placement's relabelling to restricted growth comes no later in this
+    order and carries an isomorphic model, so the first spec with a model is
+    always canonical and the model found is the same.
+    """
     names = sorted(vocab.objects)
     m = len(names)
     specs: list[tuple[int, tuple[tuple[str, int], ...]]] = []
@@ -247,13 +277,14 @@ def _domain_specs(vocab: Signature, cfg: OracleConfig) -> list[tuple[int, tuple[
     else:
         top = max(1, m + cfg.max_extra)
         for n in range(1, top + 1):
-            for assignment in itertools.product(range(n), repeat=m):
-                specs.append((n, tuple(zip(names, assignment))))
+            placements = _growth_strings(m, n) if canonical else itertools.product(range(n), repeat=m)
+            specs.extend((n, tuple(zip(names, p))) for p in placements)
     return specs
 
 
 def search_bound(vocab: Signature, cfg: OracleConfig) -> int:
-    return max(n for n, _ in _domain_specs(vocab, cfg))
+    """The largest domain size the oracle searches over this vocabulary."""
+    return max(1, len(vocab.objects) + cfg.max_extra)
 
 
 class _Budget:
@@ -774,7 +805,7 @@ def entails(
     stages = stages if stages is not None else (stages_of(t) | stages_of(f))
     budget = _Budget(cfg)
     bound = 0
-    for n, consts in _domain_specs(vocab, cfg):
+    for n, consts in _domain_specs(vocab, cfg, canonical=True):
         bound = max(bound, n)
         m = _solve_domain(tuple(t.axioms) + (Not(f),), n, consts, vocab, stages, budget)
         if m is not None:
@@ -811,7 +842,7 @@ def satisfiable(
     stages = stages_of(t)
     budget = _Budget(cfg)
     bound = 0
-    for n, consts in _domain_specs(vocab, cfg):
+    for n, consts in _domain_specs(vocab, cfg, canonical=True):
         bound = max(bound, n)
         m = _solve_domain(tuple(t.axioms), n, consts, vocab, stages, budget)
         if m is not None:
@@ -842,7 +873,7 @@ def verify_forgetting(
     if g.stage is not None:
         stages = stages | {g.stage}
     budget = _Budget(cfg)
-    for n, consts in _domain_specs(vocab, cfg):
+    for n, consts in _domain_specs(vocab, cfg, canonical=True):
         gr = _Grounder(n, dict(consts))
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
         t_pos = _pand([gr.ground(f, {}, False) for f in t.axioms])

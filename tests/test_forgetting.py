@@ -1,7 +1,11 @@
 """Ground-atom and ground-symbol forgetting."""
 
-import pytest
+import random
 
+import pytest
+from blocks_worlds import ground_world
+
+from sitcalc import forgetting
 from sitcalc.errors import NonGroundOccurrence
 from sitcalc.forgetting import (
     GroundAtom,
@@ -78,6 +82,42 @@ class TestAtomForgetting:
         assert is_positive(entails(theory, f("R(c, c)"), CFG))
         assert is_positive(entails(out, f("R(c, c)"), CFG))
         assert not is_positive(entails(out, f("P(c)"), CFG))
+
+
+class TestLocality:
+    @pytest.fixture
+    def relativized(self, monkeypatch):
+        """The axioms forget_atom relativizes, in call order."""
+        calls = []
+        real = forgetting.relativize
+
+        def counting(f, g, una=True):
+            calls.append(f)
+            return real(f, g, una)
+
+        monkeypatch.setattr(forgetting, "relativize", counting)
+        return calls
+
+    def test_only_the_axiom_that_can_denote_the_atom_is_relativized(self, relativized):
+        b, _ = ground_world(random.Random(24), 24)
+        g = GroundAtom("On", ("B3", "B5"), Stage.NOW)
+        out = forget_atom(b.init, g)
+        (own,) = [ax for ax in b.init.axioms if g.to_formula() in atoms_of(ax)]
+        assert len(b.init.axioms) == 675
+        assert len(relativized) == 1 and relativized[0] is own
+        others = [ax for ax in b.init.axioms if ax is not own]
+        assert len(out.axioms) == len(others) + 1
+        assert all(got is ax for got, ax in zip(out.axioms, others))
+        assert out.axioms[-1] == TRUE
+
+    def test_without_unique_names_other_constants_may_denote_the_atom(self, relativized):
+        theory = t("P(b)", "R(b, c)")
+        assert forget_atom(theory, Pc) is theory
+        assert relativized == []
+        out = forget_atom(theory, Pc, una=False)
+        assert relativized == [theory.axioms[0]]
+        assert out.axioms[0] is theory.axioms[1]
+        assert out != theory
 
 
 class TestSemanticCheck:

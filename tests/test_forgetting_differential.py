@@ -1,0 +1,53 @@
+"""forget_atom against the reference that relativizes every axiom.
+
+The local version skips the axioms that cannot denote the forgotten atom;
+the results must be equal to the reference's, node for node, with unique
+names on and off.  Inputs are the property-suite theories and the theories
+progression forgets in: generated ground blocks worlds together with the
+successor state axioms instantiated for a legal move.
+"""
+
+import random
+
+import pytest
+from blocks_worlds import ground_world
+from forgetting_reference import forget_atom as reference
+from test_property_suites import CONSTS, SEEDS, random_target, random_theory
+
+from sitcalc.bat import characteristic_set, instantiate_ssas
+from sitcalc.forgetting import GroundAtom, forget_atom, sorted_atoms
+from sitcalc.syntax import Theory
+
+UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
+
+
+def _forget_in_turn(t, atoms, una, label):
+    for g in atoms:
+        want = reference(t, g, una)
+        got = forget_atom(t, g, una)
+        assert got == want, f"{label}, {g}"
+        t = got
+
+
+@pytest.mark.parametrize("una", UNA)
+def test_random_theories_match_the_reference(una):
+    for seed in SEEDS:
+        rng = random.Random(8000 + seed)
+        t = random_theory(rng)
+        r_atom = GroundAtom("R", (rng.choice(CONSTS), rng.choice(CONSTS)), None)
+        _forget_in_turn(t, [random_target(rng), r_atom], una, f"seed {seed}")
+
+
+@pytest.mark.parametrize(
+    "una, sizes",
+    [pytest.param(True, (3, 5, 8, 12, 16), id="una"), pytest.param(False, (2, 3, 4), id="no-una")],
+)
+def test_progression_inputs_match_the_reference(una, sizes):
+    # Without unique names every On literal may denote each forgotten On
+    # atom, so the reference's result grows fast with the world.
+    for seed in range(4):
+        for n in sizes:
+            b, alpha = ground_world(random.Random(f"{seed}-{n}"), n)
+            omega = characteristic_set(b, alpha)
+            combined = Theory(tuple(instantiate_ssas(b, alpha, omega).axioms) + tuple(b.init.axioms))
+            _forget_in_turn(combined, sorted_atoms(omega), una, f"seed {seed}, {n} blocks")

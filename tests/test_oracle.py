@@ -1,5 +1,7 @@
 """Bounded finite-model reasoning: entailment, equivalence, inseparability."""
 
+import itertools
+
 import pytest
 
 from sitcalc.errors import BudgetExceeded
@@ -16,6 +18,7 @@ from sitcalc.oracle import (
     Separated,
     Unknown,
     UnsatFinite,
+    _domain_specs,
     check_cons_containment,
     check_expansion,
     check_inseparable,
@@ -25,6 +28,7 @@ from sitcalc.oracle import (
     is_positive,
     models,
     satisfiable,
+    search_bound,
     theory_holds,
 )
 from sitcalc.surface import parse_formula, render
@@ -70,6 +74,41 @@ class TestEvaluation:
         assert all(m.const("a") != m.const("b") for m in with_una)
         without = list(models(Theory(()), OracleConfig(max_extra=1, una=False), sig=sig))
         assert any(m.const("a") == m.const("b") for m in without)
+
+
+class TestDomainSpecs:
+    NO_UNA = OracleConfig(max_extra=1, una=False)
+
+    @staticmethod
+    def _canonical_form(placement):
+        """The placement with elements renamed in order of first use."""
+        first = {}
+        return tuple(first.setdefault(e, len(first)) for e in placement)
+
+    def test_canonical_placements_are_one_per_identification(self):
+        vocab = Signature(objects=frozenset({"a", "b", "c"}))
+        every = _domain_specs(vocab, self.NO_UNA)
+        canonical = _domain_specs(vocab, self.NO_UNA, canonical=True)
+        assert (len(every), len(canonical)) == (100, 15)
+        assert canonical == [
+            (n, consts) for n, consts in every
+            if self._canonical_form([e for _, e in consts]) == tuple(e for _, e in consts)
+        ]
+        for n, consts in every:
+            relabelled = tuple(zip(("a", "b", "c"), self._canonical_form([e for _, e in consts])))
+            assert (n, relabelled) in canonical
+
+    def test_unique_names_have_one_placement_per_size(self):
+        vocab = Signature(objects=frozenset({"a", "b", "c"}))
+        cfg = OracleConfig(max_extra=2)
+        assert _domain_specs(vocab, cfg, canonical=True) == _domain_specs(vocab, cfg)
+        assert [n for n, _ in _domain_specs(vocab, cfg)] == [3, 4, 5]
+
+    def test_search_bound_is_the_largest_domain_searched(self):
+        for k, extra, una in itertools.product(range(4), range(3), (True, False)):
+            vocab = Signature(objects=frozenset(f"c{i}" for i in range(k)))
+            cfg = OracleConfig(max_extra=extra, una=una)
+            assert search_bound(vocab, cfg) == max(n for n, _ in _domain_specs(vocab, cfg))
 
 
 class TestEntailment:

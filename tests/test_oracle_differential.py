@@ -4,17 +4,29 @@ Theories come from the property-suite generators, seeded per case, over the
 two-constant vocabulary of the verification suite.  Reduct sets are compared
 as sets; forgetting verdicts by kind, since a result that is wrong in both
 directions may be reported by either.
+
+Without unique names the one-model questions try one constant placement per
+identification of the constants; their verdicts, models included, must equal
+those of a search over every placement.
 """
 
 import random
 
 import pytest
 from oracle_reference import interpretations, reduct_sets_by_size, verify_forgetting
-from test_property_suites import SEEDS, SMALL_CONSTS, random_target, random_theory
+from test_property_suites import NO_P, SEEDS, SMALL_CONSTS, random_formula, random_target, random_theory
 
 from sitcalc import oracle
 from sitcalc.forgetting import forget_atom
-from sitcalc.oracle import OracleConfig, VerifiedFinite, models, theory_holds
+from sitcalc.oracle import (
+    OracleConfig,
+    VerifiedFinite,
+    entails,
+    equivalent,
+    models,
+    satisfiable,
+    theory_holds,
+)
 from sitcalc.syntax import Signature, Theory, signature_of, stages_of
 
 CONFIGS = [
@@ -75,3 +87,28 @@ def test_models_match_filtered_interpretations(cfg):
         want = {m for m in interpretations(signature_of(t), stages_of(t), cfg) if theory_holds(m, t)}
         got = list(models(t, cfg))
         assert len(got) == len(set(got)) and set(got) == want, f"seed {seed}"
+
+
+def test_canonical_placements_give_the_verdicts_of_every_placement(monkeypatch):
+    cfg = OracleConfig(max_extra=1, una=False)
+
+    def verdicts():
+        out = []
+        for seed in SEEDS[::4]:
+            rng = random.Random(9000 + seed)
+            t = random_theory(rng)
+            g = random_target(rng)
+            forgotten = forget_atom(t, g, una=False)
+            r = (forgotten, Theory(t.axioms + (g.to_formula(),)), Theory(()))[seed % 3]
+            out.append((
+                entails(t, random_formula(rng, 2, [], NO_P), cfg),
+                satisfiable(t, cfg),
+                equivalent(t, forgotten, cfg),
+                oracle.verify_forgetting(t, g, r, cfg),
+            ))
+        return out
+
+    canonical = verdicts()
+    every = oracle._domain_specs
+    monkeypatch.setattr(oracle, "_domain_specs", lambda vocab, cfg, canonical=False: every(vocab, cfg))
+    assert canonical == verdicts()
