@@ -79,11 +79,9 @@ from .oracle import (
     OracleConfig,
     Sat,
     Separated,
-    Unknown,
     UnsatFinite,
     Verdict,
     VerifiedFinite,
-    check_cons_containment,
     check_expansion,
     check_inseparable,
     entails,

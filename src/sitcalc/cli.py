@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -37,7 +38,6 @@ from .oracle import (
     OracleConfig,
     Sat,
     Separated,
-    Unknown,
     UnsatFinite,
     check_inseparable,
     entails,
@@ -130,8 +130,8 @@ def _cfg_of(args: argparse.Namespace) -> OracleConfig:
         kw["una"] = False
     if getattr(args, "max_models", None) is not None:
         kw["max_models"] = args.max_models
-    if getattr(args, "budget", None) is not None:
-        kw["witness_budget"] = args.budget
+    if getattr(args, "depth", None) is not None:
+        kw["witness_depth"] = args.depth
     return OracleConfig(**kw)
 
 
@@ -194,13 +194,6 @@ def _verdict_json(v) -> dict:
             return {"kind": "inseparable", "bound": bound, "reduct_counts": [list(c) for c in counts]}
         case Separated(witness, by, bound):
             return {"kind": "separated", "witness": render(witness), "entailed_by": by, "bound": bound}
-        case Unknown(bound, counts, detail, _):
-            return {
-                "kind": "unknown",
-                "bound": bound,
-                "detail": detail,
-                "reduct_counts": [list(c) for c in counts],
-            }
     return {"kind": type(v).__name__}
 
 
@@ -223,8 +216,6 @@ def _verdict_lines(v) -> list[str]:
             return [f"inseparable over the shared signature up to domain size {bound}"]
         case Separated(witness, by, _):
             return [f"separated: theory {by} entails {render(witness)}, the other does not"]
-        case Unknown(_, _, detail, _):
-            return [f"inconclusive: {detail}"]
     return [str(v)]
 
 
@@ -438,7 +429,7 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
         sig1, t1, _ = _load_any(args.file)
         sig2, t2, _ = _load_any(args.file2)
         delta = _delta_of(args.delta, sig1 | sig2)
-        v = check_inseparable(t1, t2, delta, cfg, depth=args.depth)
+        v = check_inseparable(t1, t2, delta, cfg)
         rep.update({"path": args.file, "path2": args.file2, "delta": sorted(delta.names())})
     rep["verdict"] = _verdict_json(v)
     return (0 if is_positive(v) else 1), rep, _verdict_lines(v)
@@ -455,8 +446,6 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
                    help="drop the unique-names assumption on constants")
     p.add_argument("--max-models", type=int, default=None, metavar="N",
                    help="cap on the models or reducts one enumeration may produce")
-    p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help="witness search budget for separability checks")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -548,7 +537,7 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("file2")
     q.add_argument("--delta", required=True, metavar="SYMS")
     q.add_argument("--depth", type=int, default=None, metavar="N",
-                   help="maximum quantifier depth of separating sentences")
+                   help="depth of the short separating sentences tried first (default 3)")
 
     return ap
 
@@ -568,11 +557,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if getattr(args, "json", False):
-        print(json.dumps(rep, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(rep, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away; the verdict stands.  Point stdout at devnull
+        # so the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

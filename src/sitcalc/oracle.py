@@ -12,7 +12,9 @@ grounded over each candidate domain, Tseitin-encoded and handed to a small
 DPLL solver.  Entailment, equivalence and satisfiability ask for one model.
 Inseparability grounds each theory once per domain and lets one search
 enumerate the distinct reducts to the shared signature, deciding those
-atoms first.  Forgetting verification asks two satisfiability questions per
+atoms first; it always decides, because a reduct that only one theory
+realizes is described up to isomorphism by a sentence the other theory
+refutes.  Forgetting verification asks two satisfiability questions per
 domain, one for each way the result can be wrong.
 """
 
@@ -46,6 +48,7 @@ from .syntax import (
     Truth,
     Var,
     conj,
+    disj,
     free_vars,
     signature_of,
     stages_of,
@@ -65,10 +68,11 @@ class OracleConfig:
          constant placement per identification, up to renaming of elements;
          models() and inseparability try every placement.
     max_models: cap on the models or reducts one enumeration may produce
-         (models(), inseparability, consequence containment, expansion).
+         (models(), inseparability, expansion).
     time_limit: wall-clock budget in seconds, None for unlimited.
-    witness_depth: quantifier/connective depth for separation witnesses.
-    witness_budget: cap on candidate witness sentences.
+    witness_depth: quantifier/connective depth of the short separating
+         sentences tried first; it chooses how short a witness is, never
+         whether one is found.
     """
 
     max_extra: int = 1
@@ -76,7 +80,6 @@ class OracleConfig:
     max_models: int = 2_000_000
     time_limit: Optional[float] = None
     witness_depth: int = 3
-    witness_budget: int = 50_000
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -129,13 +132,6 @@ class FiniteModel:
         """A total order that depends only on the interpretation, not on how
         its tables were built."""
         return (self.size, self.consts, tuple((k, sorted(t)) for k, t in self.relations))
-
-    def reduct(self, delta: Signature) -> FiniteModel:
-        """Restriction to the delta symbols; the domain is kept."""
-        names = delta.names()
-        consts = tuple((n, e) for n, e in self.consts if n in delta.objects)
-        rels = tuple((k, t) for k, t in self.relations if k[0] in names)
-        return FiniteModel(self.size, consts, rels)
 
 
 def _atom_rel_key(g: GroundAtom) -> RelKey:
@@ -755,14 +751,6 @@ class Separated:
     bound: int
 
 
-@dataclass(frozen=True)
-class Unknown:
-    bound: int
-    reduct_counts: tuple[tuple[int, int, int], ...]
-    detail: str
-    mismatch: Optional[FiniteModel] = None  # a reduct realized by exactly one theory
-
-
 Verdict = (
     EntailedFinite
     | Countermodel
@@ -774,7 +762,6 @@ Verdict = (
     | ForgettingMismatch
     | InseparableFinite
     | Separated
-    | Unknown
 )
 
 _POSITIVE = (EntailedFinite, EquivalentFinite, Sat, VerifiedFinite, InseparableFinite)
@@ -911,6 +898,9 @@ def _negate_var(p, var: int) -> object:
 # ---------------------------------------------------------------------------
 # inseparability
 
+# Cap on the short candidate sentences one witness search tries.
+_WITNESS_CANDIDATES = 50_000
+
 
 def _reduct_sets_by_size(
     t1: Theory,
@@ -940,7 +930,7 @@ def _reduct_sets_by_size(
     return [(n, frozenset(r1), frozenset(r2)) for n, (r1, r2) in sorted(by_size.items())]
 
 
-def _delta_atoms(delta: Signature, nvars: int, include_consts: bool = True) -> list[Formula]:
+def _delta_atoms(delta: Signature, nvars: int, include_consts: bool, stage: Stage) -> list[Formula]:
     terms: list = [Var(f"v{i}") for i in range(nvars)]
     if include_consts:
         terms += [Const(c) for c in sorted(delta.objects)]
@@ -950,19 +940,14 @@ def _delta_atoms(delta: Signature, nvars: int, include_consts: bool = True) -> l
             atoms.append(StaticAtom(name, tup))
     for name, ar in sorted(delta.fluents):
         for tup in itertools.product(terms, repeat=ar):
-            atoms.append(FluentAtom(name, tup, Stage.NOW))
+            atoms.append(FluentAtom(name, tup, stage))
     for i, a in enumerate(terms):
         for b in terms[i + 1 :]:
             atoms.append(ObjEq(a, b))
     return atoms
 
 
-def _delta_sentences(
-    delta: Signature,
-    depth: int,
-    budget_n: int,
-    include_consts: bool = True,
-) -> Iterator[Formula]:
+def _delta_sentences(delta: Signature, depth: int, include_consts: bool, stage: Stage) -> Iterator[Formula]:
     """Prenex delta-sentences in a deterministic small-first order."""
     matrices: dict[tuple[int, int], list[Formula]] = {}
 
@@ -971,7 +956,7 @@ def _delta_sentences(
         if key in matrices:
             return matrices[key]
         if conn == 0:
-            out = list(_delta_atoms(delta, q, include_consts))
+            out = list(_delta_atoms(delta, q, include_consts, stage))
         else:
             out = []
             for f in mats(q, conn - 1):
@@ -980,7 +965,7 @@ def _delta_sentences(
             for i in range(conn):
                 j = conn - 1 - i
                 for a in mats(q, i):
-                    if len(out) > budget_n:
+                    if len(out) > _WITNESS_CANDIDATES:
                         break
                     for b in mats(q, j):
                         ra, rb = repr(a), repr(b)
@@ -989,7 +974,7 @@ def _delta_sentences(
                             out.append(Or(a, b))
                         if ra != rb:
                             out.append(Implies(a, b))
-            del out[budget_n + 1 :]
+            del out[_WITNESS_CANDIDATES + 1 :]
         matrices[key] = out
         return out
 
@@ -1008,9 +993,42 @@ def _delta_sentences(
                     for i in range(q - 1, -1, -1):
                         f = shape[i](Var(f"v{i}"), f)
                     emitted += 1
-                    if emitted > budget_n:
+                    if emitted > _WITNESS_CANDIDATES:
                         return
                     yield f
+
+
+def _characteristic_sentence(m: FiniteModel, delta: Signature) -> Formula:
+    """A delta-sentence true in exactly the structures isomorphic to the
+    delta-reduct m.
+
+    Each element is denoted by the first delta-constant naming it, or else by
+    an existential variable; the elements are pairwise distinct, a closing
+    universal says there are no others, and m's full delta-diagram holds.
+    """
+    named: dict[int, Const] = {}
+    parts: list[Formula] = []
+    for name, e in m.consts:
+        if e in named:
+            parts.append(ObjEq(named[e], Const(name)))  # identified constants, only without unique names
+        else:
+            named[e] = Const(name)
+    unnamed = [e for e in range(m.size) if e not in named]
+    term = {e: Var(f"v{i}") for i, e in enumerate(unnamed)} | named
+    elems = [term[e] for e in range(m.size)]
+    parts += [Not(ObjEq(a, b)) for a, b in itertools.combinations(elems, 2)]
+    y = Var(f"v{len(unnamed)}")
+    parts.append(Forall(y, disj(ObjEq(y, a) for a in elems)))
+    statics, fluents = dict(delta.statics), dict(delta.fluents)
+    for (name, tag), table in m.relations:
+        for tup in itertools.product(range(m.size), repeat=fluents[name] if tag else statics[name]):
+            args = tuple(term[e] for e in tup)
+            atom = FluentAtom(name, args, Stage(tag)) if tag else StaticAtom(name, args)
+            parts.append(atom if tup in table else Not(atom))
+    chi = conj(parts)
+    for e in reversed(unnamed):
+        chi = Exists(term[e], chi)
+    return chi
 
 
 def check_inseparable(
@@ -1018,17 +1036,20 @@ def check_inseparable(
     t2: Theory,
     delta: Signature,
     cfg: OracleConfig = DEFAULT_CONFIG,
-    depth: Optional[int] = None,
-) -> Union[InseparableFinite, Separated, Unknown]:
+) -> Union[InseparableFinite, Separated]:
     """Compare the delta-consequences of two theories at finite scale.
 
-    Equal delta-reduct sets at every bounded size give INSEPARABLE up to the
-    bound: the theories then entail exactly the same delta-sentences over
-    these models.  Otherwise a bounded-depth search looks for an explicit
-    separating delta-sentence; if none is found the verdict is UNKNOWN with
-    the reduct evidence.  depth overrides cfg.witness_depth when given.
+    Delta-reducts that agree up to isomorphism at every bounded size give
+    INSEPARABLE up to the bound: the theories then entail exactly the same
+    delta-sentences over these models.  Otherwise the verdict is SEPARATED,
+    with a delta-sentence one theory entails and the other does not.  The
+    short prenex sentences up to cfg.witness_depth are tried first.  If none
+    separates, the witness is the negated characteristic sentence of the
+    first reduct, in FiniteModel.sort_key order, that only one theory
+    realizes up to isomorphism.  The other theory entails it exactly: the
+    sentence fixes the domain size, and every reduct of that size was
+    enumerated.  Every witness is re-validated in both directions.
     """
-    depth = cfg.witness_depth if depth is None else depth
     vocab = signature_of(t1) | signature_of(t2) | delta
     stages = stages_of(t1) | stages_of(t2)
     sets = _reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
@@ -1036,9 +1057,18 @@ def check_inseparable(
     bound = max(n for n, _, _ in sets)
     if all(r1 == r2 for _, r1, r2 in sets):
         return InseparableFinite(bound, counts)
-    mismatch = next(
-        m for _, r1, r2 in sets for m in sorted(r1 ^ r2, key=FiniteModel.sort_key)
-    )
+
+    def separated(witness: Formula, by: int) -> Separated:
+        winner, loser = (t1, t2) if by == 1 else (t2, t1)
+        _require(
+            isinstance(entails(winner, witness, cfg, sig=vocab, stages=stages), EntailedFinite),
+            "separation witness not entailed on re-validation",
+        )
+        _require(
+            isinstance(entails(loser, witness, cfg, sig=vocab, stages=stages), Countermodel),
+            "separation witness lacks a countermodel on re-validation",
+        )
+        return Separated(witness, by, bound)
 
     all1 = sorted({m for _, r1, _ in sets for m in r1}, key=FiniteModel.sort_key)
     all2 = sorted({m for _, _, r2 in sets for m in r2}, key=FiniteModel.sort_key)
@@ -1047,8 +1077,11 @@ def check_inseparable(
     # Constant-free witnesses first: they are the more portable separators, so
     # the reported sentence does not mention constants unless it has to.
     passes = (False, True) if delta.objects else (False,)
+    # Fluent atoms sit at the current stage, unless the theories mention
+    # fluents only at the next one.
+    stage = Stage.NEXT if stages == {Stage.NEXT} else Stage.NOW
     for use_consts in passes:
-        for candidate in _delta_sentences(delta, depth, cfg.witness_budget, use_consts):
+        for candidate in _delta_sentences(delta, cfg.witness_depth, use_consts, stage):
             budget.check_time("witness search")
             if use_consts and not signature_of(candidate).objects:
                 continue
@@ -1058,64 +1091,18 @@ def check_inseparable(
             seen_vectors.add(vec)
             e1 = all(vec[: len(all1)])
             e2 = all(vec[len(all1) :])
-            if e1 == e2:
-                continue
-            winner, loser = (t1, t2) if e1 else (t2, t1)
-            _require(
-                isinstance(entails(winner, candidate, cfg, sig=vocab, stages=stages), EntailedFinite),
-                "separation witness not entailed on re-validation",
-            )
-            _require(
-                isinstance(entails(loser, candidate, cfg, sig=vocab, stages=stages), Countermodel),
-                "separation witness lacks a countermodel on re-validation",
-            )
-            return Separated(candidate, 1 if e1 else 2, bound)
-    return Unknown(
-        bound,
-        counts,
-        "reduct sets differ but no witness sentence found within depth/budget",
-        mismatch,
-    )
-
-
-@dataclass(frozen=True)
-class ConsContainment:
-    """Finite-scale comparison of delta-consequence sets via reduct inclusion.
-
-    reducts(t1) contained in reducts(t2) means every delta-sentence entailed
-    by t2 at this bound is entailed by t1, i.e. Cons(t2) is a subset of
-    Cons(t1).
-    """
-
-    bound: int
-    reducts_1_in_2: bool
-    reducts_2_in_1: bool
-
-    @property
-    def conclusion(self) -> str:
-        if self.reducts_1_in_2 and self.reducts_2_in_1:
-            return "Cons(t1, delta) = Cons(t2, delta) at this bound"
-        if self.reducts_1_in_2:
-            return "Cons(t2, delta) is a subset of Cons(t1, delta) at this bound"
-        if self.reducts_2_in_1:
-            return "Cons(t1, delta) is a subset of Cons(t2, delta) at this bound"
-        return "no containment between Cons(t1, delta) and Cons(t2, delta) at this bound"
-
-
-def check_cons_containment(
-    t1: Theory,
-    t2: Theory,
-    delta: Signature,
-    cfg: OracleConfig = DEFAULT_CONFIG,
-) -> ConsContainment:
-    vocab = signature_of(t1) | signature_of(t2) | delta
-    stages = stages_of(t1) | stages_of(t2)
-    sets = _reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
-    return ConsContainment(
-        bound=max(n for n, _, _ in sets),
-        reducts_1_in_2=all(r1 <= r2 for _, r1, r2 in sets),
-        reducts_2_in_1=all(r2 <= r1 for _, r1, r2 in sets),
-    )
+            if e1 != e2:
+                return separated(candidate, 1 if e1 else 2)
+    for _, r1, r2 in sets:
+        for m in sorted(r1 ^ r2, key=FiniteModel.sort_key):
+            budget.check_time("witness search")
+            chi = _characteristic_sentence(m, delta)
+            lacking, other = (2, r2) if m in r1 else (1, r1)
+            # With unique names and a constant outside delta, the other theory
+            # may realize m only up to isomorphism.
+            if not any(evaluate(o, chi) for o in other):
+                return separated(Not(chi), lacking)
+    return InseparableFinite(bound, counts)
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def test_criterion_06_forgetting_is_detected_by_a_separating_sentence(
     (sig1, one), (sig2, two) = insep_pair
     g = GroundAtom("R", ("c", "c"), None)
     delta = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
-    v = check_inseparable(forget_atom(one, g), forget_atom(two, g), delta, cfg1, depth=3)
+    v = check_inseparable(forget_atom(one, g), forget_atom(two, g), delta, cfg1)
     assert isinstance(v, Separated)
     assert v.entailed_by == 1
     want = Theory((parse_formula("forall x exists y R(x, y)", sig1),))

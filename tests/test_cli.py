@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, report shapes, output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,23 @@ class TestOracle:
         assert code == 1
         assert "separated: theory 1 entails" in out
 
+    def test_insep_at_depth_one_still_decides(self, capsys):
+        argv = [
+            "oracle", "insep",
+            path("insep_forgetting_t1.bat"), path("insep_forgetting_t2.bat"),
+            "--delta", "R,c", "--depth", "1",
+        ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out == (
+            "separated: theory 1 entails !exists v0 (v0 != c & forall v1 (v1 == v0 | v1 == c)"
+            " & R(v0, v0) & R(v0, c) & !R(c, v0) & R(c, c)), the other does not\n"
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        verdict = json.loads(out)["verdict"]
+        assert verdict["kind"] == "separated" and verdict["entailed_by"] == 1
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -297,6 +318,44 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "decompose", path("blocks_stacks.bat"))
         assert code == 2
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "blocks_stacks.bat", "--actions", "move(A, B, C)", "--query", "On(A, C)"],
+            ["executable", "blocks_stacks.bat", "--actions", "move(A, B, C)"],
+            ["oracle", "entails", "propositional_chain.bat", "--query", "A -> B"],
+            ["oracle", "equiv", "insep_forgetting_t1.bat", "insep_forgetting_t2.bat"],
+            ["oracle", "sat", "propositional_chain.bat"],
+            ["oracle", "insep", "insep_forgetting_t1.bat", "insep_forgetting_t2.bat", "--delta", "R,c"],
+        ],
+        ids=["project", "executable", "entails", "equiv", "sat", "insep"],
+    )
+    def test_budget_is_rejected(self, capsys, argv):
+        argv = [path(a) if a.endswith(".bat") else a for a in argv]
+        code, _, err = run(capsys, *argv, "--budget", "5")
+        assert code == 2
+        assert "unrecognized arguments: --budget" in err
+
+
+class TestClosedStdout:
+    def test_a_closed_pipe_keeps_the_verdict_exit_code(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = [
+            sys.executable, "-m", "sitcalc.cli", "progress", path("blocks_stacks.bat"),
+            "--action", "move(A, B, C)", "--json",
+        ]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
 
 
 class TestNoVerdict:

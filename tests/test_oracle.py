@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from sitcalc import oracle
 from sitcalc.errors import BudgetExceeded
 from sitcalc.forgetting import GroundAtom, forget_atom
 from sitcalc.oracle import (
@@ -16,10 +17,8 @@ from sitcalc.oracle import (
     OracleConfig,
     Sat,
     Separated,
-    Unknown,
     UnsatFinite,
     _domain_specs,
-    check_cons_containment,
     check_expansion,
     check_inseparable,
     entails,
@@ -168,23 +167,36 @@ class TestInseparability:
         assert v.entailed_by == 1
         assert render(v.witness) == "forall v0 P(v0)"
 
-    def test_depth_limit_yields_unknown_with_mismatch(self):
+    def test_depth_limit_falls_back_to_a_characteristic_sentence(self):
         one = t("forall x exists y R(x, y)", "c == c")
         two = t("c == c")
-        v = check_inseparable(one, two, DELTA_R, CFG, depth=1)
-        assert isinstance(v, Unknown)
-        assert v.mismatch is not None
-        v2 = check_inseparable(one, two, DELTA_R, CFG, depth=2)
+        v = check_inseparable(one, two, DELTA_R, OracleConfig(max_extra=1, witness_depth=1))
+        assert isinstance(v, Separated)
+        assert v.entailed_by == 1
+        # The one-element structure with an empty R, which only two realizes.
+        assert render(v.witness) == "!exists v0 (forall v1 (v1 == v0) & !R(v0, v0))"
+        v2 = check_inseparable(one, two, DELTA_R, OracleConfig(max_extra=1, witness_depth=2))
         assert isinstance(v2, Separated)
         assert render(v2.witness) == "forall v0 exists v1 R(v0, v1)"
         assert v2.entailed_by == 1
 
-    def test_budget_limit_yields_unknown(self):
-        one = t("forall x exists y R(x, y)", "c == c")
-        two = t("c == c")
-        tiny = OracleConfig(max_extra=1, witness_budget=1)
-        v = check_inseparable(one, two, DELTA_R, tiny, depth=3)
-        assert isinstance(v, Unknown)
+    def test_reducts_equal_up_to_isomorphism_are_inseparable(self):
+        # Under unique names a sits at 0 and b at 1, so the reducts to {P}
+        # differ as tables but not up to renaming the elements.
+        sig = Signature(objects=frozenset({"a", "b"}), statics=frozenset({("P", 1)}))
+        one = Theory((parse_formula("P(a) & !P(b)", sig),))
+        two = Theory((parse_formula("!P(a) & P(b)", sig),))
+        # No sentence separates them, so a deeper short search only costs time.
+        v = check_inseparable(one, two, DELTA_P, OracleConfig(max_extra=1, witness_depth=1))
+        assert v == InseparableFinite(bound=3, reduct_counts=((2, 1, 1), (3, 2, 2)))
+
+    def test_fluents_only_at_the_next_stage_are_searched_there(self):
+        sig = Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)}))
+        one = Theory((parse_formula("F'(c)", sig),))
+        two = Theory((parse_formula("F'(c) | !F'(c)", sig),))
+        v = check_inseparable(one, two, Signature(fluents=frozenset({("F", 1)})), CFG)
+        assert isinstance(v, Separated) and v.entailed_by == 1
+        assert render(v.witness) == "exists v0 F'(v0)"
 
 
 class TestReductEnumeration:
@@ -192,10 +204,10 @@ class TestReductEnumeration:
         (sig1, one), (sig2, two) = insep_pair
         delta = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
         g = GroundAtom("R", ("c", "c"), None)
-        no_witness = OracleConfig(max_extra=1, witness_budget=0)
-        v = check_inseparable(forget_atom(one, g), forget_atom(two, g), delta, no_witness)
-        assert isinstance(v, Unknown)
-        assert v.reduct_counts == ((2, 6, 12), (3, 196, 392))
+        t1, t2 = forget_atom(one, g), forget_atom(two, g)
+        vocab = sig1 | sig2 | delta
+        sets = oracle._reduct_sets_by_size(t1, t2, delta, vocab, frozenset(), OracleConfig(max_extra=1))
+        assert tuple((n, len(r1), len(r2)) for n, r1, r2 in sets) == ((2, 6, 12), (3, 196, 392))
 
     def test_delta_atoms_the_theories_do_not_mention_count_both_ways(self):
         v = check_inseparable(t("c == c"), t("c == c"), DELTA_P, CFG)
@@ -205,19 +217,6 @@ class TestReductEnumeration:
         tiny = OracleConfig(max_extra=1, max_models=5)
         with pytest.raises(BudgetExceeded, match="reduct enumeration"):
             check_inseparable(t("c == c"), t("c == c"), DELTA_P, tiny)
-
-
-class TestConsequenceContainment:
-    def test_strengthening_shrinks_the_reduct_set(self):
-        one = t("forall x exists y R(x, y)", "c == c")
-        two = t("c == c")
-        cc = check_cons_containment(one, two, DELTA_R, CFG)
-        assert cc.reducts_1_in_2 and not cc.reducts_2_in_1
-        assert "subset" in cc.conclusion
-
-    def test_equal_theories_have_equal_consequences(self):
-        cc = check_cons_containment(t("P(c)"), t("P(c)"), DELTA_P, CFG)
-        assert cc.reducts_1_in_2 and cc.reducts_2_in_1
 
 
 class TestExpansion:
@@ -238,7 +237,7 @@ class TestExpansion:
         (sig1, one), (sig2, two) = insep_pair
         delta = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
         g = GroundAtom("R", ("c", "c"), None)
-        v = check_inseparable(forget_atom(one, g), forget_atom(two, g), delta, cfg1, depth=3)
+        v = check_inseparable(forget_atom(one, g), forget_atom(two, g), delta, cfg1)
         assert isinstance(v, Separated)
         assert v.entailed_by == 1
         want = Theory((parse_formula("forall x exists y R(x, y)", sig1),))
