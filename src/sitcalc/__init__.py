@@ -56,7 +56,6 @@ from .errors import (
     SitcalcError,
     SortError,
     SourceSpan,
-    UnsubstitutedActionVariable,
 )
 from .forgetting import (
     GroundAtom,
@@ -113,9 +112,7 @@ from .surface import (
     render_theory_file,
 )
 from .syntax import (
-    ActionEq,
     ActionTerm,
-    ActionVar,
     And,
     Const,
     Exists,

@@ -1,10 +1,13 @@
 """Canonical successor state axioms and basic action theories.
 
 SSAs are kept structural: a list of positive and a list of negative effect
-disjuncts, each an optionally quantified action equality with a context
-condition at the current stage.  The local-effect check, the ground-action
-transform, argument sets and the characteristic set then read directly off
-the structure instead of performing formula surgery.
+disjuncts, each an action term under optional existential quantifiers with
+a context condition at the current stage, read as
+[exists ys] a == A(ts) & context.  The action variable a and its equality
+are never formulas: for a ground action, unique names for actions settle
+a == A(ts) from the structure alone.  The local-effect check, the
+ground-action transform, argument sets and the characteristic set all read
+directly off the structure instead of performing formula surgery.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from typing import Optional
 from .errors import MalformedTransform, MissingAxiom, SitcalcError, SourceSpan
 from .forgetting import GroundAtom, sorted_atoms
 from .syntax import (
+    FALSE,
     TRUE,
-    ActionEq,
     ActionTerm,
-    ActionVar,
     And,
     Const,
     Exists,
@@ -34,14 +36,11 @@ from .syntax import (
     Theory,
     Truth,
     Var,
-    check_uniform,
     conj,
-    contains_action_eq,
     disj,
     flatten_and,
     flatten_or,
     free_vars,
-    rewrite_action_equalities,
     signature_of,
     simplify,
     stages_of,
@@ -64,14 +63,6 @@ class EffectDisjunct:
     exists_vars: tuple[Var, ...]
     action: ActionTerm
     context: Formula = TRUE
-
-    def formula(self) -> Formula:
-        body: Formula = ActionEq(ActionVar(), self.action)
-        if self.context != TRUE:
-            body = And(body, self.context)
-        for v in reversed(self.exists_vars):
-            body = Exists(v, body)
-        return body
 
 
 @dataclass(frozen=True)
@@ -248,9 +239,7 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
             for t in d.action.args:
                 if isinstance(t, Const) and t.name not in b.sig.objects:
                     err(f"undeclared constant {t.name} in SSA for {s.fluent}", key)
-            if contains_action_eq(d.context):
-                err(f"context condition in SSA for {s.fluent} mentions an action equality", key)
-            elif not stages_of(d.context) <= frozenset({Stage.NOW}):
+            if not stages_of(d.context) <= frozenset({Stage.NOW}):
                 err(f"context condition in SSA for {s.fluent} is not at the current stage", key)
             if not signature_of(d.context) <= b.sig:
                 bad = (signature_of(d.context) - b.sig).sorted_names()
@@ -278,9 +267,7 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
         names = [v.name for v in p.params]
         if len(set(names)) != len(names):
             err(f"repeated parameter in precondition for {p.action}", key)
-        if contains_action_eq(p.formula):
-            err(f"precondition for {p.action} mentions an action equality", key)
-        elif not stages_of(p.formula) <= frozenset({Stage.NOW}):
+        if not stages_of(p.formula) <= frozenset({Stage.NOW}):
             err(f"precondition for {p.action} is not at the current stage", key)
         if not signature_of(p.formula) <= b.sig:
             bad = (signature_of(p.formula) - b.sig).sorted_names()
@@ -291,9 +278,6 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
 
     for i, ax in enumerate(b.init.axioms):
         key = f"init:{i}"
-        if contains_action_eq(ax):
-            err(f"initial axiom {i} mentions an action equality", key)
-            continue
         if not stages_of(ax) <= frozenset({Stage.NOW}):
             err(f"initial axiom {i} is not at the current stage", key)
         if not signature_of(ax) <= b.sig:
@@ -402,26 +386,38 @@ def _split_disjunct(
     return tuple(eqs[v.name] for v in head_vars), residual
 
 
+def _same_action(alpha: GroundAction, action: ActionTerm) -> Formula:
+    """alpha == action by unique names for actions.
+
+    FALSE for another action function, else the argument-wise equalities,
+    variable first.
+    """
+    if action.fn != alpha.fn:
+        return FALSE
+    return conj(ObjEq(t, Const(c)) for c, t in zip(alpha.args, action.args))
+
+
 def transform_ssa(s: SSA, alpha: GroundAction) -> TransformedSSA:
     """Substitute a ground action into an SSA and eliminate all action talk.
 
-    Action equalities are resolved by unique names for action functions and
-    the quantifiers over action arguments disappear by the one-point rule.
-    Raises MalformedTransform when some surviving block fails to bind every
-    head variable to a constant, i.e. the SSA is not local-effect for alpha.
+    Each disjunct's a == A(ts) is settled by unique names for actions: FALSE
+    when A is not alpha's function, else the equalities of ts with alpha's
+    constants.  Simplification then removes the quantifiers over action
+    arguments by the one-point rule.  Raises MalformedTransform when some
+    surviving block fails to bind every head variable to a constant, i.e.
+    the SSA is not local-effect for alpha.
     """
-    at = alpha.term()
 
     def gamma(disjuncts: tuple[EffectDisjunct, ...]) -> Formula:
         parts = []
         for d in disjuncts:
-            body: Formula = ActionEq(at, d.action)
+            body = _same_action(alpha, d.action)
             if d.context != TRUE:
                 body = And(body, d.context)
             for v in reversed(d.exists_vars):
                 body = Exists(v, body)
             parts.append(body)
-        return simplify(rewrite_action_equalities(disj(parts)))
+        return simplify(disj(parts))
 
     gp, gn = gamma(s.pos), gamma(s.neg)
     for g in (gp, gn):

@@ -244,7 +244,7 @@ def check_fluent_free(delta: Signature) -> FluentFreeCheck:
 def _ssa_signature(s: SSA) -> Signature:
     sig = Signature(fluents=frozenset({(s.fluent, len(s.head_vars))}))
     for d in s.pos + s.neg:
-        sig = sig | signature_of(d.formula())
+        sig = sig | signature_of(d.action) | signature_of(d.context)
     return sig
 
 

@@ -26,10 +26,6 @@ class SortError(SitcalcError):
     """An object term appeared where an action term was required, or vice versa."""
 
 
-class UnsubstitutedActionVariable(SitcalcError):
-    """An action-variable equality survived into a context that needs ground actions."""
-
-
 class NonGroundOccurrence(SitcalcError):
     """A predicate scheduled for symbol forgetting occurs with variable arguments."""
 

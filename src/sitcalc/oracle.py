@@ -28,7 +28,7 @@ from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 from .errors import BudgetExceeded, SitcalcError
 from .forgetting import GroundAtom
 from .syntax import (
-    ActionEq,
+    FALSE,
     And,
     Const,
     Exists,
@@ -166,8 +166,6 @@ def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None
                 return m.holds((name, ""), tuple(term(t) for t in args))
             case ObjEq(lhs, rhs):
                 return term(lhs) == term(rhs)
-            case ActionEq():
-                raise SitcalcError("action equalities cannot be evaluated; rewrite them first")
             case Not(body):
                 return not walk(body)
             case And(a, b):
@@ -414,8 +412,6 @@ class _Grounder:
             case ObjEq(lhs, rhs):
                 val = self._term(lhs, env) == self._term(rhs, env)
                 return _PTRUE if (val != neg) else _PFALSE
-            case ActionEq():
-                raise SitcalcError("action equalities cannot reach the oracle; rewrite them first")
             case Not(body):
                 return self.ground(body, env, not neg)
             case And(a, b):
@@ -824,18 +820,9 @@ def satisfiable(
     cfg: OracleConfig = DEFAULT_CONFIG,
     sig: Optional[Signature] = None,
 ) -> Union[Sat, UnsatFinite]:
-    """Does t have a bounded model?"""
-    vocab = signature_of(t) | (sig or Signature())
-    stages = stages_of(t)
-    budget = _Budget(cfg)
-    bound = 0
-    for n, consts in _domain_specs(vocab, cfg, canonical=True):
-        bound = max(bound, n)
-        m = _solve_domain(tuple(t.axioms), n, consts, vocab, stages, budget)
-        if m is not None:
-            _require(theory_holds(m, t), "satisfying model does not re-validate")
-            return Sat(m)
-    return UnsatFinite(bound)
+    """Does t have a bounded model?  Exactly when t does not entail FALSE."""
+    v = entails(t, FALSE, cfg, sig)
+    return Sat(v.model) if isinstance(v, Countermodel) else UnsatFinite(v.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,6 +1018,25 @@ def _characteristic_sentence(m: FiniteModel, delta: Signature) -> Formula:
     return chi
 
 
+def _first_unmatched(
+    sets: Sequence[tuple[int, frozenset[FiniteModel], frozenset[FiniteModel]]],
+    delta: Signature,
+    budget: _Budget,
+) -> Optional[tuple[Formula, int]]:
+    """The characteristic sentence of the first reduct that only one theory
+    realizes up to isomorphism, and the theory lacking it; None if none."""
+    for _, r1, r2 in sets:
+        for m in sorted(r1 ^ r2, key=FiniteModel.sort_key):
+            budget.check_time("witness search")
+            chi = _characteristic_sentence(m, delta)
+            lacking, other = (2, r2) if m in r1 else (1, r1)
+            # With unique names and a constant outside delta, the other theory
+            # may realize m only up to isomorphism.
+            if not any(evaluate(o, chi) for o in other):
+                return chi, lacking
+    return None
+
+
 def check_inseparable(
     t1: Theory,
     t2: Theory,
@@ -1041,12 +1047,14 @@ def check_inseparable(
 
     Delta-reducts that agree up to isomorphism at every bounded size give
     INSEPARABLE up to the bound: the theories then entail exactly the same
-    delta-sentences over these models.  Otherwise the verdict is SEPARATED,
-    with a delta-sentence one theory entails and the other does not.  The
-    short prenex sentences up to cfg.witness_depth are tried first.  If none
-    separates, the witness is the negated characteristic sentence of the
-    first reduct, in FiniteModel.sort_key order, that only one theory
-    realizes up to isomorphism.  The other theory entails it exactly: the
+    delta-sentences over these models.  That is settled first, by looking
+    for a reduct that only one theory realizes up to isomorphism; there is
+    none, and no witness search, when the reducts match up to renaming.
+    Otherwise the verdict is SEPARATED, with a delta-sentence one theory
+    entails and the other does not.  The short prenex sentences up to
+    cfg.witness_depth are tried first.  If none separates, the witness is
+    the negated characteristic sentence of the first unmatched reduct, in
+    FiniteModel.sort_key order.  The other theory entails it exactly: the
     sentence fixes the domain size, and every reduct of that size was
     enumerated.  Every witness is re-validated in both directions.
     """
@@ -1055,7 +1063,9 @@ def check_inseparable(
     sets = _reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
     counts = tuple((n, len(r1), len(r2)) for n, r1, r2 in sets)
     bound = max(n for n, _, _ in sets)
-    if all(r1 == r2 for _, r1, r2 in sets):
+    budget = _Budget(cfg)
+    unmatched = _first_unmatched(sets, delta, budget)
+    if unmatched is None:
         return InseparableFinite(bound, counts)
 
     def separated(witness: Formula, by: int) -> Separated:
@@ -1073,7 +1083,6 @@ def check_inseparable(
     all1 = sorted({m for _, r1, _ in sets for m in r1}, key=FiniteModel.sort_key)
     all2 = sorted({m for _, _, r2 in sets for m in r2}, key=FiniteModel.sort_key)
     seen_vectors: set[tuple[bool, ...]] = set()
-    budget = _Budget(cfg)
     # Constant-free witnesses first: they are the more portable separators, so
     # the reported sentence does not mention constants unless it has to.
     passes = (False, True) if delta.objects else (False,)
@@ -1093,16 +1102,8 @@ def check_inseparable(
             e2 = all(vec[len(all1) :])
             if e1 != e2:
                 return separated(candidate, 1 if e1 else 2)
-    for _, r1, r2 in sets:
-        for m in sorted(r1 ^ r2, key=FiniteModel.sort_key):
-            budget.check_time("witness search")
-            chi = _characteristic_sentence(m, delta)
-            lacking, other = (2, r2) if m in r1 else (1, r1)
-            # With unique names and a constant outside delta, the other theory
-            # may realize m only up to isomorphism.
-            if not any(evaluate(o, chi) for o in other):
-                return separated(Not(chi), lacking)
-    return InseparableFinite(bound, counts)
+    chi, lacking = unmatched
+    return separated(Not(chi), lacking)
 
 
 @dataclass(frozen=True)

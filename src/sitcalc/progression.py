@@ -34,7 +34,6 @@ from .syntax import (
     Signature,
     Stage,
     Theory,
-    Truth,
     rename_stage,
     signature_of,
     simplify_theory,
@@ -69,12 +68,12 @@ class ExecutabilityReport:
 
 
 def _finalize(t: Theory) -> Theory:
-    """Stage bookkeeping after forgetting: the next stage becomes current."""
-    t = rename_stage(t, Stage.NEXT, Stage.NOW)
-    t = simplify_theory(t)
-    t = split_conjunctions(t)
-    t = simplify_theory(t)
-    return Theory(tuple(ax for ax in t.axioms if not isinstance(ax, Truth)))
+    """Stage bookkeeping after forgetting: the next stage becomes current.
+
+    One simplification suffices: the conjuncts of a simplified axiom are
+    simplified already, and splitting drops TRUE.
+    """
+    return split_conjunctions(simplify_theory(rename_stage(t, Stage.NEXT, Stage.NOW)))
 
 
 def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:

@@ -41,9 +41,7 @@ from .forgetting import GroundAtom
 from .syntax import (
     FALSE,
     TRUE,
-    ActionEq,
     ActionTerm,
-    ActionVar,
     And,
     Const,
     Exists,
@@ -138,7 +136,6 @@ class _Parser:
         # formula context, toggled per block
         self.stage_default = Stage.NOW
         self.allow_next = True
-        self.allow_action_eq = True
 
     # --- token plumbing
 
@@ -322,43 +319,15 @@ class _Parser:
             self._expect(")")
         return t, args
 
-    def _action_side(
-        self, t: _Token, args: Optional[list[ObjTerm]]
-    ) -> Union[ActionVar, ActionTerm]:
-        name = t.text
-        if name.endswith("'"):
-            self._err("action terms cannot carry a prime", t)
-        if name in self.actions:
-            ar = self.actions[name]
-            got = args or []
-            if ar != len(got):
-                self._err(f"{name} declared with arity {ar}, used with {len(got)}", t)
-            return ActionTerm(name, tuple(got))
-        if args is not None or self._declared(name) or name in _RESERVED:
-            self._err(f"{name} is not a declared action", t)
-        return ActionVar(name)
-
     def _atom(self) -> Formula:
         t, args = self._operand()
         if self._at("==") or self._at("!="):
             op = self._next().text
             rt, rargs = self._operand()
-            lhs_act = t.text in self.actions
-            rhs_act = rt.text in self.actions
-            eq: Formula
-            if lhs_act or rhs_act:
-                if not self.allow_action_eq:
-                    self._err("action equality is not allowed here", t)
-                left = self._action_side(t, args)
-                right = self._action_side(rt, rargs)
-                if isinstance(right, ActionVar):
-                    self._err("the action variable must be on the left", rt)
-                eq = ActionEq(left, right)
-            else:
-                for side, sargs in ((t, args), (rt, rargs)):
-                    if sargs is not None:
-                        self._err("an application cannot be an equality operand", side)
-                eq = ObjEq(self._term_from(t), self._term_from(rt))
+            for side, sargs in ((t, args), (rt, rargs)):
+                if sargs is not None:
+                    self._err("an application cannot be an equality operand", side)
+            eq = ObjEq(self._term_from(t), self._term_from(rt))
             return Not(eq) if op == "!=" else eq
 
         name, primed = t.text, t.text.endswith("'")
@@ -390,14 +359,12 @@ class _Parser:
         self,
         stage_default: Stage,
         allow_next: bool,
-        allow_action_eq: bool,
         scope: frozenset[str],
         where: str,
     ) -> Formula:
         start = self._peek()
         self.stage_default = stage_default
         self.allow_next = allow_next
-        self.allow_action_eq = allow_action_eq
         f = self._formula()
         loose = free_vars(f) - scope
         if loose:
@@ -479,7 +446,7 @@ class _Parser:
         ctx = TRUE
         if self._accept("&"):
             ctx = self._block_formula(
-                Stage.NOW, False, False, frozenset(bound),
+                Stage.NOW, False, frozenset(bound),
                 f"the context of the ssa for {fluent}",
             )
         return EffectDisjunct(tuple(evs), ActionTerm(ft.text, tuple(args)), ctx)
@@ -510,7 +477,7 @@ class _Parser:
             )
         self._expect(":")
         f = self._block_formula(
-            Stage.NOW, False, False,
+            Stage.NOW, False,
             frozenset(v.name for v in params),
             f"the precondition for {name}",
         )
@@ -524,7 +491,7 @@ class _Parser:
         while not self._at("}"):
             start = self._peek()
             f = self._block_formula(
-                Stage.NOW, allow_next, False, frozenset(), f"a sentence of {kw}"
+                Stage.NOW, allow_next, frozenset(), f"a sentence of {kw}"
             )
             self._expect(";")
             self.spans.append((f"{kw}:{count + len(out)}", self._span(start)))
@@ -680,12 +647,6 @@ def _rt(t: ObjTerm) -> str:
     return t.name
 
 
-def _ra(t: Union[ActionVar, ActionTerm]) -> str:
-    if isinstance(t, ActionVar):
-        return t.name
-    return t.fn + (f"({', '.join(_rt(a) for a in t.args)})" if t.args else "")
-
-
 def _app(name: str, args: tuple[ObjTerm, ...]) -> str:
     return name + (f"({', '.join(_rt(a) for a in args)})" if args else "")
 
@@ -696,9 +657,7 @@ def _fmt(f: Formula, min_prec: int) -> str:
 
 
 def _qbody(f: Formula) -> str:
-    if isinstance(f, (ObjEq, ActionEq)) or (
-        isinstance(f, Not) and isinstance(f.body, (ObjEq, ActionEq))
-    ):
+    if isinstance(f, ObjEq) or (isinstance(f, Not) and isinstance(f.body, ObjEq)):
         return f"({_fmt(f, 0)})"
     return _fmt(f, 5)
 
@@ -716,12 +675,8 @@ def _fmt1(f: Formula) -> tuple[str, int]:
             return _app(pred, args), 5
         case ObjEq(l, r):
             return f"{_rt(l)} == {_rt(r)}", 5
-        case ActionEq(l, r):
-            return f"{_ra(l)} == {_ra(r)}", 5
         case Not(ObjEq(l, r)):
             return f"{_rt(l)} != {_rt(r)}", 5
-        case Not(ActionEq(l, r)):
-            return f"{_ra(l)} != {_ra(r)}", 5
         case Not(body):
             return "!" + _fmt(body, 5), 5
         case And(l, r):
@@ -747,7 +702,7 @@ def _render_disjunct(d: EffectDisjunct) -> str:
     parts = []
     if d.exists_vars:
         parts.append("exists " + ", ".join(v.name for v in d.exists_vars))
-    parts.append("a == " + _ra(d.action))
+    parts.append("a == " + _app(d.action.fn, d.action.args))
     if d.context != TRUE:
         parts.append("& " + _fmt(d.context, 0))
     return " ".join(parts)

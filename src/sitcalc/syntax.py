@@ -5,6 +5,8 @@ current initial situation, NEXT is the situation reached by the single ground
 action under consideration.  Uniform formulas in the usual sense are formulas
 whose fluent atoms all carry the same tag.  Object terms are variables and
 constants only; there are no object function symbols of positive arity.
+No formula mentions an action: action terms occur only in the effect
+disjuncts of successor state axioms (bat.EffectDisjunct).
 
 Formulas are walked by two primitives that keep their own stack, so a deep
 or wide formula costs memory, not interpreter recursion:
@@ -15,8 +17,8 @@ or wide formula costs memory, not interpreter recursion:
   every subtree that fn left unchanged.
 
 New code that folds over atoms or rewrites atoms uses them.  signature_of,
-stages_of, contains_action_eq, rename_stage, rewrite_action_equalities and
-forgetting's relativize, replace_ground and occurring_ground_atoms do.
+stages_of, rename_stage and forgetting's relativize, replace_ground and
+occurring_ground_atoms do.
 flatten_and/flatten_or walk a connective spine and free_vars carries the
 bound variables on its stack; neither recurses.
 
@@ -36,7 +38,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import SitcalcError, SortError, UnsubstitutedActionVariable
+from .errors import SitcalcError, SortError
 
 
 class Stage(enum.Enum):
@@ -70,13 +72,6 @@ class Const:
 # Module-level unions are written with `|`: a typing.Union alias enters
 # typing's caches, which then keep every earlier import of the package alive.
 ObjTerm = Var | Const
-
-
-@dataclass(frozen=True)
-class ActionVar:
-    """The action variable of a successor state axiom, before instantiation."""
-
-    name: str = "a"
 
 
 @dataclass(frozen=True)
@@ -135,14 +130,6 @@ class StaticAtom(Formula):
 class ObjEq(Formula):
     lhs: ObjTerm
     rhs: ObjTerm
-
-
-@dataclass(frozen=True)
-class ActionEq(Formula):
-    """Equality between the SSA action variable (or a ground action) and an action term."""
-
-    lhs: Union[ActionVar, ActionTerm]
-    rhs: ActionTerm
 
 
 @dataclass(frozen=True)
@@ -337,13 +324,13 @@ class Theory:
         return len(self.axioms)
 
 
-SyntaxLike = Var | Const | ActionVar | ActionTerm | Formula | Theory
+SyntaxLike = Var | Const | ActionTerm | Formula | Theory
 
 
 # ---------------------------------------------------------------------------
 # traversal
 
-_ATOMIC = (Truth, Falsity, FluentAtom, StaticAtom, ObjEq, ActionEq)
+_ATOMIC = (Truth, Falsity, FluentAtom, StaticAtom, ObjEq)
 _BINARY = (And, Or, Implies, Iff)
 _UNARY = (Not, Forall, Exists)  # one subformula, in .body
 _REBUILD = object()  # map_atoms stack marker: the node below it gets its children back
@@ -352,7 +339,7 @@ _REBUILD = object()  # map_atoms stack marker: the node below it gets its childr
 def atoms_of(x: Union[Formula, Theory]) -> Iterator[Formula]:
     """Atomic subformulas of a formula or theory, left to right.
 
-    Atomic means fluent and static atoms, equalities, TRUE and FALSE.
+    Atomic means fluent and static atoms, object equalities, TRUE and FALSE.
     """
     stack = list(reversed(x.axioms)) if isinstance(x, Theory) else [x]
     while stack:
@@ -409,7 +396,7 @@ def map_atoms(x: Union[Formula, Theory], fn: Callable[[Formula], Formula]):
 # symbols, free variables, stages
 
 
-def _sig_of_term(t: Union[ObjTerm, ActionVar, ActionTerm], objects: set[str], actions: set[tuple[str, int]]) -> None:
+def _sig_of_term(t: Union[ObjTerm, ActionTerm], objects: set[str], actions: set[tuple[str, int]]) -> None:
     match t:
         case Const(name):
             objects.add(name)
@@ -417,18 +404,18 @@ def _sig_of_term(t: Union[ObjTerm, ActionVar, ActionTerm], objects: set[str], ac
             actions.add((fn, len(args)))
             for arg in args:
                 _sig_of_term(arg, objects, actions)
-        case Var() | ActionVar():
+        case Var():
             pass
         case _:
             raise SitcalcError(f"not a term: {t!r}")
 
 
-def _atom_terms(a: Formula) -> tuple:
+def _atom_terms(a: Formula) -> tuple[ObjTerm, ...]:
     """The terms an atomic formula applies its symbol or equality to."""
     match a:
         case FluentAtom(_, args, _) | StaticAtom(_, args):
             return args
-        case ObjEq(lhs, rhs) | ActionEq(lhs, rhs):
+        case ObjEq(lhs, rhs):
             return (lhs, rhs)
         case _:
             return ()
@@ -451,7 +438,7 @@ def signature_of(x: SyntaxLike) -> Signature:
                         statics.add((name, len(args)))
                 for t in _atom_terms(a):
                     _sig_of_term(t, objects, actions)
-        case Var() | Const() | ActionVar() | ActionTerm():
+        case Var() | Const() | ActionTerm():
             _sig_of_term(x, objects, actions)
         case _:
             raise SitcalcError(f"cannot take the signature of {x!r}")
@@ -474,9 +461,8 @@ def free_vars(f: Formula) -> frozenset[str]:
             stack.append((f.body, bound | {f.var.name}))
         else:
             for t in _atom_terms(f):
-                for v in t.args if isinstance(t, ActionTerm) else (t,):
-                    if isinstance(v, Var) and v.name not in bound:
-                        out.add(v.name)
+                if isinstance(t, Var) and t.name not in bound:
+                    out.add(t.name)
     return frozenset(out)
 
 
@@ -540,10 +526,6 @@ def _subst_term(t: ObjTerm, binding: Mapping[str, ObjTerm]) -> ObjTerm:
             return t
 
 
-def _subst_action(t: ActionTerm, binding: Mapping[str, ObjTerm]) -> ActionTerm:
-    return ActionTerm(t.fn, tuple(_subst_term(arg, binding) for arg in t.args))
-
-
 def _fresh_name(base: str, avoid: set[str]) -> str:
     i = 1
     while f"{base}_{i}" in avoid:
@@ -569,9 +551,6 @@ def substitute(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
                 return StaticAtom(name, tuple(_subst_term(t, binding) for t in args))
             case ObjEq(lhs, rhs):
                 return ObjEq(_subst_term(lhs, binding), _subst_term(rhs, binding))
-            case ActionEq(lhs, rhs):
-                new_lhs = _subst_action(lhs, binding) if isinstance(lhs, ActionTerm) else lhs
-                return ActionEq(new_lhs, _subst_action(rhs, binding))
             case Not(body):
                 return Not(walk(body, binding))
             case And(a, b):
@@ -706,7 +685,7 @@ def simplify(f: Formula, una: bool = True) -> Formula:
 
     def step(f: Formula) -> Formula:
         match f:
-            case Truth() | Falsity() | FluentAtom() | StaticAtom() | ActionEq():
+            case Truth() | Falsity() | FluentAtom() | StaticAtom():
                 return f
             case ObjEq(lhs, rhs):
                 return _simp_eq(lhs, rhs, una)
@@ -805,33 +784,3 @@ def split_conjunctions(t: Theory) -> Theory:
     for ax in t.axioms:
         out.extend(flatten_and(ax))
     return Theory(tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# action equalities
-
-
-def rewrite_action_equalities(f: Formula) -> Formula:
-    """Replace action equalities by object equalities using unique names for actions.
-
-    A(t1..tn) = A(u1..un) becomes the conjunction of the pointwise object
-    equalities; equalities between distinct action functions become FALSE.
-    An equality still mentioning the SSA action variable is an error.
-    """
-
-    def rewrite(a: Formula) -> Formula:
-        if not isinstance(a, ActionEq):
-            return a
-        if isinstance(a.lhs, ActionVar) or isinstance(a.rhs, ActionVar):
-            raise UnsubstitutedActionVariable(
-                "action equality still mentions the action variable; substitute a ground action first"
-            )
-        if a.lhs.fn != a.rhs.fn:
-            return FALSE
-        return conj([_simp_eq(x, y, una=False) for x, y in zip(a.lhs.args, a.rhs.args)])
-
-    return map_atoms(f, rewrite)
-
-
-def contains_action_eq(f: Formula) -> bool:
-    return any(isinstance(a, ActionEq) for a in atoms_of(f))

@@ -140,7 +140,7 @@ class TestInstantiate:
         )
         b2 = inline_preconditions(b)
         d = b2.ssa("F").pos[0]
-        assert ("P", 1) in signature_of(d.formula()).statics
+        assert ("P", 1) in signature_of(d.context).statics
 
 
 class TestGroundActionType:

@@ -254,6 +254,16 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["verdict"]["kind"] == "entailed"
 
+    def test_action_equality_query_is_a_parse_error(self, capsys):
+        # actions occur only in pos:/neg: clauses and poss heads
+        code, out, err = run(
+            capsys, "oracle", "entails", path("blocks_world.bat"),
+            "--query", "move(A, B, C) == move(A, B, C)",
+        )
+        assert code == 2
+        assert out == ""
+        assert "<formula>:1:1: an application cannot be an equality operand" in err
+
     def test_equiv_negative_shows_direction(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "equiv",

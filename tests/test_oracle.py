@@ -180,15 +180,25 @@ class TestInseparability:
         assert render(v2.witness) == "forall v0 exists v1 R(v0, v1)"
         assert v2.entailed_by == 1
 
-    def test_reducts_equal_up_to_isomorphism_are_inseparable(self):
+    def renamed_pair(self):
         # Under unique names a sits at 0 and b at 1, so the reducts to {P}
         # differ as tables but not up to renaming the elements.
         sig = Signature(objects=frozenset({"a", "b"}), statics=frozenset({("P", 1)}))
-        one = Theory((parse_formula("P(a) & !P(b)", sig),))
-        two = Theory((parse_formula("!P(a) & P(b)", sig),))
-        # No sentence separates them, so a deeper short search only costs time.
-        v = check_inseparable(one, two, DELTA_P, OracleConfig(max_extra=1, witness_depth=1))
+        return tuple(Theory((parse_formula(text, sig),)) for text in ("P(a) & !P(b)", "!P(a) & P(b)"))
+
+    def test_reducts_equal_up_to_isomorphism_are_inseparable(self):
+        one, two = self.renamed_pair()
+        v = check_inseparable(one, two, DELTA_P, CFG)
         assert v == InseparableFinite(bound=3, reduct_counts=((2, 1, 1), (3, 2, 2)))
+
+    def test_reducts_equal_up_to_isomorphism_skip_the_witness_search(self, monkeypatch):
+        # No sentence separates such a pair, so the short search never starts.
+        def no_search(*args):
+            raise AssertionError("short witness search ran")
+
+        monkeypatch.setattr(oracle, "_delta_sentences", no_search)
+        one, two = self.renamed_pair()
+        assert isinstance(check_inseparable(one, two, DELTA_P, CFG), InseparableFinite)
 
     def test_fluents_only_at_the_next_stage_are_searched_there(self):
         sig = Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)}))

@@ -11,8 +11,6 @@ from sitcalc.errors import SitcalcError
 from sitcalc.syntax import (
     FALSE,
     TRUE,
-    ActionEq,
-    ActionTerm,
     And,
     Const,
     Exists,
@@ -31,14 +29,12 @@ from sitcalc.syntax import (
     atoms_of,
     check_uniform,
     conj,
-    contains_action_eq,
     disj,
     flatten_and,
     flatten_or,
     free_vars,
     map_atoms,
     rename_stage,
-    rewrite_action_equalities,
     signature_of,
     simplify,
     split_conjunctions,
@@ -191,8 +187,8 @@ class TestTraversal:
 
 
 class TestDeepAndWide:
-    # x is free in the leaf; c, F and A are its only symbols
-    LEAF = And(F(x, Stage.NEXT), ActionEq(ActionTerm("A", (x,)), ActionTerm("A", (c,))))
+    # x is free in the leaf; c and F are its only symbols
+    LEAF = And(F(x, Stage.NEXT), ObjEq(x, c))
 
     def test_atoms_of_and_identity_map(self, deep):
         f, copies = deep(self.LEAF)
@@ -201,11 +197,8 @@ class TestDeepAndWide:
 
     def test_symbols_stages_and_free_variables(self, deep):
         f, _ = deep(self.LEAF)
-        assert signature_of(f) == Signature(
-            objects=frozenset({"c"}), fluents=frozenset({("F", 1)}), actions=frozenset({("A", 1)})
-        )
+        assert signature_of(f) == Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)}))
         assert stages_of(Theory((f,))) == {Stage.NEXT}
-        assert contains_action_eq(f)
         assert free_vars(f) == {"x"}
 
     def test_rename_stage(self, deep):
@@ -213,12 +206,6 @@ class TestDeepAndWide:
         g = rename_stage(f, Stage.NEXT, Stage.NOW)
         assert stages_of(g) == {Stage.NOW}
         assert sum(isinstance(at, FluentAtom) for at in atoms_of(g)) == copies
-
-    def test_rewrite_action_equalities(self, deep):
-        f, copies = deep(self.LEAF)
-        g = rewrite_action_equalities(f)
-        assert not contains_action_eq(g)
-        assert [at for at in atoms_of(g) if isinstance(at, ObjEq)] == [ObjEq(x, c)] * copies
 
     def test_flatten_walks_wide_spines(self):
         parts = [P(Const(f"c{i}")) for i in range(10_000)]
