@@ -35,13 +35,10 @@ from .decomposition import (
     AlignmentReport,
     Decomposition,
     DecompositionCheck,
-    FluentFreeCheck,
     SplitReport,
     StrongPreservationReport,
-    check_fluent_free,
     check_local_effect_preservation,
     check_strong_preservation,
-    decompose_ground,
     detect_split,
     group_ssas,
     syntactic_decompose,

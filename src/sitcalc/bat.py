@@ -103,10 +103,6 @@ class GroundAction:
     def term(self) -> ActionTerm:
         return ActionTerm(self.fn, tuple(Const(c) for c in self.args))
 
-    @property
-    def constants(self) -> frozenset[str]:
-        return frozenset(self.args)
-
     def __str__(self) -> str:
         return f"{self.fn}({', '.join(self.args)})"
 

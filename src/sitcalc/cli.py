@@ -20,14 +20,13 @@ from typing import Optional
 
 from .bat import BAT, GroundAction, validate
 from .decomposition import (
-    Decomposition,
     check_local_effect_preservation,
     check_strong_preservation,
     group_ssas,
     syntactic_decompose,
 )
 from .errors import BudgetExceeded, ParseError, SitcalcError
-from .forgetting import GroundAtom, forget_atom, forget_ground_symbol
+from .forgetting import forget_atom, forget_ground_symbol
 from .oracle import (
     Countermodel,
     EntailedFinite,
@@ -45,7 +44,7 @@ from .oracle import (
     is_positive,
     satisfiable,
 )
-from .progression import executable, progress, progress_componentwise, progress_sequence, project
+from .progression import executable, progress, progress_componentwise, project
 from .surface import (
     parse_bat,
     parse_formula,
@@ -272,19 +271,26 @@ def _emit_theory(args, b: Optional[BAT], sig: Signature, t: Theory) -> list[str]
     return [render(ax) + ";" for ax in t.axioms]
 
 
+def _decomposed(args, b: BAT) -> tuple:
+    """delta1, delta2, the initial decomposition on delta2, the axiom groups on delta1."""
+    delta1 = _delta_of(args.delta1, b.sig)
+    delta2 = _delta_of(args.delta2, b.sig)
+    return delta1, delta2, syntactic_decompose(b.init, delta2), group_ssas(b, delta1)
+
+
+def _no_decomposition(rep: dict) -> tuple[int, dict, list[str]]:
+    rep["verdict"] = {"kind": "no-decomposition"}
+    return 1, rep, ["initial theory does not decompose on the delta2 symbols"]
+
+
 def _cmd_progress(args) -> tuple[int, dict, list[str]]:
     b = _load_bat(args.file)
     alpha = parse_ground_action(args.action, b.sig)
     rep: dict = {"command": "progress", "path": args.file, "action": str(alpha)}
     if args.componentwise:
-        delta1 = _delta_of(args.delta1, b.sig)
-        delta2 = _delta_of(args.delta2, b.sig)
-        decomp = syntactic_decompose(b.init, delta2)
+        delta1, _, decomp, partition = _decomposed(args, b)
         if decomp is None:
-            msg = "initial theory does not decompose on the delta2 symbols"
-            rep["verdict"] = {"kind": "no-decomposition"}
-            return 1, rep, [msg]
-        partition = group_ssas(b, delta1)
+            return _no_decomposition(rep)
         result = progress_componentwise(b, decomp, partition, alpha, delta1)
         union = Theory(tuple(ax for c in result.components for ax in c.axioms))
         rep["partition"] = [list(g) for g in partition]
@@ -335,22 +341,24 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_check_preservation(args) -> tuple[int, dict, list[str]]:
     b = _load_bat(args.file)
-    delta1 = _delta_of(args.delta1, b.sig)
-    delta2 = _delta_of(args.delta2, b.sig)
+    delta1, delta2, decomp, partition = _decomposed(args, b)
     rep: dict = {
         "command": "check-preservation",
         "path": args.file,
         "delta1": sorted(delta1.names()),
         "delta2": sorted(delta2.names()),
     }
-    decomp = syntactic_decompose(b.init, delta2)
     if decomp is None:
-        rep["verdict"] = {"kind": "no-decomposition"}
-        return 1, rep, ["initial theory does not decompose on the delta2 symbols"]
-    partition = group_ssas(b, delta1)
+        return _no_decomposition(rep)
     rep["partition"] = [list(g) for g in partition]
     rep["components"] = len(decomp.components)
-    r = check_local_effect_preservation(b, delta1, delta2, partition, decomp)
+    strong = None
+    if args.action:
+        alpha = parse_ground_action(args.action, b.sig)
+        strong = check_strong_preservation(b, delta1, delta2, alpha, partition, decomp)
+        r = strong.alignment
+    else:
+        r = check_local_effect_preservation(b, delta1, delta2, partition, decomp)
     rep["alignment_passed"] = r.passed
     rep["f_map"] = {str(k): v for k, v in sorted(r.f_map.items())}
     rep["violations"] = [str(v) for v in r.violations]
@@ -358,14 +366,12 @@ def _cmd_check_preservation(args) -> tuple[int, dict, list[str]]:
     lines += [f"initial components: {len(decomp.components)}"]
     lines += [f"violation: {v}" for v in r.violations]
     ok = r.passed
-    if args.action:
-        alpha = parse_ground_action(args.action, b.sig)
-        s = check_strong_preservation(b, delta1, delta2, alpha, partition, decomp)
+    if strong is not None:
         rep["action"] = str(alpha)
-        rep["strong_passed"] = s.passed
-        rep["strong_violations"] = [str(v) for v in s.violations]
-        lines += [f"strong violation: {v}" for v in s.violations]
-        ok = ok and s.passed
+        rep["strong_passed"] = strong.passed
+        rep["strong_violations"] = [str(v) for v in strong.violations]
+        lines += [f"strong violation: {v}" for v in strong.violations]
+        ok = strong.passed
     if ok:
         mapping = ", ".join(f"group {k + 1} -> component {v + 1}" for k, v in sorted(r.f_map.items()))
         lines.append(f"preservation holds ({mapping})")

@@ -5,24 +5,23 @@ symbols all lie inside a chosen delta signature.  Queries over one group's
 own symbols can then be answered against that group alone, and progression
 can update groups independently when the axiom/initial-component alignment
 conditions verified here hold.
+
+One connectivity rule makes every grouping here: two items (initial axioms,
+or successor state axioms) are connected when they share a symbol outside
+delta, and the groups are the blocks of the transitive closure, ordered by
+their first item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .bat import BAT, SSA, GroundAction, Violation
 from .errors import SitcalcError
-from .forgetting import GroundAtom, sorted_atoms
 from .oracle import DEFAULT_CONFIG, OracleConfig, equivalent, is_positive
-from .syntax import (
-    Signature,
-    Stage,
-    Theory,
-    signature_of,
-    stages_of,
-)
+from .syntax import Signature, Stage, Theory, signature_of, stages_of
 
 # ---------------------------------------------------------------------------
 # types
@@ -59,14 +58,8 @@ class AlignmentReport:
 @dataclass(frozen=True)
 class StrongPreservationReport:
     passed: bool
-    violations: tuple[Violation, ...] = ()
-    alignment: Optional[AlignmentReport] = None
-
-
-@dataclass(frozen=True)
-class FluentFreeCheck:
-    fluent_free: bool
-    fluents: tuple[str, ...] = ()
+    violations: tuple[Violation, ...]
+    alignment: AlignmentReport
 
 
 @dataclass(frozen=True)
@@ -84,114 +77,66 @@ class SplitReport:
 # computing decompositions
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _connected(keysets: Sequence[Iterable[Hashable]]) -> list[list[int]]:
+    """Indices of the items in blocks joined by shared keys.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
+    Each block is ascending and the blocks are ordered by their first
+    member; an item without keys is a block of its own.
+    """
+    parent = list(range(len(keysets)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
         return i
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    owner: dict[Hashable, int] = {}
+    for i, keys in enumerate(keysets):
+        for key in keys:
+            ri, rj = find(i), find(owner.setdefault(key, i))
+            parent[max(ri, rj)] = min(ri, rj)  # every root is its block's least member
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(keysets)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
-def _blocks_of(uf: _UnionFind, members: Sequence[int]) -> list[list[int]]:
-    by_root: dict[int, list[int]] = {}
-    for i in members:
-        by_root.setdefault(uf.find(i), []).append(i)
-    return sorted(by_root.values(), key=lambda blk: blk[0])
+def _clashes(sigs: Sequence[Signature], delta: Signature) -> Iterator[tuple[int, int, Signature]]:
+    """(i, j, shared) for each pair i < j of signatures sharing symbols outside delta."""
+    for i, j in combinations(range(len(sigs)), 2):
+        shared = (sigs[i] & sigs[j]) - delta
+        if not shared.is_empty():
+            yield i, j, shared
+
+
+def _union(sigs: Iterable[Signature]) -> Signature:
+    out = Signature()
+    for s in sigs:
+        out = out | s
+    return out
 
 
 def syntactic_decompose(t: Theory, delta: Signature) -> Optional[Decomposition]:
     """Partition the axioms so components share only delta symbols.
 
-    Axioms are connected when they share a non-delta symbol; the connected
-    blocks form the finest such partition.  Axioms mentioning only delta
-    symbols carry no component of their own and are attached to the nearest
-    preceding block.  Returns None when no split into two or more components
-    with non-delta content exists at this granularity.
+    The connected blocks of the axioms with symbols outside delta form the
+    finest such partition.  Axioms mentioning only delta symbols carry no
+    component of their own and are attached to the nearest preceding block.
+    Returns None when no split into two or more components with non-delta
+    content exists at this granularity.
     """
     axioms = tuple(t.axioms)
-    if not axioms:
-        return None
     deltanames = delta.names()
-    uf = _UnionFind(len(axioms))
-    owner: dict[str, int] = {}
-    carriers = []
-    for i, ax in enumerate(axioms):
-        names = signature_of(ax).names() - deltanames
-        if not names:
-            continue
-        carriers.append(i)
-        for name in sorted(names):
-            if name in owner:
-                uf.union(i, owner[name])
-            else:
-                owner[name] = i
-    if not carriers:
-        return None
-    blocks = _blocks_of(uf, carriers)
+    own = [signature_of(ax).names() - deltanames for ax in axioms]
+    blocks = [blk for blk in _connected(own) if own[blk[0]]]
     if len(blocks) < 2:
         return None
-    for i, ax in enumerate(axioms):
-        if signature_of(ax).names() <= deltanames:
+    for i, names in enumerate(own):
+        if not names:
             home = max((b for b in blocks if b[0] < i), key=lambda b: b[0], default=blocks[0])
             home.append(i)
     components = tuple(Theory(tuple(axioms[i] for i in sorted(b))) for b in blocks)
-    return Decomposition(delta, components)
-
-
-def decompose_ground(
-    atoms: Iterable[GroundAtom], delta: Signature
-) -> Optional[Decomposition]:
-    """Split a ground atom set along shared constants and non-delta predicates.
-
-    Two atoms land in one component when they share a constant or use the
-    same non-delta predicate.  When delta holds only constants, distinct
-    components end up sharing no symbols at all, not even delta ones.
-    """
-    ats = sorted_atoms(atoms)
-    if not ats:
-        return None
-    delta_preds = {n for n, _ in delta.statics} | {n for n, _ in delta.fluents}
-    uf = _UnionFind(len(ats))
-    owner: dict[tuple[str, str], int] = {}
-    for i, g in enumerate(ats):
-        keys = [("const", c) for c in g.args]
-        if g.pred not in delta_preds:
-            keys.append(("pred", g.pred))
-        for key in keys:
-            if key in owner:
-                uf.union(i, owner[key])
-            else:
-                owner[key] = i
-    blocks = _blocks_of(uf, range(len(ats)))
-
-    def pure(blk: list[int]) -> bool:
-        return all(
-            ats[i].pred in delta_preds and set(ats[i].args) <= set(delta.objects)
-            for i in blk
-        )
-
-    carriers = [b for b in blocks if not pure(b)]
-    if len(carriers) < 2:
-        return None
-    for b in blocks:
-        if pure(b):
-            home = max(
-                (c for c in carriers if c[0] < b[0]),
-                key=lambda c: c[0],
-                default=carriers[0],
-            )
-            home.extend(b)
-    components = tuple(
-        Theory(tuple(ats[i].to_formula() for i in sorted(b))) for b in carriers
-    )
     return Decomposition(delta, components)
 
 
@@ -208,37 +153,22 @@ def verify_decomposition(
     is a legitimate decomposition device), but all of t's symbols must be
     covered and the union must be equivalent to t.
     """
-    failures = []
     sigs = [signature_of(c) for c in d.components]
-    for i in range(len(sigs)):
-        for j in range(i + 1, len(sigs)):
-            shared = (sigs[i] & sigs[j]) - d.delta
-            if not shared.is_empty():
-                failures.append(
-                    f"components {i} and {j} share non-delta symbols "
-                    f"{', '.join(shared.sorted_names())}"
-                )
+    failures = [
+        f"components {i} and {j} share non-delta symbols {', '.join(shared.sorted_names())}"
+        for i, j, shared in _clashes(sigs, d.delta)
+    ]
     for i, s in enumerate(sigs):
         if (s - d.delta).is_empty():
             failures.append(f"component {i} has no symbols outside delta")
-    union_sig = Signature()
-    for s in sigs:
-        union_sig = union_sig | s
-    lost = signature_of(t) - union_sig
+    lost = signature_of(t) - _union(sigs)
     if not lost.is_empty():
-        failures.append(
-            f"symbols {', '.join(lost.sorted_names())} of the theory "
-            "appear in no component"
-        )
+        names = ", ".join(lost.sorted_names())
+        failures.append(f"symbols {names} of the theory appear in no component")
     union = Theory(tuple(ax for c in d.components for ax in c.axioms))
     eq = equivalent(t, union, cfg)
     passed = not failures and is_positive(eq)
     return DecompositionCheck(passed, tuple(failures), eq)
-
-
-def check_fluent_free(delta: Signature) -> FluentFreeCheck:
-    names = tuple(sorted(n for n, _ in delta.fluents))
-    return FluentFreeCheck(not names, names)
 
 
 def _ssa_signature(s: SSA) -> Signature:
@@ -249,25 +179,14 @@ def _ssa_signature(s: SSA) -> Signature:
 
 
 def group_ssas(b: BAT, delta1: Signature = Signature()) -> tuple[tuple[str, ...], ...]:
-    """Partition the fluents by connectivity of their axiom signatures.
+    """Group the fluents by connectivity of their axiom signatures over delta1.
 
-    Two successor state axioms land in one group when they share a symbol
-    outside delta1.  The result is ordered by first appearance and is
-    directly usable as the ssa_partition argument of the preservation
-    checks; it is the finest grouping those checks can accept.
+    The result is directly usable as the ssa_partition argument of the
+    preservation checks; it is the finest grouping those checks can accept.
     """
-    ssas = b.ssas
     deltanames = delta1.names()
-    uf = _UnionFind(len(ssas))
-    owner: dict[str, int] = {}
-    for i, s in enumerate(ssas):
-        for name in sorted(_ssa_signature(s).names() - deltanames):
-            if name in owner:
-                uf.union(i, owner[name])
-            else:
-                owner[name] = i
-    blocks = _blocks_of(uf, range(len(ssas)))
-    return tuple(tuple(ssas[i].fluent for i in blk) for blk in blocks)
+    blocks = _connected([_ssa_signature(s).names() - deltanames for s in b.ssas])
+    return tuple(tuple(b.ssas[i].fluent for i in blk) for blk in blocks)
 
 
 def check_local_effect_preservation(
@@ -286,15 +205,12 @@ def check_local_effect_preservation(
     and each group's symbols shared with the initial theory sit inside a
     single component, yielding f_map.
     """
-    violations: list[Violation] = []
-
-    def bad(msg: str, key: Optional[str] = None) -> None:
-        violations.append(Violation(msg, b.span_of(key) if key else None))
+    violations: list[str] = []
+    bad = violations.append
 
     for nm, d in (("delta1", delta1), ("delta2", delta2)):
-        ff = check_fluent_free(d)
-        if not ff.fluent_free:
-            bad(f"{nm} contains fluent symbols {', '.join(ff.fluents)}")
+        if d.fluents:
+            bad(f"{nm} contains fluent symbols {', '.join(sorted(n for n, _ in d.fluents))}")
     if init_decomp.delta != delta2:
         bad("the initial decomposition was built for a different delta than delta2")
 
@@ -316,52 +232,27 @@ def check_local_effect_preservation(
     if uncovered:
         bad(f"the partition misses the axioms for {', '.join(uncovered)}")
 
-    gsigs = []
-    for grp in groups:
-        sig = Signature()
-        for s in grp:
-            sig = sig | _ssa_signature(s)
-        gsigs.append(sig)
-    for i in range(len(gsigs)):
-        for j in range(i + 1, len(gsigs)):
-            shared = (gsigs[i] & gsigs[j]) - delta1
-            if not shared.is_empty():
-                bad(
-                    f"axiom groups {i} and {j} share symbols "
-                    f"{', '.join(shared.sorted_names())} outside delta1"
-                )
+    gsigs = [_union(_ssa_signature(s) for s in grp) for grp in groups]
+    for i, j, shared in _clashes(gsigs, delta1):
+        names = ", ".join(shared.sorted_names())
+        bad(f"axiom groups {i} and {j} share symbols {names} outside delta1")
 
     csigs = [signature_of(c) for c in init_decomp.components]
-    for i in range(len(csigs)):
-        for j in range(i + 1, len(csigs)):
-            shared = (csigs[i] & csigs[j]) - delta2
-            if not shared.is_empty():
-                bad(
-                    f"initial components {i} and {j} share non-delta symbols "
-                    f"{', '.join(shared.sorted_names())}"
-                )
+    for i, j, shared in _clashes(csigs, delta2):
+        names = ", ".join(shared.sorted_names())
+        bad(f"initial components {i} and {j} share non-delta symbols {names}")
     for j, comp in enumerate(init_decomp.components):
         if not stages_of(comp) <= frozenset({Stage.NOW}):
             bad(f"initial component {j} is not uniform in the current stage")
         residual = csigs[j] - delta1 - delta2
         if not (residual.statics or residual.fluents):
-            bad(
-                f"initial component {j} has no predicate symbols outside "
-                "delta1 and delta2"
-            )
+            bad(f"initial component {j} has no predicate symbols outside delta1 and delta2")
 
-    ssa_fluents = Signature()
-    for s in b.ssas:
-        ssa_fluents = ssa_fluents | _ssa_signature(s)
-    init_sig = Signature()
-    for s in csigs:
-        init_sig = init_sig | s
+    ssa_fluents = _union(_ssa_signature(s) for s in b.ssas)
+    init_sig = _union(csigs)
     missing = {n for n, _ in ssa_fluents.fluents} - {n for n, _ in init_sig.fluents}
     if missing:
-        bad(
-            f"fluents {', '.join(sorted(missing))} occur in the axioms "
-            "but in no initial component"
-        )
+        bad(f"fluents {', '.join(sorted(missing))} occur in the axioms but in no initial component")
 
     f_map: dict[int, int] = {}
     for i, gs in enumerate(gsigs):
@@ -370,12 +261,10 @@ def check_local_effect_preservation(
         if homes:
             f_map[i] = homes[0]
         else:
-            bad(
-                f"no single initial component covers the symbols "
-                f"{', '.join((need).sorted_names())} of axiom group {i}"
-            )
+            names = ", ".join(need.sorted_names())
+            bad(f"no single initial component covers the symbols {names} of axiom group {i}")
 
-    return AlignmentReport(not violations, f_map, tuple(violations))
+    return AlignmentReport(not violations, f_map, tuple(map(Violation, violations)))
 
 
 def check_strong_preservation(
@@ -388,12 +277,14 @@ def check_strong_preservation(
 ) -> StrongPreservationReport:
     """Conditions under which the componentwise update stays a decomposition.
 
-    On top of the alignment: delta1 holds no action functions and sits
-    inside delta2, and the action's constants already occur in every initial
-    component with a fluent the action can change.
+    On top of the alignment, which the report carries as .alignment: delta1
+    holds no action functions and sits inside delta2, and the action's
+    constants already occur in every initial component with a fluent the
+    action can change.  violations lists only these per-action conditions;
+    passed also requires the alignment to pass.
     """
-    base = check_local_effect_preservation(b, delta1, delta2, ssa_partition, init_decomp)
-    violations = list(base.violations)
+    alignment = check_local_effect_preservation(b, delta1, delta2, ssa_partition, init_decomp)
+    violations = []
     if delta1.actions:
         names = ", ".join(sorted(n for n, _ in delta1.actions))
         violations.append(Violation(f"delta1 contains action functions {names}"))
@@ -403,20 +294,16 @@ def check_strong_preservation(
     consts = frozenset(alpha.args)
     for j, comp in enumerate(init_decomp.components):
         csig = signature_of(comp)
-        touched = False
-        for fname, _ in csig.fluents:
-            s = b.ssa(fname)
-            if s is not None and alpha.fn in frozenset.union(*s.action_functions()):
-                touched = True
+        touched = any(
+            s is not None and alpha.fn in frozenset.union(*s.action_functions())
+            for s in (b.ssa(n) for n, _ in csig.fluents)
+        )
         if touched and not consts <= csig.objects:
-            gap = sorted(consts - csig.objects)
-            violations.append(
-                Violation(
-                    f"constants {', '.join(gap)} of {alpha} are missing from "
-                    f"initial component {j}, whose fluents the action can change"
-                )
-            )
-    return StrongPreservationReport(not violations, tuple(violations), base)
+            gap = ", ".join(sorted(consts - csig.objects))
+            msg = f"constants {gap} of {alpha} are missing from initial component {j}"
+            violations.append(Violation(f"{msg}, whose fluents the action can change"))
+    passed = alignment.passed and not violations
+    return StrongPreservationReport(passed, tuple(violations), alignment)
 
 
 def detect_split(before: Decomposition, after: Decomposition) -> SplitReport:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import NonGroundOccurrence, SitcalcError
+from .errors import NonGroundOccurrence
 from .syntax import (
     FALSE,
     TRUE,

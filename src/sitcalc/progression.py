@@ -11,14 +11,10 @@ action.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .bat import BAT, GroundAction, characteristic_set, instantiate_ssas
-from .decomposition import (
-    AlignmentReport,
-    Decomposition,
-    check_local_effect_preservation,
-)
+from .decomposition import Decomposition, check_local_effect_preservation
 from .errors import MissingAxiom, SitcalcError
 from .forgetting import GroundAtom, forget_atoms
 from .oracle import (
@@ -49,7 +45,6 @@ class ProgressionResult:
     theory: Theory
     omega: frozenset[GroundAtom]
     touched_fluents: frozenset[str]
-    per_component: Optional[tuple[Theory, ...]] = None
 
 
 @dataclass(frozen=True)

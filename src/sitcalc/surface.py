@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .bat import BAT, EffectDisjunct, GroundAction, Precondition, SSA
 from .errors import ParseError, SourceSpan
@@ -73,6 +73,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'?)"
     r"|(?P<nat>\d+)"
     r"|(?P<op><->|->|==|!=|[!&|(),;:{}/])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 _RESERVED = frozenset(
@@ -82,6 +84,9 @@ _RESERVED = frozenset(
         "forall", "exists", "true", "false",
     }
 )
+
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -95,21 +100,18 @@ class _Token:
 def _tokenize(text: str, path: str) -> list[_Token]:
     toks: list[_Token] = []
     line, bol = 1, 0
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):  # the catch-all group leaves no gaps
+        kind, s = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in s:
+                line += s.count("\n")
+                bol = m.start() + s.rindex("\n") + 1
+        elif kind == "bad":
             raise ParseError(
-                f"unexpected character {text[i]!r}", SourceSpan(path, line, i - bol + 1)
+                f"unexpected character {s!r}", SourceSpan(path, line, m.start() - bol + 1)
             )
-        kind = m.lastgroup or ""
-        s = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Token(kind, s, line, i - bol + 1))
-        if "\n" in s:
-            line += s.count("\n")
-            bol = i + s.rindex("\n") + 1
-        i = m.end()
+        elif kind != "comment":
+            toks.append(_Token(kind, s, line, m.start() - bol + 1))
     toks.append(_Token("eof", "end of input", line, len(text) - bol + 1))
     return toks
 
@@ -174,6 +176,26 @@ class _Parser:
         if t.kind != "ident":
             self._err(f"expected {what}, found {t.text!r}", t)
         return self._next()
+
+    def _list(self, item: Callable[[], _T], close: Optional[str] = None) -> list[_T]:
+        """Comma-separated items, then the closing token if one is given.
+
+        Without a closing token the list has at least one item; with one it
+        may be empty.
+        """
+        out: list[_T] = []
+        if close is None or not self._at(close):
+            out.append(item())
+            while self._accept(","):
+                out.append(item())
+        if close is not None:
+            self._expect(close)
+        return out
+
+    def _end(self) -> None:
+        t = self._peek()
+        if t.kind != "eof":
+            self._err(f"unexpected trailing input {t.text!r}", t)
 
     def _declared(self, name: str) -> bool:
         return (
@@ -241,6 +263,12 @@ class _Parser:
     def _term(self) -> ObjTerm:
         return self._term_from(self._ident("a term"))
 
+    def _constant(self) -> str:
+        t = self._ident("a constant")
+        if t.text not in self.objects:
+            self._err(f"{t.text} is not a declared constant", t)
+        return t.text
+
     # --- formulas
     #
     # formula := iff; iff := impl [<-> iff]; impl := or [-> impl]
@@ -297,9 +325,7 @@ class _Parser:
     def _quantifier(self) -> Formula:
         kw = self._next().text
         taken: set[str] = set()
-        vs = [self._binder("a variable", taken)]
-        while self._accept(","):
-            vs.append(self._binder("a variable", taken))
+        vs = self._list(lambda: self._binder("a variable", taken))
         body = self._unary()
         ctor = Forall if kw == "forall" else Exists
         for v in reversed(vs):
@@ -308,15 +334,7 @@ class _Parser:
 
     def _operand(self) -> tuple[_Token, Optional[list[ObjTerm]]]:
         t = self._ident("a formula")
-        args: Optional[list[ObjTerm]] = None
-        if self._at("("):
-            self._next()
-            args = []
-            if not self._at(")"):
-                args.append(self._term())
-                while self._accept(","):
-                    args.append(self._term())
-            self._expect(")")
+        args = self._list(self._term, ")") if self._accept("(") else None
         return t, args
 
     def _atom(self) -> Formula:
@@ -388,13 +406,8 @@ class _Parser:
         seen.add(name)
         self.spans.append((f"ssa:{name}", self._span(t)))
         taken: set[str] = set()
-        head: list[Var] = []
         self._expect("(")
-        if not self._at(")"):
-            head.append(self._binder("a head variable", taken))
-            while self._accept(","):
-                head.append(self._binder("a head variable", taken))
-        self._expect(")")
+        head = self._list(lambda: self._binder("a head variable", taken), ")")
         if len(head) != self.fluents[name]:
             self._err(
                 f"{name} declared with arity {self.fluents[name]}, "
@@ -419,9 +432,7 @@ class _Parser:
     def _disjunct(self, fluent: str, head: list[Var], taken: set[str]) -> EffectDisjunct:
         evs: list[Var] = []
         if self._accept("exists"):
-            evs.append(self._binder("a quantified variable", taken))
-            while self._accept(","):
-                evs.append(self._binder("a quantified variable", taken))
+            evs = self._list(lambda: self._binder("a quantified variable", taken))
         at = self._ident("an action variable")
         if self._declared(at.text) or at.text in _RESERVED or at.text in taken:
             self._err("expected a fresh action variable", at)
@@ -429,13 +440,7 @@ class _Parser:
         ft = self._ident("an action name")
         if ft.text not in self.actions:
             self._err(f"{ft.text} is not a declared action", ft)
-        args: list[ObjTerm] = []
-        if self._accept("("):
-            if not self._at(")"):
-                args.append(self._term())
-                while self._accept(","):
-                    args.append(self._term())
-            self._expect(")")
+        args = self._list(self._term, ")") if self._accept("(") else []
         ar = self.actions[ft.text]
         if ar != len(args):
             self._err(f"{ft.text} declared with arity {ar}, used with {len(args)}", ft)
@@ -464,11 +469,7 @@ class _Parser:
         taken: set[str] = set()
         params: list[Var] = []
         if self._accept("("):
-            if not self._at(")"):
-                params.append(self._binder("a parameter", taken))
-                while self._accept(","):
-                    params.append(self._binder("a parameter", taken))
-            self._expect(")")
+            params = self._list(lambda: self._binder("a parameter", taken), ")")
         if len(params) != self.actions[name]:
             self._err(
                 f"{name} declared with arity {self.actions[name]}, "
@@ -566,9 +567,7 @@ def parse_formula(
     p = _Parser(text, path, env)
     p.stage_default = stage_default
     f = p._formula()
-    t = p._peek()
-    if t.kind != "eof":
-        p._err(f"unexpected trailing input {t.text!r}", t)
+    p._end()
     if not allow_free and free_vars(f):
         raise ParseError(
             f"free variables {', '.join(sorted(free_vars(f)))} in formula"
@@ -578,30 +577,22 @@ def parse_formula(
     return f
 
 
+def _ground_args(p: _Parser, t: _Token, name: str, ar: int) -> tuple[str, ...]:
+    """The constant arguments after the symbol token t, which end the input."""
+    args = p._list(p._constant, ")") if p._accept("(") else []
+    if ar != len(args):
+        p._err(f"{name} declared with arity {ar}, used with {len(args)}", t)
+    p._end()
+    return tuple(args)
+
+
 def parse_ground_action(text: str, env: Signature, path: str = "<action>") -> GroundAction:
     """Parse a ground action application such as move(A, B, C)."""
     p = _Parser(text, path, env)
     t = p._ident("an action name")
     if t.text not in p.actions:
         p._err(f"{t.text} is not a declared action", t)
-    args: list[str] = []
-    if p._accept("("):
-        if not p._at(")"):
-            while True:
-                a = p._ident("a constant")
-                if a.text not in p.objects:
-                    p._err(f"{a.text} is not a declared constant", a)
-                args.append(a.text)
-                if not p._accept(","):
-                    break
-        p._expect(")")
-    ar = p.actions[t.text]
-    if ar != len(args):
-        p._err(f"{t.text} declared with arity {ar}, used with {len(args)}", t)
-    e = p._peek()
-    if e.kind != "eof":
-        p._err(f"unexpected trailing input {e.text!r}", e)
-    return GroundAction(t.text, tuple(args))
+    return GroundAction(t.text, _ground_args(p, t, t.text, p.actions[t.text]))
 
 
 def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> GroundAtom:
@@ -618,23 +609,7 @@ def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> Ground
         ar = p.statics[base]
     else:
         p._err(f"{base} is not a declared fluent or static predicate", t)
-    args: list[str] = []
-    if p._accept("("):
-        if not p._at(")"):
-            while True:
-                a = p._ident("a constant")
-                if a.text not in p.objects:
-                    p._err(f"{a.text} is not a declared constant", a)
-                args.append(a.text)
-                if not p._accept(","):
-                    break
-        p._expect(")")
-    if ar != len(args):
-        p._err(f"{base} declared with arity {ar}, used with {len(args)}", t)
-    e = p._peek()
-    if e.kind != "eof":
-        p._err(f"unexpected trailing input {e.text!r}", e)
-    return GroundAtom(base, tuple(args), stage)
+    return GroundAtom(base, _ground_args(p, t, base, ar), stage)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ limit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import SitcalcError, SortError
@@ -290,12 +290,6 @@ class Signature:
     def sorted_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.names()))
 
-    def static_arity(self, name: str) -> Optional[int]:
-        for n, k in self.statics:
-            if n == name:
-                return k
-        return None
-
     def fluent_arity(self, name: str) -> Optional[int]:
         for n, k in self.fluents:
             if n == name:
@@ -469,35 +463,6 @@ def free_vars(f: Formula) -> frozenset[str]:
 def stages_of(x: Union[Formula, Theory]) -> frozenset[Stage]:
     """Stages of the fluent atoms occurring in a formula or theory."""
     return frozenset(a.stage for a in atoms_of(x) if isinstance(a, FluentAtom))
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    """Whether every axiom carries a single common stage on its fluent atoms.
-
-    A theory with no fluent atoms at all counts as uniform in NOW.  offenders
-    lists the indices of axioms whose stage set is mixed or disagrees with the
-    rest of the theory.
-    """
-
-    uniform: bool
-    stage: Optional[Stage]
-    offenders: tuple[int, ...] = ()
-
-
-def check_uniform(t: Theory) -> UniformityReport:
-    per_axiom = [stages_of(ax) for ax in t.axioms]
-    mixed = tuple(i for i, s in enumerate(per_axiom) if len(s) > 1)
-    used = frozenset().union(*per_axiom) if per_axiom else frozenset()
-    if mixed:
-        return UniformityReport(False, None, mixed)
-    if len(used) > 1:
-        # every axiom is internally pure, but the theory mixes stages
-        minority = min(used, key=lambda s: (sum(1 for ps in per_axiom if ps == {s}), s.value))
-        offenders = tuple(i for i, s in enumerate(per_axiom) if s == {minority})
-        return UniformityReport(False, None, offenders)
-    stage = next(iter(used)) if used else Stage.NOW
-    return UniformityReport(True, stage)
 
 
 def rename_stage(x: Union[Formula, Theory], frm: Stage, to: Stage):

@@ -15,7 +15,18 @@ from sitcalc.bat import (
 from sitcalc.errors import MalformedTransform
 from sitcalc.forgetting import GroundAtom
 from sitcalc.surface import parse_bat, parse_formula, parse_ground_action, render
-from sitcalc.syntax import FALSE, And, FluentAtom, Not, Or, Stage, signature_of, simplify
+from sitcalc.syntax import (
+    FALSE,
+    ActionTerm,
+    And,
+    Const,
+    FluentAtom,
+    Not,
+    Or,
+    Stage,
+    signature_of,
+    simplify,
+)
 
 
 def bat(src):
@@ -146,5 +157,5 @@ class TestInstantiate:
 class TestGroundActionType:
     def test_constants_and_term_view(self):
         g = GroundAction("move", ("A", "B", "C"))
-        assert g.constants == frozenset({"A", "B", "C"})
+        assert g.term() == ActionTerm("move", (Const("A"), Const("B"), Const("C")))
         assert str(g) == "move(A, B, C)"

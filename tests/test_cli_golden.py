@@ -44,6 +44,8 @@ CASES = {
     "decompose_none_json": ("decompose", "blocks_stacks_raw.bat", "--delta", "Block", "--json"),
     "check_preservation": ("check-preservation", "blocks_stacks.bat", "--delta2", "Block", "--action", "move(A, B, C)"),
     "check_preservation_lost_json": ("check-preservation", "decomp_lost.bat", "--delta2", "P", "--action", "A(c)", "--json"),
+    "check_preservation_violation": ("check-preservation", "decomp_lost.bat", "--delta2", "c", "--action", "A(c)"),
+    "check_preservation_violation_json": ("check-preservation", "decomp_lost.bat", "--delta2", "c", "--action", "A(c)", "--json"),
     "project": ("project", "blocks_world.bat", "--actions", "move(A, B, C)", "--query", "On(A, C) & Clear(B)"),
     "project_json": ("project", "blocks_world.bat", "--actions", "move(A, B, C)", "--query", "On(A, B)", "--json"),
     "executable": ("executable", "blocks_world.bat", "--actions", "move(A, B, C); move(A, C, B)"),

@@ -6,21 +6,18 @@ import pytest
 
 from sitcalc.decomposition import (
     Decomposition,
-    check_fluent_free,
     check_local_effect_preservation,
     check_strong_preservation,
-    decompose_ground,
     detect_split,
     group_ssas,
     syntactic_decompose,
     verify_decomposition,
 )
 from sitcalc.errors import SitcalcError
-from sitcalc.forgetting import GroundAtom
 from sitcalc.oracle import InseparableFinite, OracleConfig, Separated, check_inseparable
 from sitcalc.progression import progress
 from sitcalc.surface import parse_formula, parse_ground_action
-from sitcalc.syntax import Signature, Stage, Theory
+from sitcalc.syntax import Signature, Theory
 
 DELTA_BLOCK = Signature(statics=frozenset({("Block", 1)}))
 
@@ -58,38 +55,6 @@ class TestSyntacticDecompose:
         assert syntactic_decompose(Theory(()), Signature()) is None
 
 
-class TestGroundDecompose:
-    def atoms(self, *specs):
-        out = []
-        for pred, args, stage in specs:
-            out.append(GroundAtom(pred, args, stage))
-        return out
-
-    def test_split_on_disjoint_constants(self):
-        atoms = self.atoms(
-            ("On", ("A", "B"), Stage.NOW),
-            ("On", ("C", "D"), Stage.NOW),
-        )
-        d = decompose_ground(atoms, Signature(fluents=frozenset()))
-        assert d is None  # same predicate name connects both atoms
-
-    def test_predicate_in_delta_lets_constants_decide(self):
-        atoms = self.atoms(
-            ("On", ("A", "B"), Stage.NOW),
-            ("On", ("C", "D"), Stage.NOW),
-        )
-        d = decompose_ground(atoms, Signature(fluents=frozenset({("On", 2)})))
-        assert d is not None and len(d.components) == 2
-
-    def test_shared_constant_connects_across_predicates(self):
-        atoms = self.atoms(
-            ("P", ("a",), None),
-            ("Q", ("a",), None),
-        )
-        delta = Signature(objects=frozenset({"a"}))
-        assert decompose_ground(atoms, delta) is None
-
-
 class TestVerifyDecomposition:
     def test_shipped_split_verifies_against_both_formulations(
         self, blocks_stacks, blocks_stacks_raw, cfg1
@@ -105,7 +70,26 @@ class TestVerifyDecomposition:
         overlapping = Decomposition(Signature(), d.components)
         rep = verify_decomposition(blocks_stacks.init, overlapping, cfg1)
         assert not rep.passed
-        assert rep.failures
+        assert rep.failures == ("components 0 and 1 share non-delta symbols Block",)
+
+    def test_signature_failures_name_the_symbols(self, blocks_stacks):
+        cfg = OracleConfig(max_extra=0)
+        first = Theory(blocks_stacks.init.axioms[:1])
+        twice = verify_decomposition(
+            blocks_stacks.init, Decomposition(DELTA_BLOCK, (first, first)), cfg
+        )
+        assert twice.failures == (
+            "components 0 and 1 share non-delta symbols Clear, On",
+            "symbols A, B, Block, C, Inheap, Top, Under of the theory appear in no component",
+        )
+        d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
+        padded = verify_decomposition(
+            blocks_stacks.init, Decomposition(DELTA_BLOCK, (Theory(()), d.components[0])), cfg
+        )
+        assert padded.failures == (
+            "component 0 has no symbols outside delta",
+            "symbols Inheap, Top, Under of the theory appear in no component",
+        )
 
     def test_lossy_components_fail_the_equivalence_leg(self, blocks_stacks, cfg1):
         d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
@@ -126,19 +110,6 @@ class TestComponentInseparability:
         d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
         v = check_inseparable(d.components[0], d.components[1], DELTA_BLOCK, cfg1)
         assert isinstance(v, Separated)
-
-
-class TestFluentFree:
-    def test_static_and_constant_signatures_are_fluent_free(self):
-        d = Signature(objects=frozenset({"c"}), statics=frozenset({("Block", 1)}))
-        assert check_fluent_free(d).fluent_free
-
-    def test_fluents_in_the_shared_signature_are_reported(self):
-        d = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}),
-                      fluents=frozenset({("F", 1)}))
-        rep = check_fluent_free(d)
-        assert not rep.fluent_free
-        assert rep.fluents == ("F",)
 
 
 class TestGroupSsas:
@@ -187,12 +158,19 @@ class TestPreservation:
         assert any("Under" in str(v) for v in rep.violations)
 
     def test_fluents_in_delta_are_rejected(self, insep_lost):
-        bad = Signature(fluents=frozenset({("F", 1)}))
-        plain = syntactic_decompose(insep_lost.init, Signature(statics=frozenset({("R", 2)})))
-        # build some decomposition shape to feed in; the fluent check fires first
-        d = Decomposition(bad, (insep_lost.init, insep_lost.init))
-        rep = check_local_effect_preservation(insep_lost, bad, bad, (("F",),), d)
-        assert not rep.passed
+        def fluent_violations(delta):
+            d = Decomposition(delta, (insep_lost.init, insep_lost.init))
+            rep = check_local_effect_preservation(insep_lost, delta, delta, (("F",),), d)
+            assert not rep.passed  # the two components overlap everywhere
+            return [str(v) for v in rep.violations if "fluent symbols" in str(v)]
+
+        plain = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
+        assert fluent_violations(plain) == []
+        with_f = plain | Signature(fluents=frozenset({("F", 1)}))
+        assert fluent_violations(with_f) == [
+            "delta1 contains fluent symbols F",
+            "delta2 contains fluent symbols F",
+        ]
 
 
 class TestDetectSplit:

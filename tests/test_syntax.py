@@ -27,7 +27,6 @@ from sitcalc.syntax import (
     Theory,
     Var,
     atoms_of,
-    check_uniform,
     conj,
     disj,
     flatten_and,
@@ -108,14 +107,6 @@ class TestStages:
     def test_stages_of_reports_only_occurring_stages(self):
         assert stages_of(F(c, Stage.NEXT)) == {Stage.NEXT}
         assert stages_of(P(c)) == frozenset()
-
-    def test_check_uniform_accepts_single_stage_and_flags_mixtures(self):
-        ok = check_uniform(Theory((F(c),)))
-        assert ok.uniform and ok.stage == Stage.NOW
-        allnext = check_uniform(Theory((F(c, Stage.NEXT),)))
-        assert allnext.uniform and allnext.stage == Stage.NEXT
-        mixed = check_uniform(Theory((And(F(c), F(c, Stage.NEXT)),)))
-        assert not mixed.uniform
 
 
 class TestSimplify:
