@@ -158,16 +158,32 @@ class TestPreservation:
         assert any("Under" in str(v) for v in rep.violations)
 
     def test_fluents_in_delta_are_rejected(self, insep_lost):
-        def fluent_violations(delta):
-            d = Decomposition(delta, (insep_lost.init, insep_lost.init))
-            rep = check_local_effect_preservation(insep_lost, delta, delta, (("F",),), d)
-            assert not rep.passed  # the two components overlap everywhere
-            return [str(v) for v in rep.violations if "fluent symbols" in str(v)]
-
         plain = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
-        assert fluent_violations(plain) == []
+        assert _fluent_violations(insep_lost, plain) == []
         with_f = plain | Signature(fluents=frozenset({("F", 1)}))
-        assert fluent_violations(with_f) == [
+        assert _fluent_violations(insep_lost, with_f) == [
+            "delta1 contains fluent symbols F",
+            "delta2 contains fluent symbols F",
+        ]
+
+
+def _fluent_violations(bat, delta):
+    """The preservation check's complaints about fluents in delta, used as delta1 and delta2."""
+    d = Decomposition(delta, (bat.init, bat.init))
+    rep = check_local_effect_preservation(bat, delta, delta, (("F",),), d)
+    assert not rep.passed  # the two components overlap everywhere
+    return [str(v) for v in rep.violations if "fluent symbols" in str(v)]
+
+
+class TestFluentFree:
+    def test_static_and_constant_signatures_are_fluent_free(self, insep_lost):
+        d = Signature(objects=frozenset({"c"}), statics=frozenset({("Block", 1)}))
+        assert _fluent_violations(insep_lost, d) == []
+
+    def test_fluents_in_the_shared_signature_are_reported(self, insep_lost):
+        d = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}),
+                      fluents=frozenset({("F", 1)}))
+        assert _fluent_violations(insep_lost, d) == [
             "delta1 contains fluent symbols F",
             "delta2 contains fluent symbols F",
         ]
