@@ -15,6 +15,13 @@ such an axiom yields g only in conjunctions with an equality between
 distinct constants, which simplification under unique names turns into
 FALSE, so the relativized form never mentions g and resolution would have
 kept the axiom verbatim anyway.
+
+forget_atoms and forget_atom share one loop, which files each axiom once
+per call in a denotation index: under the ground atoms it mentions and,
+for atoms with a variable argument (any atom, without unique names),
+under the atom's predicate, stage and arity with its argument pattern.
+Each step looks up the axioms that can denote its atom instead of scanning
+the theory, and files the disjunction it adds.
 """
 
 from __future__ import annotations
@@ -94,18 +101,6 @@ def _matches(f: Formula, g: GroundAtom) -> Optional[tuple]:
             return None
 
 
-def _may_denote(f: Formula, g: GroundAtom, una: bool) -> bool:
-    """Can an atom of f denote g?  Under unique names an atom whose argument
-    is a constant other than g's constant at that position cannot."""
-    for atom in atoms_of(f):
-        args = _matches(atom, g)
-        if args is not None and not (
-            una and any(isinstance(t, Const) and t.name != c for t, c in zip(args, g.args))
-        ):
-            return True
-    return False
-
-
 def relativize(f: Formula, g: GroundAtom, una: bool = True) -> Formula:
     """Split every occurrence of g's predicate on whether its arguments equal g's.
 
@@ -143,36 +138,75 @@ def forget_atom(t: Theory, g: GroundAtom, una: bool = True) -> Theory:
     Keeping g-free axioms out of the disjunction is sound because a conjunct
     without g factors out of it.
     """
-    kept: list[Formula] = []
-    pos_parts: list[Formula] = []
-    neg_parts: list[Formula] = []
-    for ax in t.axioms:
-        if not _may_denote(ax, g, una):
-            kept.append(ax)
-            continue
-        rel = relativize(ax, g, una)
-        pos = replace_ground(rel, g, TRUE)
-        neg = replace_ground(rel, g, FALSE)
-        if pos == neg:
-            kept.append(ax)
-        else:
-            pos_parts.append(pos)
-            neg_parts.append(neg)
-    if not pos_parts:
-        return t
-    forgotten = simplify(Or(conj(pos_parts), conj(neg_parts)), una)
-    return Theory(tuple(kept) + (forgotten,))
+    return _forget(t, (g,), una)
 
 
 def forget_atoms(t: Theory, atoms: Iterable[GroundAtom], una: bool = True) -> Theory:
     """Forget a set of ground atoms in the canonical order.
 
     Forgetting is commutative up to logical equivalence, so the order only
-    affects the syntactic shape of the result.
+    affects the syntactic shape of the result.  The result is that of
+    forget_atom applied to each atom in turn.
     """
-    for g in sorted_atoms(atoms):
-        t = forget_atom(t, g, una)
-    return t
+    return _forget(t, sorted_atoms(atoms), una)
+
+
+def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
+    """forget_atom for each atom in turn, through the denotation index
+    described in the module docstring."""
+    axioms: dict[int, Formula] = {}  # by id; ids grow, so the dict keeps theory order
+    # A key is (predicate, stage or None for a static, arity); an argument
+    # pattern has a constant's name or None for a variable at each position.
+    ground: dict[tuple, list[int]] = {}  # (key, constant names) -> ids
+    open_: dict[tuple, list[tuple[int, tuple]]] = {}  # key -> (id, argument pattern)
+
+    def add(i: int, ax: Formula) -> None:
+        axioms[i] = ax
+        for a in atoms_of(ax):
+            if isinstance(a, FluentAtom):
+                key = (a.fluent, a.stage, len(a.args))
+            elif isinstance(a, StaticAtom):
+                key = (a.pred, None, len(a.args))
+            else:
+                continue
+            names = tuple(x.name if isinstance(x, Const) else None for x in a.args)
+            if una and None not in names:
+                ground.setdefault((key, names), []).append(i)
+            else:
+                open_.setdefault(key, []).append((i, names))
+
+    def may_denote(g: GroundAtom) -> list[int]:
+        """Ids of the live axioms with an atom that can denote g, in theory order.
+        Under unique names an atom with a constant other than g's at some
+        position cannot."""
+        key = (g.pred, g.stage, len(g.args))
+        found = set(ground.get((key, g.args), ()))
+        for i, names in open_.get(key, ()):
+            if not una or all(n is None or n == c for n, c in zip(names, g.args)):
+                found.add(i)
+        return sorted(i for i in found if i in axioms)
+
+    for i, ax in enumerate(t.axioms):
+        add(i, ax)
+    next_id = len(t.axioms)
+    for g in atoms:
+        pos_parts: list[Formula] = []
+        neg_parts: list[Formula] = []
+        used: list[int] = []
+        for i in may_denote(g):
+            rel = relativize(axioms[i], g, una)
+            pos = replace_ground(rel, g, TRUE)
+            neg = replace_ground(rel, g, FALSE)
+            if pos is not neg:  # the same object exactly when g does not occur in rel
+                pos_parts.append(pos)
+                neg_parts.append(neg)
+                used.append(i)
+        if used:
+            for i in used:
+                del axioms[i]
+            add(next_id, simplify(Or(conj(pos_parts), conj(neg_parts)), una))
+            next_id += 1
+    return t if next_id == len(t.axioms) else Theory(tuple(axioms.values()))
 
 
 def occurring_ground_atoms(t: Theory, pred: str) -> tuple[GroundAtom, ...]:

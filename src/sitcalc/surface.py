@@ -32,8 +32,7 @@ a structurally equal object, and rendering is deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .bat import BAT, EffectDisjunct, GroundAction, Precondition, SSA
 from .errors import ParseError, SourceSpan
@@ -89,8 +88,7 @@ _RESERVED = frozenset(
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | nat | op | eof
     text: str
     line: int
@@ -654,10 +652,15 @@ def _fmt1(f: Formula) -> tuple[str, int]:
             return f"{_rt(l)} != {_rt(r)}", 5
         case Not(body):
             return "!" + _fmt(body, 5), 5
-        case And(l, r):
-            return f"{_fmt(l, 4)} & {_fmt(r, 5)}", 4
-        case Or(l, r):
-            return f"{_fmt(l, 3)} | {_fmt(r, 4)}", 3
+        case And() | Or():
+            # the left spine in a loop, so a wide chain costs no recursion
+            node, sep, prec = (And, " & ", 4) if isinstance(f, And) else (Or, " | ", 3)
+            rights = []
+            while isinstance(f, node):
+                rights.append(_fmt(f.rhs, prec + 1))
+                f = f.lhs
+            rights.append(_fmt(f, prec))
+            return sep.join(reversed(rights)), prec
         case Implies(l, r):
             return f"{_fmt(l, 3)} -> {_fmt(r, 2)}", 2
         case Iff(l, r):

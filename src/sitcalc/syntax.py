@@ -23,13 +23,25 @@ flatten_and/flatten_or walk a connective spine and free_vars carries the
 bound variables on its stack; neither recurses.
 
 These still recurse, because they compute something per connective rather
-than per atom: simplify (rewrite rules per connective, run to a fixed
-point), substitute (capture-avoiding renaming at each binder), the
-printer surface._fmt1 (precedence and parentheses per connective) and the
-oracle's evaluate and _Grounder.ground (semantics per connective).  The
-dataclass-generated __eq__, __hash__ and __repr__ of the nodes recurse
-too, so comparing or hashing two deep trees can still hit the recursion
-limit.
+than per atom: simplify (rewrite rules per connective), substitute
+(capture-avoiding renaming at each binder), the printer surface._fmt1
+(precedence and parentheses per connective) and the oracle's evaluate and
+_Grounder.ground (semantics per connective).  Their depth is the nesting
+depth of the formula, not its width: simplify flattens And/Or spines and
+tests its fixed point by identity, and _fmt1 prints an And/Or spine with a
+loop.  The dataclass-generated __eq__, __hash__ and __repr__ of the nodes
+recurse too, so comparing or hashing two deep trees that share no subtree
+can still hit the recursion limit.
+
+simplify and free_vars memoize their results on the nodes themselves, in
+slots that Formula declares: a node is immutable, so what was computed for
+it once holds for as long as it lives, and a subtree shared between an
+input and a result (map_atoms shares every unchanged one) is not
+simplified again.  The memo lives in slots rather than in an instance
+__dict__ because a dict would cost every node, memoized or not, a few
+hundred bytes (on CPython 3.11 a slotted And is 72 bytes, a plain
+dataclass And with its dict 352), and a progressed theory holds tens of
+thousands of nodes.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ class Stage(enum.Enum):
 # terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -61,7 +73,7 @@ class Var:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
 
@@ -74,7 +86,7 @@ class Const:
 ObjTerm = Var | Const
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionTerm:
     fn: str
     args: tuple[ObjTerm, ...] = ()
@@ -94,17 +106,23 @@ class ActionTerm:
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses below."""
+    """Base class; all nodes are slotted frozen dataclasses below.
 
-    __slots__ = ()
+    The slots declared here are per-node memos, not fields: they take no
+    part in equality, hashing or repr.  _simp_una and _simp_no_una hold
+    simplify's one-step rewrite with and without unique names, _fv the
+    free variables.  An unset slot means not computed yet.
+    """
+
+    __slots__ = ("_simp_una", "_simp_no_una", "_fv")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Truth(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Falsity(Formula):
     pass
 
@@ -113,61 +131,61 @@ TRUE = Truth()
 FALSE = Falsity()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FluentAtom(Formula):
     fluent: str
     args: tuple[ObjTerm, ...]
     stage: Stage = Stage.NOW
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticAtom(Formula):
     pred: str
     args: tuple[ObjTerm, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjEq(Formula):
     lhs: ObjTerm
     rhs: ObjTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: Var
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     var: Var
     body: Formula
@@ -253,7 +271,7 @@ class Signature:
         )
 
     def __and__(self, other: Signature) -> Signature:
-        return Signature(
+        return self._valid(
             self.objects & other.objects,
             self.statics & other.statics,
             self.fluents & other.fluents,
@@ -261,12 +279,20 @@ class Signature:
         )
 
     def __sub__(self, other: Signature) -> Signature:
-        return Signature(
+        return self._valid(
             self.objects - other.objects,
             self.statics - other.statics,
             self.fluents - other.fluents,
             self.actions - other.actions,
         )
+
+    @staticmethod
+    def _valid(objects, statics, fluents, actions) -> Signature:
+        """A signature whose name sets are subsets of a valid signature's,
+        built without the disjointness check they cannot fail."""
+        s = object.__new__(Signature)
+        s.__dict__.update(objects=objects, statics=statics, fluents=fluents, actions=actions)
+        return s
 
     def __le__(self, other: Signature) -> bool:
         return (
@@ -441,23 +467,31 @@ def signature_of(x: SyntaxLike) -> Signature:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    """Names of free object variables."""
+    """Names of free object variables, memoized on the node."""
+    fv = getattr(f, "_fv", None)
+    if fv is not None:
+        return fv
     out: set[str] = set()
     stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
     while stack:
-        f, bound = stack.pop()
-        if isinstance(f, _BINARY):
-            stack.append((f.rhs, bound))
-            stack.append((f.lhs, bound))
-        elif isinstance(f, Not):
-            stack.append((f.body, bound))
-        elif isinstance(f, (Forall, Exists)):
-            stack.append((f.body, bound | {f.var.name}))
+        g, bound = stack.pop()
+        known = getattr(g, "_fv", None)
+        if known is not None:
+            out.update(known - bound)
+        elif isinstance(g, _BINARY):
+            stack.append((g.rhs, bound))
+            stack.append((g.lhs, bound))
+        elif isinstance(g, Not):
+            stack.append((g.body, bound))
+        elif isinstance(g, (Forall, Exists)):
+            stack.append((g.body, bound | {g.var.name}))
         else:
-            for t in _atom_terms(f):
+            for t in _atom_terms(g):
                 if isinstance(t, Var) and t.name not in bound:
                     out.add(t.name)
-    return frozenset(out)
+    fv = frozenset(out)
+    object.__setattr__(f, "_fv", fv)
+    return fv
 
 
 def stages_of(x: Union[Formula, Theory]) -> frozenset[Stage]:
@@ -551,22 +585,35 @@ def substitute(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
 
 
 def _complementary(a: Formula, b: Formula) -> bool:
-    return a == Not(b) or b == Not(a)
+    return (type(a) is Not and a.body == b) or (type(b) is Not and b.body == a)
 
 
-def _simp_eq(lhs: ObjTerm, rhs: ObjTerm, una: bool) -> Formula:
+def _simp_eq(f: ObjEq, una: bool) -> Formula:
+    lhs, rhs = f.lhs, f.rhs
     if lhs == rhs:
         return TRUE
     if isinstance(lhs, Const) and isinstance(rhs, Const):
-        return FALSE if una else ObjEq(lhs, rhs)
+        return FALSE if una else f
     # keep variables on the left so transformed effect conditions read x = c
     if isinstance(lhs, Const) and isinstance(rhs, Var):
         return ObjEq(rhs, lhs)
-    return ObjEq(lhs, rhs)
+    return f
 
 
-def _conjunction_of(parts: list[Formula], una: bool) -> Formula:
-    """Rebuild a conjunction: drop TRUE, dedupe, detect local contradictions."""
+def _is_chain(f: Formula, node: type, parts: list[Formula]) -> bool:
+    """Is f, operand for operand, the left-nested chain conj/disj builds from parts?"""
+    for p in reversed(parts[1:]):
+        if type(f) is not node or f.rhs is not p:
+            return False
+        f = f.lhs
+    return bool(parts) and f is parts[0]
+
+
+def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
+    """Rebuild the conjunction f: drop TRUE, dedupe, detect local contradictions.
+
+    f itself is returned if the rebuilt chain would equal it.
+    """
     out: list[Formula] = []
     bindings: dict[str, str] = {}
     for p in parts:
@@ -584,11 +631,14 @@ def _conjunction_of(parts: list[Formula], una: bool) -> Formula:
                 case _:
                     pass
         out.append(p)
-    return conj(out)
+    return f if _is_chain(f, And, out) else conj(out)
 
 
-def _disjunction_of(parts: list[Formula], una: bool) -> Formula:
-    """Rebuild a disjunction: drop FALSE, dedupe, absorb subsumed disjuncts."""
+def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
+    """Rebuild the disjunction f: drop FALSE, dedupe, absorb subsumed disjuncts.
+
+    f itself is returned if the rebuilt chain would equal it.
+    """
     flat: list[Formula] = []
     for p in parts:
         if isinstance(p, Truth):
@@ -619,10 +669,10 @@ def _disjunction_of(parts: list[Formula], una: bool) -> Formula:
             sets[i] = stripped
             changed = True
     rebuilt = [
-        _conjunction_of(sets[i], una) if (changed or len(sets[i]) != 1) else flat[i]
+        _conjunction_of(sets[i], una, flat[i]) if (changed or len(sets[i]) != 1) else flat[i]
         for i in survivors
     ]
-    return disj(rebuilt)
+    return f if _is_chain(f, Or, rebuilt) else disj(rebuilt)
 
 
 def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm, list[Formula]]]:
@@ -638,6 +688,108 @@ def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm
     return None
 
 
+_NORMAL = object()  # simplify memo: no rule rewrites the node
+
+
+def _step(f: Formula, una: bool) -> Formula:
+    """One rewriting pass over f, memoized on the node per una value.
+
+    Returns f itself when no rule fires anywhere in it, so a caller can
+    tell a fixed point by identity.  A normal node stores _NORMAL rather
+    than a reference to itself, which would make it a reference cycle.
+    """
+    slot = "_simp_una" if una else "_simp_no_una"
+    memo = getattr(f, slot, None)
+    if memo is not None:
+        return f if memo is _NORMAL else memo
+    out = _rewrite(f, una)
+    object.__setattr__(f, slot, _NORMAL if out is f else out)
+    return out
+
+
+def _rewrite(f: Formula, una: bool) -> Formula:
+    match f:
+        case Truth() | Falsity() | FluentAtom() | StaticAtom():
+            return f
+        case ObjEq():
+            return _simp_eq(f, una)
+        case Not(body):
+            match _step(body, una):
+                case Truth():
+                    return FALSE
+                case Falsity():
+                    return TRUE
+                case Not(inner):
+                    return inner
+                case g:
+                    return f if g is body else Not(g)
+        case And():
+            parts = [_step(p, una) for p in flatten_and(f)]
+            return _conjunction_of(parts, una, f)
+        case Or():
+            parts = [_step(p, una) for p in flatten_or(f)]
+            return _disjunction_of(parts, una, f)
+        case Implies(lhs, rhs):
+            a, b = _step(lhs, una), _step(rhs, una)
+            match (a, b):
+                case (Truth(), _):
+                    return b
+                case (Falsity(), _):
+                    return TRUE
+                case (_, Truth()):
+                    return TRUE
+                case (_, Falsity()):
+                    return _step(Not(a), una)
+                case _ if a == b:
+                    return TRUE
+                case _:
+                    return f if a is lhs and b is rhs else Implies(a, b)
+        case Iff(lhs, rhs):
+            a, b = _step(lhs, una), _step(rhs, una)
+            match (a, b):
+                case (Truth(), _):
+                    return b
+                case (_, Truth()):
+                    return a
+                case (Falsity(), _):
+                    return _step(Not(b), una)
+                case (_, Falsity()):
+                    return _step(Not(a), una)
+                case _ if a == b:
+                    return TRUE
+                case _:
+                    return f if a is lhs and b is rhs else Iff(a, b)
+        case Forall(v, body):
+            b = _step(body, una)
+            if isinstance(b, (Truth, Falsity)):
+                return b
+            if v.name not in free_vars(b):
+                return b
+            match b:
+                case Implies(ante, cons):
+                    found = _one_point_conjuncts(v, flatten_and(ante))
+                    if found is not None:
+                        t, rest = found
+                        inst = substitute(Implies(conj(rest), cons), {v.name: t})
+                        return _step(inst, una)
+                case _:
+                    pass
+            return f if b is body else Forall(v, b)
+        case Exists(v, body):
+            b = _step(body, una)
+            if isinstance(b, (Truth, Falsity)):
+                return b
+            if v.name not in free_vars(b):
+                return b
+            found = _one_point_conjuncts(v, flatten_and(b))
+            if found is not None:
+                t, rest = found
+                return _step(substitute(conj(rest), {v.name: t}), una)
+            return f if b is body else Exists(v, b)
+        case _:
+            raise SitcalcError(f"not a formula: {f!r}")
+
+
 def simplify(f: Formula, una: bool = True) -> Formula:
     """Equivalence-preserving local rewriting to a fixed point.
 
@@ -645,95 +797,13 @@ def simplify(f: Formula, una: bool = True) -> Formula:
     subsumption inside flat conjunctions/disjunctions, reflexive equalities,
     constant disequalities under unique names, vacuous quantifiers and the
     one-point rule for exists z (z = t & phi) and forall z (z = t -> phi).
-    Nonempty object domains are assumed.
+    Nonempty object domains are assumed.  The result of a simplify call is
+    its own simplification, as the very same object.
     """
-
-    def step(f: Formula) -> Formula:
-        match f:
-            case Truth() | Falsity() | FluentAtom() | StaticAtom():
-                return f
-            case ObjEq(lhs, rhs):
-                return _simp_eq(lhs, rhs, una)
-            case Not(body):
-                match step(body):
-                    case Truth():
-                        return FALSE
-                    case Falsity():
-                        return TRUE
-                    case Not(inner):
-                        return inner
-                    case g:
-                        return Not(g)
-            case And():
-                parts = [step(p) for p in flatten_and(f)]
-                return _conjunction_of(parts, una)
-            case Or():
-                parts = [step(p) for p in flatten_or(f)]
-                return _disjunction_of(parts, una)
-            case Implies(lhs, rhs):
-                a, b = step(lhs), step(rhs)
-                match (a, b):
-                    case (Truth(), _):
-                        return b
-                    case (Falsity(), _):
-                        return TRUE
-                    case (_, Truth()):
-                        return TRUE
-                    case (_, Falsity()):
-                        return step(Not(a))
-                    case _ if a == b:
-                        return TRUE
-                    case _:
-                        return Implies(a, b)
-            case Iff(lhs, rhs):
-                a, b = step(lhs), step(rhs)
-                match (a, b):
-                    case (Truth(), _):
-                        return b
-                    case (_, Truth()):
-                        return a
-                    case (Falsity(), _):
-                        return step(Not(b))
-                    case (_, Falsity()):
-                        return step(Not(a))
-                    case _ if a == b:
-                        return TRUE
-                    case _:
-                        return Iff(a, b)
-            case Forall(v, body):
-                b = step(body)
-                if isinstance(b, (Truth, Falsity)):
-                    return b
-                if v.name not in free_vars(b):
-                    return b
-                match b:
-                    case Implies(ante, cons):
-                        found = _one_point_conjuncts(v, flatten_and(ante))
-                        if found is not None:
-                            t, rest = found
-                            inst = substitute(Implies(conj(rest), cons), {v.name: t})
-                            return step(inst)
-                    case _:
-                        pass
-                return Forall(v, b)
-            case Exists(v, body):
-                b = step(body)
-                if isinstance(b, (Truth, Falsity)):
-                    return b
-                if v.name not in free_vars(b):
-                    return b
-                found = _one_point_conjuncts(v, flatten_and(b))
-                if found is not None:
-                    t, rest = found
-                    return step(substitute(conj(rest), {v.name: t}))
-                return Exists(v, b)
-            case _:
-                raise SitcalcError(f"not a formula: {f!r}")
-
     prev = f
     for _ in range(200):  # each rule shrinks the tree; the bound is a safety net
-        cur = step(prev)
-        if cur == prev:
+        cur = _step(prev, una)
+        if cur is prev:
             return cur
         prev = cur
     return prev

@@ -144,6 +144,17 @@ class TestForget:
             "forall x exists y (x == c & y == a | R(x, y));",
         ]
 
+    def test_forgetting_in_a_wide_conjunction_keeps_the_other_conjuncts(self, capsys, tmp_path):
+        names = [f"c{i}" for i in range(600)]
+        src = tmp_path / "wide.bat"
+        src.write_text(
+            f"object {', '.join(names)};\nstatic P/1;\n\n"
+            f"theory {{\n  {' & '.join(f'P({c})' for c in names)};\n}}\n"
+        )
+        code, out, err = run(capsys, "forget", str(src), "--atom", "P(c5)")
+        assert code == 0, err
+        assert out == " & ".join(f"P({c})" for c in names if c != "c5") + ";\n"
+
     def test_atom_and_symbol_are_mutually_exclusive(self, capsys):
         code, _, err = run(
             capsys, "forget", path("propositional_chain.bat"),

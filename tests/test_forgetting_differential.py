@@ -1,4 +1,5 @@
-"""forget_atom against the reference that relativizes every axiom.
+"""forget_atom against the reference that relativizes every axiom, and
+forget_atoms against forget_atom folded over the canonical order.
 
 The local version skips the axioms that cannot denote the forgotten atom;
 the results must be equal to the reference's, node for node, with unique
@@ -15,18 +16,25 @@ from forgetting_reference import forget_atom as reference
 from test_property_suites import CONSTS, SEEDS, random_target, random_theory
 
 from sitcalc.bat import characteristic_set, instantiate_ssas
-from sitcalc.forgetting import GroundAtom, forget_atom, sorted_atoms
+from sitcalc.forgetting import GroundAtom, forget_atom, forget_atoms, sorted_atoms
 from sitcalc.syntax import Theory
 
 UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
 
 
 def _forget_in_turn(t, atoms, una, label):
+    start = t
     for g in atoms:
         want = reference(t, g, una)
         got = forget_atom(t, g, una)
         assert got == want, f"{label}, {g}"
         t = got
+    # one call with the whole set files the axioms once and must agree with
+    # forget_atom folded over the canonical order
+    folded = start
+    for g in sorted_atoms(atoms):
+        folded = forget_atom(folded, g, una)
+    assert forget_atoms(start, atoms, una) == folded, label
 
 
 @pytest.mark.parametrize("una", UNA)

@@ -1,5 +1,6 @@
 """Formula AST: signatures, substitution, staging, simplification."""
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sitcalc
+from sitcalc import corpus_path, parse_bat, parse_theory
 from sitcalc.errors import SitcalcError
 from sitcalc.syntax import (
     FALSE,
@@ -40,6 +42,7 @@ from sitcalc.syntax import (
     stages_of,
     substitute,
 )
+from test_property_suites import SEEDS, random_theory
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c = Const("a"), Const("b"), Const("c")
@@ -142,6 +145,82 @@ class TestSimplify:
         for f in samples:
             once = simplify(f)
             assert simplify(once) == once
+
+
+def _corpus_formulas():
+    """Every formula of every corpus file, freshly parsed: axioms,
+    preconditions and effect contexts."""
+    out = []
+    for path in sorted(corpus_path("blocks_world.bat").parent.glob("*.bat")):
+        text = path.read_text()
+        if "theory {" in text:
+            out += parse_theory(text, path.name)[1].axioms
+            continue
+        bat = parse_bat(text, path.name)
+        out += bat.init.axioms
+        out += [p.formula for p in bat.preconditions]
+        out += [d.context for s in bat.ssas for d in s.pos + s.neg]
+    return out
+
+
+def _suite_formulas():
+    """The property suite's random theories, freshly built."""
+    return [ax for seed in SEEDS for ax in random_theory(random.Random(seed)).axioms]
+
+
+def _bottom_up(f):
+    """Every subformula of f, each after its subformulas."""
+    order, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        order.append(g)
+        if isinstance(g, (And, Or, Implies, Iff)):
+            stack += (g.lhs, g.rhs)
+        elif isinstance(g, (Not, Forall, Exists)):
+            stack.append(g.body)
+    return reversed(order)
+
+
+SOURCES = [pytest.param(_corpus_formulas, id="corpus"), pytest.param(_suite_formulas, id="suite")]
+UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
+
+
+class TestSimplifyMemo:
+    @pytest.mark.parametrize("una", UNA)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_result_simplifies_to_itself(self, source, una):
+        for f in source():
+            r = simplify(f, una)
+            assert simplify(r, una) is r, f
+
+    @pytest.mark.parametrize("una", UNA)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_cold_memo_gives_the_warm_result(self, source, una):
+        warm = source()
+        for f in warm:
+            for g in _bottom_up(f):
+                simplify(g, una)
+        for f, cold in zip(warm, source(), strict=True):
+            assert f == cold
+            assert simplify(cold, una) == simplify(f, una), f
+
+    def test_memo_under_one_una_value_leaves_the_other(self):
+        f = And(ObjEq(a, b), P(c))
+        assert simplify(f) == FALSE
+        assert simplify(f, una=False) == f
+
+    def test_nodes_have_no_instance_dict(self):
+        samples = [TRUE, FALSE, P(a), F(x), ObjEq(x, a), Not(P(a)), And(P(a), P(b)),
+                   Or(P(a), P(b)), Implies(P(a), P(b)), Iff(P(a), P(b)), Forall(x, P(x)),
+                   Exists(x, P(x))]
+        for f in samples:
+            assert not hasattr(f, "__dict__"), type(f).__name__
+
+    def test_memo_takes_no_part_in_equality(self):
+        f, g = And(P(a), Not(Not(P(b)))), And(P(a), Not(Not(P(b))))
+        simplify(f)
+        free_vars(f)
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
 
 
 class TestConnectiveHelpers:
