@@ -8,14 +8,14 @@ witness model or sentence and re-validate by direct evaluation before being
 returned.
 
 Every question is answered on one propositional engine: the formulas are
-grounded over each candidate domain, Tseitin-encoded and handed to a small
-DPLL solver.  Entailment, equivalence and satisfiability ask for one model.
-Inseparability grounds each theory once per domain and lets one search
-enumerate the distinct reducts to the shared signature, deciding those
-atoms first; it always decides, because a reduct that only one theory
-realizes is described up to isomorphism by a sentence the other theory
-refutes.  Forgetting verification asks two satisfiability questions per
-domain, one for each way the result can be wrong.
+compiled once per call, grounded over each candidate domain, Tseitin-encoded
+and handed to a small DPLL solver.  Entailment, equivalence and
+satisfiability ask for one model.  Inseparability grounds each theory once
+per domain and lets one search enumerate the distinct reducts to the shared
+signature, deciding those atoms first; it always decides, because a reduct
+that only one theory realizes is described up to isomorphism by a sentence
+the other theory refutes.  Forgetting verification asks two satisfiability
+questions per domain, one for each way the result can be wrong.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, SitcalcError
 from .forgetting import GroundAtom
@@ -49,6 +50,8 @@ from .syntax import (
     Var,
     conj,
     disj,
+    flatten_and,
+    flatten_or,
     free_vars,
     signature_of,
     stages_of,
@@ -169,8 +172,13 @@ def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None
             case Not(body):
                 return not walk(body)
             case And(a, b):
+                # a wide conjunction is walked along its spine, not down it
+                if type(a) is And:
+                    return all(walk(c) for c in flatten_and(f))
                 return walk(a) and walk(b)
             case Or(a, b):
+                if type(a) is Or:
+                    return any(walk(c) for c in flatten_or(f))
                 return walk(a) or walk(b)
             case Implies(a, b):
                 return (not walk(a)) or walk(b)
@@ -317,15 +325,19 @@ def models(
     stages = stages if stages is not None else stages_of(t)
     keys = _rel_keys(vocab, stages)
     budget = _Budget(cfg)
+    roots = [_compile(f) for f in t.axioms]
     for n, consts in _domain_specs(vocab, cfg):
-        for m in _projections(t.axioms, n, consts, keys, consts, budget, "model enumeration"):
+        for m in _projections(roots, n, consts, keys, consts, budget, "model enumeration"):
             _require(theory_holds(m, t), "enumerated model does not re-validate")
             yield m
 
 
 # ---------------------------------------------------------------------------
-# grounding to CNF and a small DPLL solver
+# grounding: each formula is compiled once per oracle call into a tree of
+# closures, which is instantiated on the grounder of every domain spec; then
+# Tseitin encoding to CNF and a small DPLL solver
 
+# Ground trees are built from these two objects, so they are tested by identity.
 _PTRUE = ("T",)
 _PFALSE = ("F",)
 
@@ -333,9 +345,9 @@ _PFALSE = ("F",)
 def _pand(children: list) -> object:
     out: list = []
     for c in children:
-        if c == _PFALSE:
+        if c is _PFALSE:
             return _PFALSE
-        if c == _PTRUE:
+        if c is _PTRUE:
             continue
         if isinstance(c, tuple) and c[0] == "A":
             out.extend(c[1])
@@ -351,9 +363,9 @@ def _pand(children: list) -> object:
 def _por(children: list) -> object:
     out: list = []
     for c in children:
-        if c == _PTRUE:
+        if c is _PTRUE:
             return _PTRUE
-        if c == _PFALSE:
+        if c is _PFALSE:
             continue
         if isinstance(c, tuple) and c[0] == "O":
             out.extend(c[1])
@@ -367,6 +379,10 @@ def _por(children: list) -> object:
 
 
 class _Grounder:
+    """One domain spec's grounding state: the domain size, the constant
+    placement and the propositional variable of each ground atom, numbered
+    in the order the atoms are first met."""
+
     def __init__(self, size: int, const_map: Mapping[str, int]):
         self.size = size
         self.const_map = dict(const_map)
@@ -374,70 +390,173 @@ class _Grounder:
         self.nvars = 0
 
     def _var(self, key: RelKey, tup: tuple[int, ...]) -> int:
-        k = (key, tup)
-        v = self.atom_vars.get(k)
-        if v is None:
-            self.nvars += 1
-            v = self.nvars
-            self.atom_vars[k] = v
-        return v
+        return self.atom_vars.get((key, tup)) or self._new_var((key, tup))
 
-    def _term(self, t, env: Mapping[str, int]) -> int:
-        match t:
-            case Const(name):
-                try:
-                    return self.const_map[name]
-                except KeyError:
-                    raise SitcalcError(f"constant {name} missing from oracle vocabulary") from None
-            case Var(name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise SitcalcError(f"formula has free variable {name}") from None
-            case _:
-                raise SitcalcError(f"cannot ground term {t!r}")
+    def _new_var(self, k: tuple[RelKey, tuple[int, ...]]) -> int:
+        self.nvars += 1
+        self.atom_vars[k] = self.nvars
+        return self.nvars
 
-    def ground(self, f: Formula, env: Mapping[str, int], neg: bool) -> object:
+
+if TYPE_CHECKING:  # typing caches subscripted aliases, which would keep this module alive
+    # A compiled node: (grounder, env, neg) -> the ground tree of the node, or
+    # of its negation if neg, with the bound variables and constants read from env.
+    _Node = Callable[[_Grounder, list, bool], object]
+    # A compiled formula: (grounder, neg) -> its ground tree over that grounder.
+    _Compiled = Callable[[_Grounder, bool], object]
+
+
+def _compile(f: Formula) -> _Compiled:
+    """Compile f once into a tree of grounding closures, to be instantiated
+    on the grounder of each domain spec.
+
+    Node types are dispatched and variables resolved here, once, instead of
+    for every instance: each binder and each constant gets a slot in one
+    list env, filled from the grounder's const_map when the formula is
+    instantiated and by the quantifier loops as they run.  Not is folded
+    into the polarity and And/Or spines into one n-ary node, so the closure
+    tree nests only as deep as the formula alternates connectives.  The
+    closures visit the nodes in the order of the recursive definition and
+    never short-circuit, so the atoms are numbered in that order and the
+    ground tree is the one _pand/_por fold from it.  Errors are deferred to
+    instantiation: a constant missing from const_map is reported before
+    anything is grounded, a free variable or an ungroundable node when it
+    is reached.
+    """
+    consts: dict[str, int] = {}
+    nslots = 0
+
+    def slot() -> int:
+        nonlocal nslots
+        nslots += 1
+        return nslots - 1
+
+    def term(t, scope: Mapping[str, int]) -> Union[int, str]:
+        """The env slot of a term, or the message of the error grounding it raises."""
+        if type(t) is Var:
+            return scope[t.name] if t.name in scope else f"formula has free variable {t.name}"
+        if type(t) is Const:
+            if t.name not in consts:
+                consts[t.name] = slot()
+            return consts[t.name]
+        return f"cannot ground term {t!r}"
+
+    def comp(f: Formula, scope: Mapping[str, int], flip: bool) -> _Node:
+        """The node grounding f with its polarity flipped if flip."""
+        while type(f) is Not:
+            f = f.body
+            flip = not flip
+        # (g, env, neg) -> ground(f, neg != flip) for each kind of node
         match f:
-            case Truth():
-                return _PFALSE if neg else _PTRUE
-            case Falsity():
-                return _PTRUE if neg else _PFALSE
-            case FluentAtom(name, args, stage):
-                v = self._var((name, stage.value), tuple(self._term(t, env) for t in args))
-                return -v if neg else v
-            case StaticAtom(name, args):
-                v = self._var((name, ""), tuple(self._term(t, env) for t in args))
-                return -v if neg else v
+            case Truth() | Falsity():
+                vals = (_PFALSE, _PTRUE) if (type(f) is Falsity) != flip else (_PTRUE, _PFALSE)
+                return lambda g, env, neg: vals[neg]
+            case FluentAtom(name, args) | StaticAtom(name, args):
+                key = (name, f.stage.value) if type(f) is FluentAtom else (name, "")
+                return _atom(key, [term(t, scope) for t in args], flip)
             case ObjEq(lhs, rhs):
-                val = self._term(lhs, env) == self._term(rhs, env)
-                return _PTRUE if (val != neg) else _PFALSE
-            case Not(body):
-                return self.ground(body, env, not neg)
-            case And(a, b):
-                parts = [self.ground(a, env, neg), self.ground(b, env, neg)]
-                return _por(parts) if neg else _pand(parts)
-            case Or(a, b):
-                parts = [self.ground(a, env, neg), self.ground(b, env, neg)]
-                return _pand(parts) if neg else _por(parts)
+                return _equality(term(lhs, scope), term(rhs, scope), flip)
+            case And() | Or():
+                spine = flatten_and(f) if type(f) is And else flatten_or(f)
+                return _connective(type(f) is Or, [comp(c, scope, flip) for c in spine], flip)
             case Implies(a, b):
-                if neg:
-                    return _pand([self.ground(a, env, False), self.ground(b, env, True)])
-                return _por([self.ground(a, env, True), self.ground(b, env, False)])
+                return _connective(True, [comp(a, scope, not flip), comp(b, scope, flip)], flip)
             case Iff(a, b):
-                ap, an = self.ground(a, env, False), self.ground(a, env, True)
-                bp, bn = self.ground(b, env, False), self.ground(b, env, True)
-                if neg:
-                    return _por([_pand([ap, bn]), _pand([an, bp])])
-                return _pand([_por([an, bp]), _por([bn, ap])])
-            case Forall(v, body):
-                parts = [self.ground(body, {**env, v.name: d}, neg) for d in range(self.size)]
-                return _por(parts) if neg else _pand(parts)
-            case Exists(v, body):
-                parts = [self.ground(body, {**env, v.name: d}, neg) for d in range(self.size)]
-                return _pand(parts) if neg else _por(parts)
+                return _iff(comp(a, scope, False), comp(b, scope, False), flip)
+            case Forall(v, body) | Exists(v, body):
+                i = slot()
+                return _quantifier(type(f) is Exists, i, comp(body, {**scope, v.name: i}, flip), flip)
             case _:
-                raise SitcalcError(f"cannot ground {f!r}")
+                return _fail(f"cannot ground {f!r}")
+
+    root = comp(f, {}, False)
+    placed = tuple(consts.items())
+    size = nslots
+
+    def instantiate(g: _Grounder, neg: bool) -> object:
+        env = [0] * size
+        for name, i in placed:
+            if name not in g.const_map:
+                raise SitcalcError(f"constant {name} missing from oracle vocabulary")
+            env[i] = g.const_map[name]
+        return root(g, env, neg)
+
+    return instantiate
+
+
+def _fail(message: str) -> _Node:
+    def fail(g: _Grounder, env: list, neg: bool) -> object:
+        raise SitcalcError(message)
+
+    return fail
+
+
+def _atom(key: RelKey, slots: list, flip: bool) -> _Node:
+    for s in slots:
+        if type(s) is str:
+            return _fail(s)
+    if len(slots) == 1:
+        i = slots[0]
+        args = lambda env: (env[i],)  # noqa: E731
+    else:
+        # itemgetter of two or more slots returns their tuple
+        args = itemgetter(*slots) if slots else lambda env: ()
+
+    def atom(g: _Grounder, env: list, neg: bool) -> object:
+        k = (key, args(env))
+        v = g.atom_vars.get(k) or g._new_var(k)
+        return -v if neg != flip else v
+
+    return atom
+
+
+def _equality(i, j, flip: bool) -> _Node:
+    for s in (i, j):
+        if type(s) is str:
+            return _fail(s)
+
+    def equality(g: _Grounder, env: list, neg: bool) -> object:
+        return _PTRUE if (env[i] == env[j]) != (neg != flip) else _PFALSE
+
+    return equality
+
+
+def _connective(disjunctive: bool, children: list[_Node], flip: bool) -> _Node:
+    """An n-ary conjunction, or disjunction if disjunctive, of the children."""
+    fold = (_por, _pand) if disjunctive != flip else (_pand, _por)
+    if len(children) == 2:  # most are binary: spare the list comprehension's frame
+        a, b = children
+
+        def binary(g: _Grounder, env: list, neg: bool) -> object:
+            return fold[neg]([a(g, env, neg), b(g, env, neg)])
+
+        return binary
+
+    def connective(g: _Grounder, env: list, neg: bool) -> object:
+        return fold[neg]([c(g, env, neg) for c in children])
+
+    return connective
+
+
+def _iff(a: _Node, b: _Node, flip: bool) -> _Node:
+    def iff(g: _Grounder, env: list, neg: bool) -> object:
+        ap, an = a(g, env, False), a(g, env, True)
+        bp, bn = b(g, env, False), b(g, env, True)
+        if neg != flip:
+            return _por([_pand([ap, bn]), _pand([an, bp])])
+        return _pand([_por([an, bp]), _por([bn, ap])])
+
+    return iff
+
+
+def _quantifier(existential: bool, i: int, body: _Node, flip: bool) -> _Node:
+    fold = (_por, _pand) if existential != flip else (_pand, _por)
+
+    def quantifier(g: _Grounder, env: list, neg: bool) -> object:
+        # binds env[i] to each element in turn
+        return fold[neg]([body(g, env, neg) for env[i] in range(g.size)])
+
+    return quantifier
 
 
 class _CNF:
@@ -615,16 +734,17 @@ def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[lis
 
 
 def _solve_domain(
-    formulas: Sequence[Formula],
+    roots: Sequence[_Compiled],
     n: int,
     consts: tuple[tuple[str, int], ...],
     vocab: Signature,
     stages: frozenset[Stage],
     budget: _Budget,
 ) -> Optional[FiniteModel]:
-    """A model of the conjunction of formulas over the given domain, or None."""
+    """A model of the conjunction of the compiled formulas over the given
+    domain, or None."""
     g = _Grounder(n, dict(consts))
-    return _solve_ground(g, [g.ground(f, {}, False) for f in formulas], consts, vocab, stages, budget)
+    return _solve_ground(g, [root(g, False) for root in roots], consts, vocab, stages, budget)
 
 
 def _solve_ground(
@@ -656,7 +776,7 @@ def _solve_ground(
 
 
 def _projections(
-    axioms: Sequence[Formula],
+    roots: Sequence[_Compiled],
     n: int,
     consts: tuple[tuple[str, int], ...],
     keys: Sequence[tuple[RelKey, int]],
@@ -665,7 +785,7 @@ def _projections(
     what: str,
 ) -> Iterator[FiniteModel]:
     """Each interpretation of the relations in keys that extends to a model
-    of the axioms over the given domain, exactly once.
+    of the compiled axioms over the given domain, exactly once.
 
     Every ground atom over keys gets a variable before grounding, so atoms the
     axioms do not mention are enumerated both ways.  The yielded models
@@ -673,7 +793,7 @@ def _projections(
     """
     g = _Grounder(n, dict(consts))
     atoms = [(key, tup, g._var(key, tup)) for key, ar in keys for tup in itertools.product(range(n), repeat=ar)]
-    props = [g.ground(f, {}, False) for f in axioms]
+    props = [root(g, False) for root in roots]
     cnf = _CNF(g.nvars)
     for p in props:
         cnf.assert_root(p)
@@ -786,11 +906,23 @@ def entails(
     """Does every bounded model of t satisfy f?"""
     vocab = signature_of(t) | signature_of(f) | (sig or Signature())
     stages = stages if stages is not None else (stages_of(t) | stages_of(f))
+    return _entails(t, f, cfg, vocab, stages)
+
+
+def _entails(
+    t: Theory,
+    f: Formula,
+    cfg: OracleConfig,
+    vocab: Signature,
+    stages: frozenset[Stage],
+) -> Union[EntailedFinite, Countermodel]:
+    """entails over a vocabulary and stages that cover t and f."""
     budget = _Budget(cfg)
+    roots = [_compile(a) for a in (*t.axioms, Not(f))]
     bound = 0
     for n, consts in _domain_specs(vocab, cfg, canonical=True):
         bound = max(bound, n)
-        m = _solve_domain(tuple(t.axioms) + (Not(f),), n, consts, vocab, stages, budget)
+        m = _solve_domain(roots, n, consts, vocab, stages, budget)
         if m is not None:
             _require(theory_holds(m, t) and not evaluate(m, f), "countermodel does not re-validate")
             return Countermodel(m)
@@ -806,10 +938,10 @@ def equivalent(
     """Do t1 and t2 have the same bounded models over the joint vocabulary?"""
     vocab = signature_of(t1) | signature_of(t2) | (sig or Signature())
     stages = stages_of(t1) | stages_of(t2)
-    v12 = entails(t1, conj(t2.axioms), cfg, sig=vocab, stages=stages)
+    v12 = _entails(t1, conj(t2.axioms), cfg, vocab, stages)
     if isinstance(v12, Countermodel):
         return NotEquivalent(v12.model, "1!=>2")
-    v21 = entails(t2, conj(t1.axioms), cfg, sig=vocab, stages=stages)
+    v21 = _entails(t2, conj(t1.axioms), cfg, vocab, stages)
     if isinstance(v21, Countermodel):
         return NotEquivalent(v21.model, "2!=>1")
     return EquivalentFinite(max(v12.bound, v21.bound))
@@ -847,13 +979,15 @@ def verify_forgetting(
     if g.stage is not None:
         stages = stages | {g.stage}
     budget = _Budget(cfg)
+    t_roots = [_compile(f) for f in t.axioms]
+    r_roots = [_compile(f) for f in r.axioms]
     for n, consts in _domain_specs(vocab, cfg, canonical=True):
         gr = _Grounder(n, dict(consts))
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
-        t_pos = _pand([gr.ground(f, {}, False) for f in t.axioms])
-        t_neg = _por([gr.ground(f, {}, True) for f in t.axioms])
-        r_pos = _pand([gr.ground(f, {}, False) for f in r.axioms])
-        r_neg = _por([gr.ground(f, {}, True) for f in r.axioms])
+        t_pos = _pand([root(gr, False) for root in t_roots])
+        t_neg = _por([root(gr, True) for root in t_roots])
+        r_pos = _pand([root(gr, False) for root in r_roots])
+        r_neg = _por([root(gr, True) for root in r_roots])
         queries = (
             ("result-too-strong", [_por([t_pos, _negate_var(t_pos, gv)]), r_neg]),
             ("result-too-weak", [r_pos, t_neg, _negate_var(t_neg, gv)]),
@@ -908,11 +1042,12 @@ def _reduct_sets_by_size(
     budget = _Budget(cfg)
     delta_keys = _rel_keys(delta, stages)
     by_size: dict[int, tuple[set[FiniteModel], set[FiniteModel]]] = {}
+    compiled = [[_compile(f) for f in t.axioms] for t in (t1, t2)]
     for n, consts in _domain_specs(vocab, cfg):
         delta_consts = tuple((nm, e) for nm, e in consts if nm in delta.objects)
-        for t, reducts in zip((t1, t2), by_size.setdefault(n, (set(), set()))):
+        for roots, reducts in zip(compiled, by_size.setdefault(n, (set(), set()))):
             reducts.update(
-                _projections(t.axioms, n, consts, delta_keys, delta_consts, budget, "reduct enumeration")
+                _projections(roots, n, consts, delta_keys, delta_consts, budget, "reduct enumeration")
             )
     return [(n, frozenset(r1), frozenset(r2)) for n, (r1, r2) in sorted(by_size.items())]
 

@@ -26,10 +26,12 @@ These still recurse, because they compute something per connective rather
 than per atom: simplify (rewrite rules per connective), substitute
 (capture-avoiding renaming at each binder), the printer surface._fmt1
 (precedence and parentheses per connective) and the oracle's evaluate and
-_Grounder.ground (semantics per connective).  Their depth is the nesting
-depth of the formula, not its width: simplify flattens And/Or spines and
-tests its fixed point by identity, and _fmt1 prints an And/Or spine with a
-loop.  The dataclass-generated __eq__, __hash__ and __repr__ of the nodes
+grounding compiler oracle._compile (semantics per connective).  Their depth
+is the nesting depth of the formula, not its width: simplify flattens And/Or
+spines and tests its fixed point by identity, _fmt1 prints an And/Or spine
+with a loop, evaluate walks a left-nested spine with a loop, and _compile
+makes each spine one n-ary node and folds Not chains into the polarity.
+The dataclass-generated __eq__, __hash__ and __repr__ of the nodes
 recurse too, so comparing or hashing two deep trees that share no subtree
 can still hit the recursion limit.
 

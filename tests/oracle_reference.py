@@ -1,6 +1,12 @@
-"""Brute-force reference implementations of the oracle's enumerations.
+"""Reference implementations of the oracle's grounding and enumerations.
 
-These are the enumerations the oracle used before it answered them with
+ground is the grounder the oracle used before it compiled each formula into
+a tree of grounding closures: a recursive interpreter that dispatches on the
+node type for every instance and copies its environment dict at every
+binder.  The compiled grounder must build the same ground tree and number
+the atoms in the same order.
+
+The enumerations are those the oracle used before it answered them with
 one projected solver search: every interpretation streamed and evaluated
 directly, and reducts found by pinning each complete delta-diagram and
 asking the solver whether it extends to a model.  They are exponential in
@@ -10,8 +16,11 @@ them on tiny vocabularies.
 
 import itertools
 
+from sitcalc.errors import SitcalcError
 from sitcalc.oracle import (
     _CNF,
+    _PFALSE,
+    _PTRUE,
     FiniteModel,
     ForgettingMismatch,
     VerifiedFinite,
@@ -19,11 +28,91 @@ from sitcalc.oracle import (
     _domain_specs,
     _dpll,
     _Grounder,
+    _pand,
+    _por,
     _rel_keys,
     search_bound,
     theory_holds,
 )
-from sitcalc.syntax import signature_of, stages_of
+from sitcalc.syntax import (
+    And,
+    Const,
+    Exists,
+    Falsity,
+    FluentAtom,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    ObjEq,
+    Or,
+    StaticAtom,
+    Truth,
+    Var,
+    signature_of,
+    stages_of,
+)
+
+
+def _term(g, t, env):
+    match t:
+        case Const(name):
+            try:
+                return g.const_map[name]
+            except KeyError:
+                raise SitcalcError(f"constant {name} missing from oracle vocabulary") from None
+        case Var(name):
+            try:
+                return env[name]
+            except KeyError:
+                raise SitcalcError(f"formula has free variable {name}") from None
+        case _:
+            raise SitcalcError(f"cannot ground term {t!r}")
+
+
+def ground(g, f, env, neg):
+    """The ground tree of f (of its negation if neg) under env, numbering
+    new atoms in g."""
+    match f:
+        case Truth():
+            return _PFALSE if neg else _PTRUE
+        case Falsity():
+            return _PTRUE if neg else _PFALSE
+        case FluentAtom(name, args, stage):
+            v = g._var((name, stage.value), tuple(_term(g, t, env) for t in args))
+            return -v if neg else v
+        case StaticAtom(name, args):
+            v = g._var((name, ""), tuple(_term(g, t, env) for t in args))
+            return -v if neg else v
+        case ObjEq(lhs, rhs):
+            val = _term(g, lhs, env) == _term(g, rhs, env)
+            return _PTRUE if (val != neg) else _PFALSE
+        case Not(body):
+            return ground(g, body, env, not neg)
+        case And(a, b):
+            parts = [ground(g, a, env, neg), ground(g, b, env, neg)]
+            return _por(parts) if neg else _pand(parts)
+        case Or(a, b):
+            parts = [ground(g, a, env, neg), ground(g, b, env, neg)]
+            return _pand(parts) if neg else _por(parts)
+        case Implies(a, b):
+            if neg:
+                return _pand([ground(g, a, env, False), ground(g, b, env, True)])
+            return _por([ground(g, a, env, True), ground(g, b, env, False)])
+        case Iff(a, b):
+            ap, an = ground(g, a, env, False), ground(g, a, env, True)
+            bp, bn = ground(g, b, env, False), ground(g, b, env, True)
+            if neg:
+                return _por([_pand([ap, bn]), _pand([an, bp])])
+            return _pand([_por([an, bp]), _por([bn, ap])])
+        case Forall(v, body):
+            parts = [ground(g, body, {**env, v.name: d}, neg) for d in range(g.size)]
+            return _por(parts) if neg else _pand(parts)
+        case Exists(v, body):
+            parts = [ground(g, body, {**env, v.name: d}, neg) for d in range(g.size)]
+            return _pand(parts) if neg else _por(parts)
+        case _:
+            raise SitcalcError(f"cannot ground {f!r}")
 
 
 def interpretations(vocab, stages, cfg):
@@ -42,7 +131,7 @@ def interpretations(vocab, stages, cfg):
 def _extends(axioms, n, consts, diagram, budget):
     """Is there a model of the axioms over the domain that agrees with the diagram?"""
     g = _Grounder(n, dict(consts))
-    props = [g.ground(f, {}, False) for f in axioms]
+    props = [ground(g, f, {}, False) for f in axioms]
     units = [g._var(key, tup) if val else -g._var(key, tup) for (key, tup), val in sorted(diagram.items())]
     cnf = _CNF(g.nvars)
     for p in props:

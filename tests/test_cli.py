@@ -155,6 +155,17 @@ class TestForget:
         assert code == 0, err
         assert out == " & ".join(f"P({c})" for c in names if c != "c5") + ";\n"
 
+    def test_the_oracle_grounds_and_checks_a_wide_conjunction(self, capsys, tmp_path):
+        names = [f"c{i}" for i in range(1200)]
+        src = tmp_path / "wide.bat"
+        src.write_text(
+            f"object {', '.join(names)};\nstatic P/1;\n\n"
+            f"theory {{\n  {' & '.join(f'P({c})' for c in names)};\n}}\n"
+        )
+        code, out, err = run(capsys, "oracle", "sat", str(src))
+        assert code == 0, err
+        assert out.startswith("satisfiable:")
+
     def test_atom_and_symbol_are_mutually_exclusive(self, capsys):
         code, _, err = run(
             capsys, "forget", path("propositional_chain.bat"),

@@ -1,11 +1,12 @@
 """Bounded finite-model reasoning: entailment, equivalence, inseparability."""
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
 from sitcalc import oracle
-from sitcalc.errors import BudgetExceeded
+from sitcalc.errors import BudgetExceeded, SitcalcError
 from sitcalc.forgetting import GroundAtom, forget_atom
 from sitcalc.oracle import (
     Countermodel,
@@ -18,7 +19,9 @@ from sitcalc.oracle import (
     Sat,
     Separated,
     UnsatFinite,
+    _compile,
     _domain_specs,
+    _Grounder,
     check_expansion,
     check_inseparable,
     entails,
@@ -31,7 +34,7 @@ from sitcalc.oracle import (
     theory_holds,
 )
 from sitcalc.surface import parse_formula, render
-from sitcalc.syntax import Signature, Theory
+from sitcalc.syntax import TRUE, ActionTerm, And, Formula, Not, Signature, StaticAtom, Theory
 
 SIG = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1), ("R", 2)}))
 CFG = OracleConfig(max_extra=1)
@@ -135,6 +138,33 @@ class TestEntailment:
         assert not is_positive(entails(t1, q, no_una))
 
 
+@dataclass(frozen=True, slots=True)
+class Unsupported(Formula):
+    """A node kind the grounder does not know."""
+
+
+class TestGroundingErrors:
+    def test_a_free_variable_is_reported(self):
+        with pytest.raises(SitcalcError, match="^formula has free variable x$"):
+            entails(t("P(c)"), f("P(x)"), CFG)
+
+    def test_a_term_that_is_not_an_object_is_reported(self):
+        bad = StaticAtom("P", (ActionTerm("a", ()),))
+        with pytest.raises(SitcalcError, match=r"^cannot ground term ActionTerm\(fn='a', args=\(\)\)$"):
+            entails(t("P(c)"), bad, CFG)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(f("P(x)"), "formula has free variable x"), (And(TRUE, Unsupported()), "cannot ground Unsupported()")],
+        ids=["free-variable", "unknown-node"],
+    )
+    def test_errors_are_raised_by_grounding_not_by_compiling(self, bad, message):
+        ground = _compile(Not(bad))
+        with pytest.raises(SitcalcError) as e:
+            ground(_Grounder(1, {"c": 0}), False)
+        assert str(e.value) == message
+
+
 class TestEquivalenceAndSat:
     def test_different_presentations_are_equivalent(self):
         one = t("forall x (P(x) -> R(x, x))")
@@ -145,6 +175,15 @@ class TestEquivalenceAndSat:
         v = equivalent(t("forall x P(x)"), t("P(c)"), CFG)
         assert isinstance(v, NotEquivalent)
         assert v.direction == "2!=>1"
+
+    def test_both_directions_share_one_vocabulary(self, monkeypatch):
+        one, other = t("forall x P(x)"), t("P(c)", "forall x P(x)")
+        read = []
+        for name in ("signature_of", "stages_of"):
+            walk = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda x, walk=walk: read.append(x) or walk(x))
+        assert isinstance(equivalent(one, other, CFG), EquivalentFinite)
+        assert read == [one, other, one, other]
 
     def test_satisfiable_returns_a_model(self):
         v = satisfiable(t("exists x (P(x) & !P(c))"), CFG)
