@@ -317,6 +317,8 @@ def _cmd_forget(args) -> tuple[int, dict, list[str]]:
         out = forget_atom(t, g, una=not args.no_una)
         rep["atom"] = str(g)
     else:
+        if args.symbol not in {name for name, _ in sig.statics | sig.fluents}:
+            raise SitcalcError(f"symbol {args.symbol!r} is not a declared static or fluent predicate")
         out = forget_ground_symbol(t, args.symbol, una=not args.no_una)
         rep["symbol"] = args.symbol
     rep["axioms"] = [render(ax) for ax in out.axioms]

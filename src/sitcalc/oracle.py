@@ -7,15 +7,20 @@ labelled with the bound they hold up to; negative verdicts carry a concrete
 witness model or sentence and re-validate by direct evaluation before being
 returned.
 
-Every question is answered on one propositional engine: the formulas are
-compiled once per call, grounded over each candidate domain, Tseitin-encoded
-and handed to a small DPLL solver.  Entailment, equivalence and
-satisfiability ask for one model.  Inseparability grounds each theory once
-per domain and lets one search enumerate the distinct reducts to the shared
-signature, deciding those atoms first; it always decides, because a reduct
-that only one theory realizes is described up to isomorphism by a sentence
-the other theory refutes.  Forgetting verification asks two satisfiability
-questions per domain, one for each way the result can be wrong.
+Every question is answered on one path: compile each theory once per call;
+over each candidate domain, instantiate its compiled axioms on one grounder;
+hand the ground trees to _solve, which Tseitin-encodes them and runs a small
+DPLL solver; read the model off the solver's assignment; re-validate it by
+direct evaluation.  A theory's negation is always grounded one way: as the
+disjunction of its axioms instantiated negated.  Entailment and
+satisfiability ask for one countermodel; equivalence asks for one in each
+direction, over the same two compiled theories.  Inseparability grounds
+each theory once per domain and lets one search enumerate the distinct
+reducts to the shared signature, deciding those atoms first; it always
+decides, because a reduct that only one theory realizes is described up to
+isomorphism by a sentence the other theory refutes.  Forgetting
+verification asks two satisfiability questions per domain, one for each
+way the result can be wrong.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ class OracleConfig:
     witness_depth: quantifier/connective depth of the short separating
          sentences tried first; it chooses how short a witness is, never
          whether one is found.
+
+    A bound out of range is a SitcalcError: a negative max_extra would
+    search no domain at all under unique names.
     """
 
     max_extra: int = 1
@@ -83,6 +91,16 @@ class OracleConfig:
     max_models: int = 2_000_000
     time_limit: Optional[float] = None
     witness_depth: int = 3
+
+    def __post_init__(self) -> None:
+        for ok, message in (
+            (self.max_extra >= 0, f"max_extra must be at least 0, not {self.max_extra}"),
+            (self.max_models >= 1, f"max_models must be at least 1, not {self.max_models}"),
+            (self.witness_depth >= 0, f"witness_depth must be at least 0, not {self.witness_depth}"),
+            (self.time_limit is None or self.time_limit > 0, f"time_limit must be positive, not {self.time_limit}"),
+        ):
+            if not ok:
+                raise SitcalcError(message)
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -294,13 +312,13 @@ class _Budget:
 
     def __init__(self, cfg: OracleConfig):
         self.max_models = cfg.max_models
-        self.deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
+        self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         self.count = 0
         self._tick = 0
 
     def spend(self, what: str = "model enumeration") -> None:
         self.count += 1
-        if self.max_models is not None and self.count > self.max_models:
+        if self.count > self.max_models:
             raise BudgetExceeded(f"{what} exceeded the budget of {self.max_models} models or reducts")
         self.check_time(what)
 
@@ -333,9 +351,10 @@ def models(
 
 
 # ---------------------------------------------------------------------------
-# grounding: each formula is compiled once per oracle call into a tree of
-# closures, which is instantiated on the grounder of every domain spec; then
-# Tseitin encoding to CNF and a small DPLL solver
+# grounding and solving: each formula is compiled once per oracle call into a
+# tree of closures, which is instantiated on the grounder of every domain
+# spec; _solve Tseitin-encodes the ground trees and runs a small DPLL solver,
+# and the caller reads its model off the assignment and re-validates it
 
 # Ground trees are built from these two objects, so they are tested by identity.
 _PTRUE = ("T",)
@@ -383,9 +402,10 @@ class _Grounder:
     placement and the propositional variable of each ground atom, numbered
     in the order the atoms are first met."""
 
-    def __init__(self, size: int, const_map: Mapping[str, int]):
+    def __init__(self, size: int, consts: tuple[tuple[str, int], ...]):
         self.size = size
-        self.const_map = dict(const_map)
+        self.consts = consts
+        self.const_map = dict(consts)
         self.atom_vars: dict[tuple[RelKey, tuple[int, ...]], int] = {}
         self.nvars = 0
 
@@ -728,29 +748,25 @@ def _dpll_models(
             oi = 0
 
 
-def _dpll(nvars: int, clauses: list[list[int]], budget: _Budget) -> Optional[list[Optional[bool]]]:
-    """The first model DPLL finds, or None."""
-    return next(_dpll_models(nvars, clauses, budget), None)
-
-
-def _solve_domain(
-    roots: Sequence[_Compiled],
-    n: int,
-    consts: tuple[tuple[str, int], ...],
-    vocab: Signature,
-    stages: frozenset[Stage],
+def _solve(
+    g: _Grounder,
+    props: Sequence[object],
     budget: _Budget,
-) -> Optional[FiniteModel]:
-    """A model of the conjunction of the compiled formulas over the given
-    domain, or None."""
-    g = _Grounder(n, dict(consts))
-    return _solve_ground(g, [root(g, False) for root in roots], consts, vocab, stages, budget)
+    project: Collection[int] = (),
+) -> Iterator[list[Optional[bool]]]:
+    """Tseitin-encode the conjunction of ground trees built by g and yield
+    what _dpll_models yields for it: nothing if the conjunction is trivially
+    false."""
+    cnf = _CNF(g.nvars)
+    for p in props:
+        cnf.assert_root(p)
+    if not cnf.trivially_false:
+        yield from _dpll_models(cnf.nvars, cnf.clauses, budget, project)
 
 
 def _solve_ground(
     g: _Grounder,
     props: Sequence[object],
-    consts: tuple[tuple[str, int], ...],
     vocab: Signature,
     stages: frozenset[Stage],
     budget: _Budget,
@@ -759,12 +775,7 @@ def _solve_ground(
 
     Atoms that no tree mentions are false in the model.
     """
-    cnf = _CNF(g.nvars)
-    for p in props:
-        cnf.assert_root(p)
-    if cnf.trivially_false:
-        return None
-    assignment = _dpll(cnf.nvars, cnf.clauses, budget)
+    assignment = next(_solve(g, props, budget), None)
     if assignment is None:
         return None
     tables: dict[RelKey, set[tuple[int, ...]]] = {key: set() for key, _ in _rel_keys(vocab, stages)}
@@ -772,7 +783,7 @@ def _solve_ground(
         if assignment[var]:
             tables.setdefault(key, set()).add(tup)
     rels = tuple((key, frozenset(tables[key])) for key in sorted(tables))
-    return FiniteModel(g.size, consts, rels)
+    return FiniteModel(g.size, g.consts, rels)
 
 
 def _projections(
@@ -791,15 +802,10 @@ def _projections(
     axioms do not mention are enumerated both ways.  The yielded models
     interpret only keys and shown_consts.
     """
-    g = _Grounder(n, dict(consts))
+    g = _Grounder(n, consts)
     atoms = [(key, tup, g._var(key, tup)) for key, ar in keys for tup in itertools.product(range(n), repeat=ar)]
     props = [root(g, False) for root in roots]
-    cnf = _CNF(g.nvars)
-    for p in props:
-        cnf.assert_root(p)
-    if cnf.trivially_false:
-        return
-    for assignment in _dpll_models(cnf.nvars, cnf.clauses, budget, [v for _, _, v in atoms]):
+    for assignment in _solve(g, props, budget, [v for _, _, v in atoms]):
         budget.spend(what)
         tables: dict[RelKey, list[tuple[int, ...]]] = {key: [] for key, _ in keys}
         for key, tup, v in atoms:
@@ -906,27 +912,8 @@ def entails(
     """Does every bounded model of t satisfy f?"""
     vocab = signature_of(t) | signature_of(f) | (sig or Signature())
     stages = stages if stages is not None else (stages_of(t) | stages_of(f))
-    return _entails(t, f, cfg, vocab, stages)
-
-
-def _entails(
-    t: Theory,
-    f: Formula,
-    cfg: OracleConfig,
-    vocab: Signature,
-    stages: frozenset[Stage],
-) -> Union[EntailedFinite, Countermodel]:
-    """entails over a vocabulary and stages that cover t and f."""
-    budget = _Budget(cfg)
-    roots = [_compile(a) for a in (*t.axioms, Not(f))]
-    bound = 0
-    for n, consts in _domain_specs(vocab, cfg, canonical=True):
-        bound = max(bound, n)
-        m = _solve_domain(roots, n, consts, vocab, stages, budget)
-        if m is not None:
-            _require(theory_holds(m, t) and not evaluate(m, f), "countermodel does not re-validate")
-            return Countermodel(m)
-    return EntailedFinite(bound)
+    roots = [_compile(a) for a in t.axioms]
+    return _countermodel(t, roots, Theory((f,)), [_compile(f)], cfg, vocab, stages)
 
 
 def equivalent(
@@ -938,13 +925,39 @@ def equivalent(
     """Do t1 and t2 have the same bounded models over the joint vocabulary?"""
     vocab = signature_of(t1) | signature_of(t2) | (sig or Signature())
     stages = stages_of(t1) | stages_of(t2)
-    v12 = _entails(t1, conj(t2.axioms), cfg, vocab, stages)
+    roots1 = [_compile(a) for a in t1.axioms]
+    roots2 = [_compile(a) for a in t2.axioms]
+    v12 = _countermodel(t1, roots1, t2, roots2, cfg, vocab, stages)
     if isinstance(v12, Countermodel):
         return NotEquivalent(v12.model, "1!=>2")
-    v21 = _entails(t2, conj(t1.axioms), cfg, vocab, stages)
+    v21 = _countermodel(t2, roots2, t1, roots1, cfg, vocab, stages)
     if isinstance(v21, Countermodel):
         return NotEquivalent(v21.model, "2!=>1")
     return EquivalentFinite(max(v12.bound, v21.bound))
+
+
+def _countermodel(
+    t: Theory,
+    t_roots: Sequence[_Compiled],
+    u: Theory,
+    u_roots: Sequence[_Compiled],
+    cfg: OracleConfig,
+    vocab: Signature,
+    stages: frozenset[Stage],
+) -> Union[EntailedFinite, Countermodel]:
+    """A bounded model of t that falsifies u, from their compiled axioms, over
+    a vocabulary and stages that cover both; not-u is grounded as the
+    disjunction of u's axioms instantiated negated."""
+    budget = _Budget(cfg)
+    for n, consts in _domain_specs(vocab, cfg, canonical=True):
+        g = _Grounder(n, consts)
+        props = [root(g, False) for root in t_roots]
+        props.append(_por([root(g, True) for root in u_roots]))
+        m = _solve_ground(g, props, vocab, stages, budget)
+        if m is not None:
+            _require(theory_holds(m, t) and not theory_holds(m, u), "countermodel does not re-validate")
+            return Countermodel(m)
+    return EntailedFinite(search_bound(vocab, cfg))
 
 
 def satisfiable(
@@ -982,7 +995,7 @@ def verify_forgetting(
     t_roots = [_compile(f) for f in t.axioms]
     r_roots = [_compile(f) for f in r.axioms]
     for n, consts in _domain_specs(vocab, cfg, canonical=True):
-        gr = _Grounder(n, dict(consts))
+        gr = _Grounder(n, consts)
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
         t_pos = _pand([root(gr, False) for root in t_roots])
         t_neg = _por([root(gr, True) for root in t_roots])
@@ -993,7 +1006,7 @@ def verify_forgetting(
             ("result-too-weak", [r_pos, t_neg, _negate_var(t_neg, gv)]),
         )
         for direction, props in queries:
-            m = _solve_ground(gr, props, consts, vocab, stages, budget)
+            m = _solve_ground(gr, props, vocab, stages, budget)
             if m is None:
                 continue
             reachable = theory_holds(m, t) or theory_holds(m.with_toggled(g), t)

@@ -26,7 +26,7 @@ from sitcalc.oracle import (
     VerifiedFinite,
     _Budget,
     _domain_specs,
-    _dpll,
+    _dpll_models,
     _Grounder,
     _pand,
     _por,
@@ -130,14 +130,14 @@ def interpretations(vocab, stages, cfg):
 
 def _extends(axioms, n, consts, diagram, budget):
     """Is there a model of the axioms over the domain that agrees with the diagram?"""
-    g = _Grounder(n, dict(consts))
+    g = _Grounder(n, consts)
     props = [ground(g, f, {}, False) for f in axioms]
     units = [g._var(key, tup) if val else -g._var(key, tup) for (key, tup), val in sorted(diagram.items())]
     cnf = _CNF(g.nvars)
     for p in props:
         cnf.assert_root(p)
     cnf.clauses.extend([u] for u in units)
-    return not cnf.trivially_false and _dpll(cnf.nvars, cnf.clauses, budget) is not None
+    return not cnf.trivially_false and next(_dpll_models(cnf.nvars, cnf.clauses, budget), None) is not None
 
 
 def reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg):

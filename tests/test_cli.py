@@ -166,6 +166,29 @@ class TestForget:
         assert code == 0, err
         assert out.startswith("satisfiable:")
 
+    @pytest.mark.parametrize(
+        "name, symbol",
+        [("propositional_chain.bat", "Nope"), ("insep_forgetting_t1.bat", "c")],
+        ids=["undeclared", "object-constant"],
+    )
+    def test_a_symbol_that_is_not_a_declared_predicate_is_a_usage_error(self, capsys, name, symbol):
+        code, out, err = run(capsys, "forget", path(name), "--symbol", symbol)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: symbol {symbol!r} is not a declared static or fluent predicate\n"
+
+    def test_a_declared_symbol_without_occurrences_leaves_the_theory_unchanged(self, capsys, tmp_path):
+        src = tmp_path / "unused.bat"
+        src.write_text("static A/0, P/0, Q/0;\n\ntheory {\n  A -> P;\n}\n")
+        code, out, err = run(capsys, "forget", str(src), "--symbol", "Q")
+        assert code == 0, err
+        assert out == "A -> P;\n"
+
+    def test_a_fluent_of_an_action_theory_can_be_forgotten(self, capsys):
+        code, out, err = run(capsys, "forget", path("blocks_world.bat"), "--symbol", "Clear")
+        assert code == 0, err
+        assert "Clear" not in out
+
     def test_atom_and_symbol_are_mutually_exclusive(self, capsys):
         code, _, err = run(
             capsys, "forget", path("propositional_chain.bat"),
@@ -340,6 +363,33 @@ class TestOracle:
         assert code == 1
         verdict = json.loads(out)["verdict"]
         assert verdict["kind"] == "separated" and verdict["entailed_by"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("entails", "--query", "false", "--max-extra", "-3"), "max_extra must be at least 0, not -3"),
+            (("sat", "--max-extra", "-1"), "max_extra must be at least 0, not -1"),
+            (("sat", "--max-models", "0"), "max_models must be at least 1, not 0"),
+            (("insep", "CHAIN", "--delta", "A", "--max-extra", "-3"), "max_extra must be at least 0, not -3"),
+            (("insep", "CHAIN", "--delta", "A", "--depth", "-1"), "witness_depth must be at least 0, not -1"),
+        ],
+        ids=["entails-max-extra", "sat-max-extra", "sat-max-models", "insep-max-extra", "insep-depth"],
+    )
+    def test_out_of_range_bounds_are_usage_errors(self, capsys, argv, message):
+        chain = path("propositional_chain.bat")
+        mode, *rest = argv
+        code, out, err = run(capsys, "oracle", mode, chain, *(chain if a == "CHAIN" else a for a in rest))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_the_smallest_bounds_in_range_are_accepted(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "entails", path("propositional_chain.bat"),
+            "--query", "A -> B", "--max-extra", "0", "--max-models", "1",
+        )
+        assert code == 0, err
+        assert out == "entailed in every model up to domain size 1\n"
 
 
 class TestUsage:

@@ -5,6 +5,10 @@ closure tree must give the same ground tree as tests/oracle_reference.py's
 ground, and must number the atoms in the same order: the CNF, the solver's
 search and so every reported model depend on both.  Each formula is
 compiled once and instantiated on every spec, as the oracle does.
+
+The oracle grounds a theory's negation as the disjunction of its compiled
+axioms instantiated negated; that must be the tree, and the atom order, of
+grounding Not(conj(axioms)), the formula it stands for.
 """
 
 import random
@@ -15,7 +19,7 @@ from oracle_reference import ground
 from test_property_suites import CONSTS, SEEDS, SMALL_CONSTS, random_formula, random_theory
 
 from sitcalc import corpus_path, parse_bat, parse_theory
-from sitcalc.oracle import OracleConfig, _compile, _domain_specs, _Grounder
+from sitcalc.oracle import OracleConfig, _compile, _domain_specs, _Grounder, _por
 from sitcalc.progression import progress, progress_sequence
 from sitcalc.surface import parse_formula, parse_ground_action
 from sitcalc.syntax import (
@@ -55,12 +59,30 @@ def assert_same_grounding(formulas, specs):
     compiled = [_compile(f) for f in formulas]
     for n, consts in specs:
         for neg in (False, True):
-            want_g, got_g = _Grounder(n, dict(consts)), _Grounder(n, dict(consts))
+            want_g, got_g = _Grounder(n, consts), _Grounder(n, consts)
             want = [ground(want_g, f, {}, neg) for f in formulas]
             got = [root(got_g, neg) for root in compiled]
             assert got == want, (n, consts, neg)
             assert list(got_g.atom_vars.items()) == list(want_g.atom_vars.items()), (n, consts, neg)
             assert got_g.nvars == want_g.nvars
+
+
+def assert_negation_grounds_as_negated_conjunction(axioms, specs):
+    """_por of the axioms instantiated negated against Not(conj(axioms)),
+    on a fresh grounder and after the axioms were grounded positively, as
+    the equivalence question over a theory and itself does."""
+    roots = [_compile(f) for f in axioms]
+    whole = _compile(Not(conj(axioms)))
+    for n, consts in specs:
+        for first in ((), roots):
+            want_g, got_g = _Grounder(n, consts), _Grounder(n, consts)
+            for g in (want_g, got_g):
+                for root in first:
+                    root(g, False)
+            want = whole(want_g, False)
+            got = _por([root(got_g, True) for root in roots])
+            assert got == want, (n, consts, len(first))
+            assert list(got_g.atom_vars.items()) == list(want_g.atom_vars.items()), (n, consts, len(first))
 
 
 x, y = Var("x"), Var("y")
@@ -127,7 +149,8 @@ def test_progressed_blocks_and_heap_theories(blocks_stacks):
     twice = progress_sequence(b, moves)
     for t in (once, twice):
         axioms = list(t.axioms)
-        # the entailment question also grounds a negated conjunction
+        # a negated conjunction, the grounding TestNegatedTheory holds the
+        # oracle's negation of a theory to
         formulas = axioms + [Not(conj(axioms)), parse_formula("forall x (Clear(x) -> !exists y On(y, x))", b.sig)]
         assert_same_grounding(formulas, _specs(formulas))
 
@@ -140,7 +163,7 @@ def test_progressed_ground_blocks_world():
 
 def test_wide_spines_and_negation_chains_ground_without_recursion():
     atoms = [P(Const(f"c{i}")) for i in range(10_000)]
-    consts = {f"c{i}": i % 3 for i in range(10_000)}
+    consts = tuple((f"c{i}", i % 3) for i in range(10_000))
     for f, kind in ((conj(atoms), "A"), (disj(atoms), "O")):
         g = _Grounder(3, consts)
         assert _compile(f)(g, False) == (kind, [1, 2, 3] * 3333 + [1])
@@ -148,6 +171,37 @@ def test_wide_spines_and_negation_chains_ground_without_recursion():
     deep = P(a)
     for _ in range(3_000):
         deep = Not(deep)
-    g = _Grounder(1, {"a": 0})
+    g = _Grounder(1, (("a", 0),))
     assert _compile(deep)(g, False) == 1
     assert _compile(Not(deep))(g, False) == -1
+
+
+class TestNegatedTheory:
+    def test_empty_theory_and_hand_written_shapes(self):
+        assert_negation_grounds_as_negated_conjunction([], _specs([TRUE]))
+        for shapes in (SHAPES, SHAPES[::-1], SHAPES[:1], SHAPES[-3:]):
+            assert_negation_grounds_as_negated_conjunction(shapes, _specs(shapes))
+
+    @pytest.mark.parametrize("consts", [SMALL_CONSTS, CONSTS], ids=["two-constants", "three-constants"])
+    def test_property_suite_theories(self, consts):
+        for seed in SEEDS:
+            axioms = list(random_theory(random.Random(9500 + seed), consts=consts).axioms)
+            assert_negation_grounds_as_negated_conjunction(axioms, _specs(axioms, per_config=3))
+
+    @pytest.mark.parametrize("name", CORPUS_THEORIES)
+    def test_corpus_theories(self, name):
+        _, t = parse_theory(corpus_path(name).read_text(), name)
+        axioms = list(t.axioms)
+        assert_negation_grounds_as_negated_conjunction(axioms, _specs(axioms))
+
+    @pytest.mark.parametrize("name", CORPUS_BATS)
+    def test_corpus_initial_theories(self, name):
+        axioms = list(parse_bat(corpus_path(name).read_text(), name).init.axioms)
+        assert_negation_grounds_as_negated_conjunction(axioms, _specs(axioms))
+
+    def test_progressed_blocks_and_heap_theories(self, blocks_stacks):
+        b = blocks_stacks
+        moves = [parse_ground_action(s, b.sig) for s in ("move(A, B, C)", "move(A, C, B)")]
+        for t in (progress(b, moves[0]).theory, progress_sequence(b, moves)):
+            axioms = list(t.axioms)
+            assert_negation_grounds_as_negated_conjunction(axioms, _specs(axioms))

@@ -161,8 +161,34 @@ class TestGroundingErrors:
     def test_errors_are_raised_by_grounding_not_by_compiling(self, bad, message):
         ground = _compile(Not(bad))
         with pytest.raises(SitcalcError) as e:
-            ground(_Grounder(1, {"c": 0}), False)
+            ground(_Grounder(1, (("c", 0),)), False)
         assert str(e.value) == message
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"max_extra": -1}, "max_extra must be at least 0, not -1"),
+            ({"max_models": 0}, "max_models must be at least 1, not 0"),
+            ({"witness_depth": -1}, "witness_depth must be at least 0, not -1"),
+            ({"time_limit": 0}, "time_limit must be positive, not 0"),
+            ({"time_limit": -2.5}, "time_limit must be positive, not -2.5"),
+        ],
+        ids=["max-extra", "max-models", "witness-depth", "zero-time-limit", "negative-time-limit"],
+    )
+    def test_out_of_range_bounds_are_rejected(self, kw, message):
+        with pytest.raises(SitcalcError, match=f"^{message}$"):
+            OracleConfig(**kw)
+
+    def test_the_smallest_bounds_in_range_are_accepted(self):
+        cfg = OracleConfig(max_extra=0, max_models=1, witness_depth=0, time_limit=1e-9)
+        assert (cfg.max_extra, cfg.max_models, cfg.witness_depth, cfg.time_limit) == (0, 1, 0, 1e-9)
+
+    def test_every_time_limit_sets_a_deadline(self):
+        # time_limit=0 used to pass as no limit at all
+        assert oracle._Budget(OracleConfig(time_limit=1e-9)).deadline is not None
+        assert oracle._Budget(OracleConfig()).deadline is None
 
 
 class TestEquivalenceAndSat:
@@ -184,6 +210,23 @@ class TestEquivalenceAndSat:
             monkeypatch.setattr(oracle, name, lambda x, walk=walk: read.append(x) or walk(x))
         assert isinstance(equivalent(one, other, CFG), EquivalentFinite)
         assert read == [one, other, one, other]
+
+    def test_each_axiom_is_compiled_once(self, monkeypatch):
+        # both directions are searched, and neither compiles a negation of its own
+        one, other = t("forall x P(x)", "R(c, c)"), t("R(c, c)", "P(c)", "forall x P(x)")
+        compiled = []
+        real = oracle._compile
+        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.append(x) or real(x))
+        assert isinstance(equivalent(one, other, CFG), EquivalentFinite)
+        assert compiled == [*one.axioms, *other.axioms]
+
+    def test_entailment_compiles_the_query_not_its_negation(self, monkeypatch):
+        compiled = []
+        real = oracle._compile
+        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.append(x) or real(x))
+        theory, query = t("forall x P(x)"), f("P(c)")
+        assert isinstance(entails(theory, query, CFG), EntailedFinite)
+        assert compiled == [*theory.axioms, query]
 
     def test_satisfiable_returns_a_model(self):
         v = satisfiable(t("exists x (P(x) & !P(c))"), CFG)
