@@ -116,6 +116,19 @@ def _tokenize(text: str, path: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# Each binary token maps to its node, its precedence and whether it groups
+# right; the printer reads the same table.  Prefix operators and atoms bind
+# tighter than any binary operator (_TIGHT).
+
+_BINARY: dict[str, tuple[type, int, bool]] = {
+    "<->": (Iff, 1, True),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "&": (And, 4, False),
+}
+_TIGHT = 5
+_PREFIX = {"!": Not, "forall": Forall, "exists": Exists}
 
 
 class _Parser:
@@ -269,77 +282,58 @@ class _Parser:
 
     # --- formulas
     #
-    # formula := iff; iff := impl [<-> iff]; impl := or [-> impl]
-    # or := and (| and)*; and := unary (& unary)*
-    # unary := ! unary | quantifier | true | false | ( formula ) | atom
-    # A quantifier binds a comma-separated variable list and takes a unary
-    # body, so chains like `forall x exists y R(x, y)` need no parentheses
-    # while binary bodies do.
+    # formula := unary (binary unary)*, grouped by _BINARY
+    # unary := ! unary | (forall|exists) vars unary | true | false | ( formula ) | atom
+    #
+    # One loop reads this with its own stacks.  "(" is a marker on the operator
+    # stack, and "!" and each quantified variable are prefix entries that apply
+    # to the next complete unary operand.  A binary token first reduces what
+    # binds tighter (or as tightly, if it groups left); ")" reduces down to its
+    # marker.  So `forall x exists y R(x, y)` needs no parentheses, while a
+    # binary quantifier body does.
 
     def _formula(self) -> Formula:
-        lhs = self._impl()
-        if self._accept("<->"):
-            return Iff(lhs, self._formula())
-        return lhs
+        ops: list[str] = []  # "(" markers, prefix and binary tokens
+        args: list = []  # binder variables and left operands of binary tokens
+        while True:
+            t = self._next()
+            if t.text in ("forall", "exists"):
+                taken: set[str] = set()
+                for v in self._list(lambda: self._binder("a variable", taken)):
+                    ops.append(t.text)
+                    args.append(v)
+                continue
+            if t.text in ("(", "!"):
+                ops.append(t.text)
+                continue
+            f = TRUE if t.text == "true" else FALSE if t.text == "false" else self._atom(t)
+            while True:  # f is a complete unary operand
+                while ops and ops[-1] in _PREFIX:
+                    op = ops.pop()
+                    f = Not(f) if op == "!" else _PREFIX[op](args.pop(), f)
+                node, prec, right = _BINARY.get(self._peek().text, (None, 0, False))
+                while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][1] >= prec + right:
+                    f = _BINARY[ops.pop()][0](args.pop(), f)
+                if node is not None:
+                    ops.append(self._next().text)
+                    args.append(f)
+                    break
+                if not ops:
+                    return f
+                self._expect(")")
+                ops.pop()
 
-    def _impl(self) -> Formula:
-        lhs = self._or()
-        if self._accept("->"):
-            return Implies(lhs, self._impl())
-        return lhs
+    def _args(self) -> Optional[list[ObjTerm]]:
+        return self._list(self._term, ")") if self._accept("(") else None
 
-    def _or(self) -> Formula:
-        f = self._and()
-        while self._accept("|"):
-            f = Or(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
-        f = self._unary()
-        while self._accept("&"):
-            f = And(f, self._unary())
-        return f
-
-    def _unary(self) -> Formula:
-        t = self._peek()
-        if t.text == "!":
-            self._next()
-            return Not(self._unary())
-        if t.text in ("forall", "exists"):
-            return self._quantifier()
-        if t.text == "true":
-            self._next()
-            return TRUE
-        if t.text == "false":
-            self._next()
-            return FALSE
-        if t.text == "(":
-            self._next()
-            f = self._formula()
-            self._expect(")")
-            return f
-        return self._atom()
-
-    def _quantifier(self) -> Formula:
-        kw = self._next().text
-        taken: set[str] = set()
-        vs = self._list(lambda: self._binder("a variable", taken))
-        body = self._unary()
-        ctor = Forall if kw == "forall" else Exists
-        for v in reversed(vs):
-            body = ctor(v, body)
-        return body
-
-    def _operand(self) -> tuple[_Token, Optional[list[ObjTerm]]]:
-        t = self._ident("a formula")
-        args = self._list(self._term, ")") if self._accept("(") else None
-        return t, args
-
-    def _atom(self) -> Formula:
-        t, args = self._operand()
+    def _atom(self, t: _Token) -> Formula:
+        if t.kind != "ident":
+            self._err(f"expected a formula, found {t.text!r}", t)
+        args = self._args()
         if self._at("==") or self._at("!="):
             op = self._next().text
-            rt, rargs = self._operand()
+            rt = self._ident("a formula")
+            rargs = self._args()
             for side, sargs in ((t, args), (rt, rargs)):
                 if sargs is not None:
                     self._err("an application cannot be an equality operand", side)
@@ -612,9 +606,9 @@ def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> Ground
 
 # ---------------------------------------------------------------------------
 # rendering
-#
-# Precedences: <-> 1, -> 2, | 3, & 4, everything tight 5.  The implication
-# connectives are right-associative, the lattice connectives associate left.
+
+_INFIX = {node: (f" {tok} ", prec, right) for tok, (node, prec, right) in _BINARY.items()}
+
 
 def _rt(t: ObjTerm) -> str:
     return t.name
@@ -632,39 +626,38 @@ def _fmt(f: Formula, min_prec: int) -> str:
 def _qbody(f: Formula) -> str:
     if isinstance(f, ObjEq) or (isinstance(f, Not) and isinstance(f.body, ObjEq)):
         return f"({_fmt(f, 0)})"
-    return _fmt(f, 5)
+    return _fmt(f, _TIGHT)
 
 
 def _fmt1(f: Formula) -> tuple[str, int]:
     match f:
         case Truth():
-            return "true", 5
+            return "true", _TIGHT
         case Falsity():
-            return "false", 5
+            return "false", _TIGHT
         case FluentAtom(name, args, stage):
             prime = "'" if stage == Stage.NEXT else ""
-            return _app(name + prime, args), 5
+            return _app(name + prime, args), _TIGHT
         case StaticAtom(pred, args):
-            return _app(pred, args), 5
+            return _app(pred, args), _TIGHT
         case ObjEq(l, r):
-            return f"{_rt(l)} == {_rt(r)}", 5
+            return f"{_rt(l)} == {_rt(r)}", _TIGHT
         case Not(ObjEq(l, r)):
-            return f"{_rt(l)} != {_rt(r)}", 5
+            return f"{_rt(l)} != {_rt(r)}", _TIGHT
         case Not(body):
-            return "!" + _fmt(body, 5), 5
-        case And() | Or():
+            return "!" + _fmt(body, _TIGHT), _TIGHT
+        case And() | Or() | Implies() | Iff():
+            node = type(f)
+            sep, prec, right = _INFIX[node]
+            if right:
+                return f"{_fmt(f.lhs, prec + 1)}{sep}{_fmt(f.rhs, prec)}", prec
             # the left spine in a loop, so a wide chain costs no recursion
-            node, sep, prec = (And, " & ", 4) if isinstance(f, And) else (Or, " | ", 3)
             rights = []
             while isinstance(f, node):
                 rights.append(_fmt(f.rhs, prec + 1))
                 f = f.lhs
             rights.append(_fmt(f, prec))
             return sep.join(reversed(rights)), prec
-        case Implies(l, r):
-            return f"{_fmt(l, 3)} -> {_fmt(r, 2)}", 2
-        case Iff(l, r):
-            return f"{_fmt(l, 2)} <-> {_fmt(r, 1)}", 1
         case Forall(v, body) | Exists(v, body):
             ctor = type(f)
             kw = "forall" if ctor is Forall else "exists"
@@ -672,7 +665,7 @@ def _fmt1(f: Formula) -> tuple[str, int]:
             while isinstance(body, ctor):
                 vs.append(body.var.name)
                 body = body.body
-            return f"{kw} {', '.join(vs)} {_qbody(body)}", 5
+            return f"{kw} {', '.join(vs)} {_qbody(body)}", _TIGHT
     raise TypeError(f"cannot render {f!r}")
 
 

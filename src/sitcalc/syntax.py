@@ -25,15 +25,17 @@ bound variables on its stack; neither recurses.
 These still recurse, because they compute something per connective rather
 than per atom: simplify (rewrite rules per connective), substitute
 (capture-avoiding renaming at each binder), the printer surface._fmt1
-(precedence and parentheses per connective) and the oracle's evaluate and
-grounding compiler oracle._compile (semantics per connective).  Their depth
-is the nesting depth of the formula, not its width: simplify flattens And/Or
-spines and tests its fixed point by identity, _fmt1 prints an And/Or spine
-with a loop, evaluate walks a left-nested spine with a loop, and _compile
-makes each spine one n-ary node and folds Not chains into the polarity.
-The dataclass-generated __eq__, __hash__ and __repr__ of the nodes
-recurse too, so comparing or hashing two deep trees that share no subtree
-can still hit the recursion limit.
+(parentheses per connective, from the precedence table the parser reads)
+and the oracle's evaluate and grounding compiler oracle._compile (semantics
+per connective).  Their depth is the nesting depth of the formula, not its
+width: simplify flattens And/Or spines and tests its fixed point by
+identity, _fmt1 prints an And/Or spine with a loop, evaluate walks a
+left-nested spine with a loop, and _compile makes each spine one n-ary node
+and folds Not chains into the polarity.  The dataclass-generated __eq__,
+__hash__ and __repr__ of the nodes recurse too, so comparing or hashing two
+deep trees that share no subtree can still hit the recursion limit.  The
+parser does not recurse: surface._Parser._formula keeps its own operator
+and operand stacks.
 
 simplify and free_vars memoize their results on the nodes themselves, in
 slots that Formula declares: a node is immutable, so what was computed for
@@ -97,10 +99,6 @@ class ActionTerm:
         for t in self.args:
             if not isinstance(t, (Var, Const)):
                 raise SortError(f"action argument must be an object term, got {t!r}")
-
-    @property
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Const) for t in self.args)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,20 @@ class TestOracle:
         assert out == "entailed in every model up to domain size 1\n"
 
 
+class TestDeepInput:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["parse"], "theory file with 1 axioms"), (["oracle", "sat"], "satisfiable:")],
+        ids=["parse", "sat"],
+    )
+    def test_an_axiom_inside_ten_thousand_parentheses(self, capsys, tmp_path, argv, expected):
+        f = tmp_path / "deep.bat"
+        f.write_text(f"static P/0;\n\ntheory {{\n  {'(' * 10_000}P{')' * 10_000};\n}}\n")
+        code, out, err = run(capsys, *argv, str(f))
+        assert code == 0, err
+        assert expected in out
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

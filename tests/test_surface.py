@@ -13,7 +13,18 @@ from sitcalc.surface import (
     render,
     render_theory_file,
 )
-from sitcalc.syntax import Signature, Stage
+from sitcalc.syntax import (
+    Exists,
+    FluentAtom,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Signature,
+    Stage,
+    StaticAtom,
+    atoms_of,
+)
 
 SIG = Signature(
     objects=frozenset({"A", "B"}),
@@ -70,6 +81,54 @@ class TestFormulaRoundTrips:
     def test_default_stage_is_configurable(self):
         f = parse_formula("Clear(A)", SIG, stage_default=Stage.NEXT)
         assert f.stage == Stage.NEXT
+
+
+class TestDeepNesting:
+    """Texts built directly, not by render, which still recurses.
+
+    Results are checked by atom counts and by walking spines in a loop, never
+    with == on a whole tree (see the deep fixture).
+    """
+
+    Z = StaticAtom("Z", ())
+    Q = FluentAtom("Q", (), Stage.NOW)
+
+    def test_nested_parentheses(self):
+        f = parse_formula("(" * 10_000 + "Z" + ")" * 10_000, SIG)
+        assert f == self.Z
+
+    def test_conjunctions_nested_to_the_right(self):
+        f = parse_formula("(Z & " * 3_000 + "Q" + ")" * 3_000, SIG)
+        for _ in range(3_000):
+            assert f.lhs == self.Z
+            f = f.rhs
+        assert f == self.Q
+
+    def test_negation_chain(self):
+        f = parse_formula("!" * 3_000 + "Z & Q", SIG)
+        assert f.rhs == self.Q
+        f = f.lhs
+        for _ in range(3_000):
+            assert isinstance(f, Not)
+            f = f.body
+        assert f == self.Z
+
+    def test_alternating_quantifiers(self):
+        binders = " ".join(f"{('forall', 'exists')[i % 2]} v{i}" for i in range(1_000))
+        f = parse_formula(f"{binders} v0 == v999", SIG)
+        for i in range(1_000):
+            assert type(f) is (Forall, Exists)[i % 2] and f.var.name == f"v{i}"
+            f = f.body
+        assert sum(1 for _ in atoms_of(f)) == 1
+
+    @pytest.mark.parametrize("op, node", [("->", Implies), ("<->", Iff)])
+    def test_right_associative_chain(self, op, node):
+        f = parse_formula(f" {op} ".join(["Z", "Q"] * 500), SIG)
+        assert sum(1 for _ in atoms_of(f)) == 1_000
+        for i in range(999):
+            assert type(f) is node and f.lhs == (self.Z, self.Q)[i % 2]
+            f = f.rhs
+        assert f == self.Q
 
 
 class TestGroundTerms:
