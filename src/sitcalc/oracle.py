@@ -198,8 +198,13 @@ def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None
                 if type(a) is Or:
                     return any(walk(c) for c in flatten_or(f))
                 return walk(a) or walk(b)
-            case Implies(a, b):
-                return (not walk(a)) or walk(b)
+            case Implies():
+                # walk a right-nested chain a1 -> a2 -> ... -> b along its spine
+                while type(f) is Implies:
+                    if not walk(f.lhs):
+                        return True
+                    f = f.rhs
+                return walk(f)
             case Iff(a, b):
                 return walk(a) == walk(b)
             case Forall(v, body):
@@ -479,8 +484,15 @@ def _compile(f: Formula) -> _Compiled:
             case And() | Or():
                 spine = flatten_and(f) if type(f) is And else flatten_or(f)
                 return _connective(type(f) is Or, [comp(c, scope, flip) for c in spine], flip)
-            case Implies(a, b):
-                return _connective(True, [comp(a, scope, not flip), comp(b, scope, flip)], flip)
+            case Implies():
+                # a right-nested chain a1 -> a2 -> ... -> b is one disjunction
+                # !a1 | !a2 | ... | b, which _por folds as it would the nesting
+                children = []
+                while type(f) is Implies:
+                    children.append(comp(f.lhs, scope, not flip))
+                    f = f.rhs
+                children.append(comp(f, scope, flip))
+                return _connective(True, children, flip)
             case Iff(a, b):
                 return _iff(comp(a, scope, False), comp(b, scope, False), flip)
             case Forall(v, body) | Exists(v, body):

@@ -27,12 +27,24 @@ block whose sentences may mix stages.  Comments run from // to end of line.
 
 render is the inverse: for every parsed input the rendered text reparses to
 a structurally equal object, and rendering is deterministic.
+
+The parser keeps tokens as plain strings: one regex split yields each
+token's text together with the blanks before it, and a token's kind is read
+off its text.  A token is an index into the list of texts, and positions
+are not kept per token: the line and column of the tokens that a span or an
+error names are computed from the cumulative lengths of the text before
+them and an index of the newlines.  A bad character anywhere in the text is reported
+before any syntax error.  Within one parse each name yields one Const or
+Var object, shared by all its occurrences.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional, TypeVar, Union
+import string
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, NoReturn, Optional, TypeVar, Union
 
 from .bat import BAT, EffectDisjunct, GroundAction, Precondition, SSA
 from .errors import ParseError, SourceSpan
@@ -65,16 +77,25 @@ from .syntax import (
 
 # ---------------------------------------------------------------------------
 # tokens
+#
+# One re.split pass cuts the text into triples: the text between two matches
+# (always empty, as the matches tile the text), the whitespace and comments
+# before a token, and the token, whose kind is read off its text.  The last
+# triple holds the trailing blanks and the empty match at the end of the
+# text, whose token is _EOF.  Punctuation is tried first, as most tokens are
+# punctuation; "." takes a bad character.  A token is its index into toks.
+# Positions are computed only for the tokens that a span or an error names:
+# the first one asked for builds the cumulative lengths of the parts and a
+# newline index, and a token's offset then turns into a line and column.
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'?)"
-    r"|(?P<nat>\d+)"
-    r"|(?P<op><->|->|==|!=|[!&|(),;:{}/])"
-    r"|(?P<bad>.)",
+_SCAN = re.compile(
+    r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)"
+    r"([&|(),;:{}/]|!=?|[A-Za-z_][A-Za-z0-9_]*'?|\d+|<->|->|==|.|\Z)",
     re.DOTALL,
 )
+_OPS = frozenset({"<->", "->", "==", "!=", *"!&|(),;:{}/"})
+_IDENT_FIRST = frozenset(string.ascii_letters + "_")
+_EOF = "end of input"
 
 _RESERVED = frozenset(
     {
@@ -86,32 +107,6 @@ _RESERVED = frozenset(
 
 
 _T = TypeVar("_T")
-
-
-class _Token(NamedTuple):
-    kind: str  # ident | nat | op | eof
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, path: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, bol = 1, 0
-    for m in _TOKEN_RE.finditer(text):  # the catch-all group leaves no gaps
-        kind, s = m.lastgroup, m.group()
-        if kind == "ws":
-            if "\n" in s:
-                line += s.count("\n")
-                bol = m.start() + s.rindex("\n") + 1
-        elif kind == "bad":
-            raise ParseError(
-                f"unexpected character {s!r}", SourceSpan(path, line, m.start() - bol + 1)
-            )
-        elif kind != "comment":
-            toks.append(_Token(kind, s, line, m.start() - bol + 1))
-    toks.append(_Token("eof", "end of input", line, len(text) - bol + 1))
-    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +122,35 @@ _BINARY: dict[str, tuple[type, int, bool]] = {
     "|": (Or, 3, False),
     "&": (And, 4, False),
 }
+_NOT_BINARY = (None, 0, False)
 _TIGHT = 5
 _PREFIX = {"!": Not, "forall": Forall, "exists": Exists}
 
 
 class _Parser:
     def __init__(self, text: str, path: str, sig: Optional[Signature] = None) -> None:
+        self.text = text
         self.path = path
-        self.toks = _tokenize(text, path)
-        self.i = 0
+        parts = _SCAN.split(text)
+        toks = parts[2::3]
+        if len(toks) > 1 and not toks[-2]:
+            toks.pop()  # after trailing blanks split also matches the bare end
+        self.parts = parts
+        self.toks = toks
+        toks[-1] = _EOF
+        self.i = 0  # the next token
+        self.ends: list[int] = []  # offsets where the parts end, once a span asks
+        self.line_starts: list[int] = []
+        self.idents: set[str] = set()
+        bad: list[int] = []
+        for t in set(toks[:-1]):
+            if t[0] in _IDENT_FIRST:
+                self.idents.add(t)
+            elif t not in _OPS and not t.isdecimal():  # isdecimal is \d
+                bad.append(toks.index(t))
+        if bad:  # the first bad character wins over any syntax error
+            k = min(bad)
+            self._err(f"unexpected character {toks[k]!r}", k)
         self.objects: set[str] = set()
         self.statics: dict[str, int] = {}
         self.fluents: dict[str, int] = {}
@@ -145,6 +160,7 @@ class _Parser:
             self.statics.update(dict(sig.statics))
             self.fluents.update(dict(sig.fluents))
             self.actions.update(dict(sig.actions))
+        self.terms: dict[str, ObjTerm] = {}  # name -> its one Const or Var
         self.spans: list[tuple[str, SourceSpan]] = []
         # formula context, toggled per block
         self.stage_default = Stage.NOW
@@ -152,41 +168,38 @@ class _Parser:
 
     # --- token plumbing
 
-    def _peek(self) -> _Token:
-        return self.toks[self.i]
+    def _span(self, k: int) -> SourceSpan:
+        """The position of token k."""
+        if not self.ends:
+            self.ends = list(accumulate(map(len, self.parts)))
+            self.line_starts = [0, *accumulate(len(s) + 1 for s in self.text.split("\n"))]
+        off = self.ends[3 * k + 1]  # the end of the blanks before token k
+        line = bisect_right(self.line_starts, off)
+        return SourceSpan(self.path, line, off - self.line_starts[line - 1] + 1)
 
-    def _next(self) -> _Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def _at(self, text: str) -> bool:
-        return self.toks[self.i].text == text
+    def _err(self, msg: str, k: Optional[int] = None) -> NoReturn:
+        """Raise at token k, by default the next one."""
+        raise ParseError(msg, self._span(self.i if k is None else k))
 
     def _accept(self, text: str) -> bool:
-        if self._at(text):
+        if self.toks[self.i] == text:
             self.i += 1
             return True
         return False
 
-    def _expect(self, text: str) -> _Token:
-        t = self._peek()
-        if t.text != text:
-            self._err(f"expected {text!r}, found {t.text!r}", t)
-        return self._next()
+    def _expect(self, text: str) -> None:
+        t = self.toks[self.i]
+        if t != text:
+            self._err(f"expected {text!r}, found {t!r}")
+        self.i += 1
 
-    def _span(self, t: _Token) -> SourceSpan:
-        return SourceSpan(self.path, t.line, t.col)
-
-    def _err(self, msg: str, t: Optional[_Token] = None) -> None:
-        raise ParseError(msg, self._span(t if t is not None else self._peek()))
-
-    def _ident(self, what: str) -> _Token:
-        t = self._peek()
-        if t.kind != "ident":
-            self._err(f"expected {what}, found {t.text!r}", t)
-        return self._next()
+    def _ident(self, what: str) -> int:
+        """Read an identifier and return its index."""
+        k = self.i
+        if self.toks[k] not in self.idents:
+            self._err(f"expected {what}, found {self.toks[k]!r}")
+        self.i = k + 1
+        return k
 
     def _list(self, item: Callable[[], _T], close: Optional[str] = None) -> list[_T]:
         """Comma-separated items, then the closing token if one is given.
@@ -195,7 +208,7 @@ class _Parser:
         may be empty.
         """
         out: list[_T] = []
-        if close is None or not self._at(close):
+        if close is None or self.toks[self.i] != close:
             out.append(item())
             while self._accept(","):
                 out.append(item())
@@ -204,9 +217,9 @@ class _Parser:
         return out
 
     def _end(self) -> None:
-        t = self._peek()
-        if t.kind != "eof":
-            self._err(f"unexpected trailing input {t.text!r}", t)
+        t = self.toks[self.i]
+        if t != _EOF:
+            self._err(f"unexpected trailing input {t!r}")
 
     def _declared(self, name: str) -> bool:
         return (
@@ -219,26 +232,28 @@ class _Parser:
     # --- declarations
 
     def _declaration(self) -> None:
-        kind = self._next().text
+        kind = self.toks[self.i]
+        self.i += 1
+        self.terms.clear()  # a name declared now is no longer a variable
         while True:
-            t = self._ident(f"a {kind} name")
-            name = t.text
+            k = self._ident(f"a {kind} name")
+            name = self.toks[k]
             if name in _RESERVED:
-                self._err(f"{name!r} is a reserved word", t)
+                self._err(f"{name!r} is a reserved word", k)
             if name.endswith("'"):
-                self._err("declared names cannot carry a prime", t)
+                self._err("declared names cannot carry a prime", k)
             if self._declared(name):
-                self._err(f"{name} is already declared", t)
+                self._err(f"{name} is already declared", k)
             if kind == "object":
                 self.objects.add(name)
             else:
                 self._expect("/")
-                n = self._peek()
-                if n.kind != "nat":
-                    self._err(f"expected an arity after {name}/", n)
-                self._next()
-                getattr(self, kind + "s")[name] = int(n.text)
-            self.spans.append((f"{kind}:{name}", self._span(t)))
+                n = self.toks[self.i]
+                if not n.isdecimal():
+                    self._err(f"expected an arity after {name}/")
+                self.i += 1
+                getattr(self, kind + "s")[name] = int(n)
+            self.spans.append((f"{kind}:{name}", self._span(k)))
             if not self._accept(","):
                 break
         self._expect(";")
@@ -246,39 +261,45 @@ class _Parser:
     # --- terms
 
     def _binder(self, what: str, taken: set[str]) -> Var:
-        t = self._ident(what)
-        name = t.text
+        k = self._ident(what)
+        name = self.toks[k]
         if name in _RESERVED:
-            self._err(f"{name!r} is a reserved word", t)
+            self._err(f"{name!r} is a reserved word", k)
         if name.endswith("'"):
-            self._err("variables cannot carry a prime", t)
+            self._err("variables cannot carry a prime", k)
         if self._declared(name):
-            self._err(f"{name} is declared and cannot be used as a variable", t)
+            self._err(f"{name} is declared and cannot be used as a variable", k)
         if name in taken:
-            self._err(f"repeated variable {name}", t)
+            self._err(f"repeated variable {name}", k)
         taken.add(name)
-        return Var(name)
+        return self._term_at(k)  # an undeclared name: a Var
 
-    def _term_from(self, t: _Token) -> ObjTerm:
-        name = t.text
-        if name in _RESERVED:
-            self._err(f"{name!r} is a reserved word", t)
-        if name.endswith("'"):
-            self._err("terms cannot carry a prime", t)
-        if name in self.objects:
-            return Const(name)
-        if name in self.statics or name in self.fluents or name in self.actions:
-            self._err(f"{name} names a predicate or action and cannot be a term", t)
-        return Var(name)
+    def _term_at(self, k: int) -> ObjTerm:
+        """The term that the identifier at k names, one object per name."""
+        name = self.toks[k]
+        term = self.terms.get(name)
+        if term is None:
+            if name in _RESERVED:
+                self._err(f"{name!r} is a reserved word", k)
+            if name.endswith("'"):
+                self._err("terms cannot carry a prime", k)
+            if name in self.objects:
+                term = Const(name)
+            elif name in self.statics or name in self.fluents or name in self.actions:
+                self._err(f"{name} names a predicate or action and cannot be a term", k)
+            else:
+                term = Var(name)
+            self.terms[name] = term
+        return term
 
     def _term(self) -> ObjTerm:
-        return self._term_from(self._ident("a term"))
+        return self._term_at(self._ident("a term"))
 
     def _constant(self) -> str:
-        t = self._ident("a constant")
-        if t.text not in self.objects:
-            self._err(f"{t.text} is not a declared constant", t)
-        return t.text
+        k = self._ident("a constant")
+        if self.toks[k] not in self.objects:
+            self._err(f"{self.toks[k]} is not a declared constant", k)
+        return self.toks[k]
 
     # --- formulas
     #
@@ -293,77 +314,106 @@ class _Parser:
     # binary quantifier body does.
 
     def _formula(self) -> Formula:
+        toks = self.toks
         ops: list[str] = []  # "(" markers, prefix and binary tokens
         args: list = []  # binder variables and left operands of binary tokens
         while True:
-            t = self._next()
-            if t.text in ("forall", "exists"):
+            t = toks[self.i]
+            self.i += 1
+            if t == "(" or t == "!":
+                ops.append(t)
+                continue
+            if t == "forall" or t == "exists":
                 taken: set[str] = set()
                 for v in self._list(lambda: self._binder("a variable", taken)):
-                    ops.append(t.text)
+                    ops.append(t)
                     args.append(v)
                 continue
-            if t.text in ("(", "!"):
-                ops.append(t.text)
-                continue
-            f = TRUE if t.text == "true" else FALSE if t.text == "false" else self._atom(t)
+            f = TRUE if t == "true" else FALSE if t == "false" else self._atom(self.i - 1)
             while True:  # f is a complete unary operand
                 while ops and ops[-1] in _PREFIX:
                     op = ops.pop()
                     f = Not(f) if op == "!" else _PREFIX[op](args.pop(), f)
-                node, prec, right = _BINARY.get(self._peek().text, (None, 0, False))
+                t = toks[self.i]
+                node, prec, right = _BINARY.get(t, _NOT_BINARY)
                 while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][1] >= prec + right:
                     f = _BINARY[ops.pop()][0](args.pop(), f)
                 if node is not None:
-                    ops.append(self._next().text)
+                    self.i += 1
+                    ops.append(t)
                     args.append(f)
                     break
                 if not ops:
                     return f
-                self._expect(")")
+                if t != ")":
+                    self._err(f"expected ')', found {t!r}")
+                self.i += 1
                 ops.pop()
 
     def _args(self) -> Optional[list[ObjTerm]]:
-        return self._list(self._term, ")") if self._accept("(") else None
+        """The argument list that opens at the next token, or None if none does."""
+        toks = self.toks
+        i = self.i
+        if toks[i] != "(":
+            return None
+        i += 1
+        out: list[ObjTerm] = []
+        if toks[i] != ")":
+            while True:
+                term = self.terms.get(toks[i])
+                if term is None:  # a name not met yet, or no term at all
+                    self.i = i
+                    term = self._term()
+                out.append(term)
+                if toks[i + 1] != ",":
+                    i += 1
+                    break
+                i += 2
+        if toks[i] != ")":
+            self._err(f"expected ')', found {toks[i]!r}", i)
+        self.i = i + 1
+        return out
 
-    def _atom(self, t: _Token) -> Formula:
-        if t.kind != "ident":
-            self._err(f"expected a formula, found {t.text!r}", t)
+    def _atom(self, k: int) -> Formula:
+        """The atom or equality whose first token, at k, was just read."""
+        name = self.toks[k]
+        if name not in self.idents:
+            self._err(f"expected a formula, found {name!r}", k)
         args = self._args()
-        if self._at("==") or self._at("!="):
-            op = self._next().text
-            rt = self._ident("a formula")
+        op = self.toks[self.i]
+        if op == "==" or op == "!=":
+            self.i += 1
+            r = self._ident("a formula")
             rargs = self._args()
-            for side, sargs in ((t, args), (rt, rargs)):
+            for side, sargs in ((k, args), (r, rargs)):
                 if sargs is not None:
                     self._err("an application cannot be an equality operand", side)
-            eq = ObjEq(self._term_from(t), self._term_from(rt))
+            eq = ObjEq(self._term_at(k), self._term_at(r))
             return Not(eq) if op == "!=" else eq
 
-        name, primed = t.text, t.text.endswith("'")
+        primed = name.endswith("'")
         base = name[:-1] if primed else name
-        got = tuple(args or [])
+        got = tuple(args) if args else ()
         if base in self.fluents:
             if primed and not self.allow_next:
-                self._err("a next-stage atom is not allowed here", t)
+                self._err("a next-stage atom is not allowed here", k)
             ar = self.fluents[base]
             if ar != len(got):
-                self._err(f"{base} declared with arity {ar}, used with {len(got)}", t)
+                self._err(f"{base} declared with arity {ar}, used with {len(got)}", k)
             stage = Stage.NEXT if primed else self.stage_default
             return FluentAtom(base, got, stage)
         if primed:
-            self._err(f"{base} is not a declared fluent", t)
+            self._err(f"{base} is not a declared fluent", k)
         if name in self.statics:
             ar = self.statics[name]
             if ar != len(got):
-                self._err(f"{name} declared with arity {ar}, used with {len(got)}", t)
+                self._err(f"{name} declared with arity {ar}, used with {len(got)}", k)
             return StaticAtom(name, got)
         if name in self.actions:
-            self._err(f"action {name} cannot be used as a formula", t)
+            self._err(f"action {name} cannot be used as a formula", k)
         if name in self.objects:
-            self._err(f"constant {name} is not a formula", t)
-        self._err(f"undeclared symbol {name}", t)
-        raise AssertionError  # _err always raises
+            self._err(f"constant {name} is not a formula", k)
+        self._err(f"undeclared symbol {name}", k)
 
     def _block_formula(
         self,
@@ -372,31 +422,34 @@ class _Parser:
         scope: frozenset[str],
         where: str,
     ) -> Formula:
-        start = self._peek()
+        start = self.i
         self.stage_default = stage_default
         self.allow_next = allow_next
         f = self._formula()
         loose = free_vars(f) - scope
         if loose:
-            self._err(
-                f"free variables {', '.join(sorted(loose))} in {where}"
-                " (quantify them, or declare missing constants)",
-                start,
-            )
+            self._loose(loose, where, start)
         return f
+
+    def _loose(self, names: frozenset[str], where: str, k: int) -> NoReturn:
+        self._err(
+            f"free variables {', '.join(sorted(names))} in {where}"
+            " (quantify them, or declare missing constants)",
+            k,
+        )
 
     # --- blocks
 
     def _ssa_block(self, seen: set[str]) -> SSA:
         self._expect("ssa")
-        t = self._ident("a fluent name")
-        name = t.text
+        k = self._ident("a fluent name")
+        name = self.toks[k]
         if name not in self.fluents:
-            self._err(f"{name} is not a declared fluent", t)
+            self._err(f"{name} is not a declared fluent", k)
         if name in seen:
-            self._err(f"duplicate ssa block for {name}", t)
+            self._err(f"duplicate ssa block for {name}", k)
         seen.add(name)
-        self.spans.append((f"ssa:{name}", self._span(t)))
+        self.spans.append((f"ssa:{name}", self._span(k)))
         taken: set[str] = set()
         self._expect("(")
         head = self._list(lambda: self._binder("a head variable", taken), ")")
@@ -404,20 +457,20 @@ class _Parser:
             self._err(
                 f"{name} declared with arity {self.fluents[name]}, "
                 f"ssa head has {len(head)}",
-                t,
+                k,
             )
         pos: list[EffectDisjunct] = []
         neg: list[EffectDisjunct] = []
         self._expect("{")
-        while not self._at("}"):
-            side = self._peek()
-            if side.text not in ("pos", "neg"):
-                self._err("expected 'pos' or 'neg'", side)
-            self._next()
+        while self.toks[self.i] != "}":
+            side = self.toks[self.i]
+            if side not in ("pos", "neg"):
+                self._err("expected 'pos' or 'neg'")
+            self.i += 1
             self._expect(":")
             d = self._disjunct(name, head, set(taken))
             self._expect(";")
-            (pos if side.text == "pos" else neg).append(d)
+            (pos if side == "pos" else neg).append(d)
         self._expect("}")
         return SSA(name, tuple(head), tuple(pos), tuple(neg))
 
@@ -425,39 +478,41 @@ class _Parser:
         evs: list[Var] = []
         if self._accept("exists"):
             evs = self._list(lambda: self._binder("a quantified variable", taken))
-        at = self._ident("an action variable")
-        if self._declared(at.text) or at.text in _RESERVED or at.text in taken:
-            self._err("expected a fresh action variable", at)
+        k = self._ident("an action variable")
+        at = self.toks[k]
+        if self._declared(at) or at in _RESERVED or at in taken:
+            self._err("expected a fresh action variable", k)
         self._expect("==")
-        ft = self._ident("an action name")
-        if ft.text not in self.actions:
-            self._err(f"{ft.text} is not a declared action", ft)
-        args = self._list(self._term, ")") if self._accept("(") else []
-        ar = self.actions[ft.text]
+        k = self._ident("an action name")
+        fn = self.toks[k]
+        if fn not in self.actions:
+            self._err(f"{fn} is not a declared action", k)
+        args = self._args() or []
+        ar = self.actions[fn]
         if ar != len(args):
-            self._err(f"{ft.text} declared with arity {ar}, used with {len(args)}", ft)
+            self._err(f"{fn} declared with arity {ar}, used with {len(args)}", k)
         bound = {v.name for v in head} | {v.name for v in evs}
         for a in args:
             if isinstance(a, Var) and a.name not in bound:
-                self._err(f"variable {a.name} in the action term is unbound", ft)
+                self._err(f"variable {a.name} in the action term is unbound", k)
         ctx = TRUE
         if self._accept("&"):
             ctx = self._block_formula(
                 Stage.NOW, False, frozenset(bound),
                 f"the context of the ssa for {fluent}",
             )
-        return EffectDisjunct(tuple(evs), ActionTerm(ft.text, tuple(args)), ctx)
+        return EffectDisjunct(tuple(evs), ActionTerm(fn, tuple(args)), ctx)
 
     def _poss_block(self, seen: set[str]) -> Precondition:
         self._expect("poss")
-        t = self._ident("an action name")
-        name = t.text
+        k = self._ident("an action name")
+        name = self.toks[k]
         if name not in self.actions:
-            self._err(f"{name} is not a declared action", t)
+            self._err(f"{name} is not a declared action", k)
         if name in seen:
-            self._err(f"duplicate poss block for {name}", t)
+            self._err(f"duplicate poss block for {name}", k)
         seen.add(name)
-        self.spans.append((f"poss:{name}", self._span(t)))
+        self.spans.append((f"poss:{name}", self._span(k)))
         taken: set[str] = set()
         params: list[Var] = []
         if self._accept("("):
@@ -466,7 +521,7 @@ class _Parser:
             self._err(
                 f"{name} declared with arity {self.actions[name]}, "
                 f"poss has {len(params)} parameters",
-                t,
+                k,
             )
         self._expect(":")
         f = self._block_formula(
@@ -480,16 +535,21 @@ class _Parser:
     def _sentence_block(self, kw: str, allow_next: bool, count: int) -> list[Formula]:
         self._expect(kw)
         self._expect("{")
+        toks = self.toks
+        self.stage_default = Stage.NOW
+        self.allow_next = allow_next
         out: list[Formula] = []
-        while not self._at("}"):
-            start = self._peek()
-            f = self._block_formula(
-                Stage.NOW, allow_next, frozenset(), f"a sentence of {kw}"
-            )
-            self._expect(";")
+        while toks[self.i] != "}":
+            start = self.i
+            f = self._formula()
+            if free_vars(f):
+                self._loose(free_vars(f), f"a sentence of {kw}", start)
+            if toks[self.i] != ";":
+                self._err(f"expected ';', found {toks[self.i]!r}")
+            self.i += 1
             self.spans.append((f"{kw}:{count + len(out)}", self._span(start)))
             out.append(f)
-        self._expect("}")
+        self.i += 1  # the "}"
         return out
 
     def _signature(self) -> Signature:
@@ -501,6 +561,9 @@ class _Parser:
         )
 
 
+_DECLARATIONS = ("object", "static", "fluent", "action")
+
+
 def parse_bat(text: str, path: str = "<input>") -> BAT:
     """Parse a full theory file with ssa/poss/init blocks."""
     p = _Parser(text, path)
@@ -509,20 +572,19 @@ def parse_bat(text: str, path: str = "<input>") -> BAT:
     init: list[Formula] = []
     seen_ssa: set[str] = set()
     seen_poss: set[str] = set()
-    while not p._at("end of input"):
-        t = p._peek()
-        if t.text in ("object", "static", "fluent", "action"):
+    while (t := p.toks[p.i]) != _EOF:
+        if t in _DECLARATIONS:
             p._declaration()
-        elif t.text == "ssa":
+        elif t == "ssa":
             ssas.append(p._ssa_block(seen_ssa))
-        elif t.text == "poss":
+        elif t == "poss":
             pres.append(p._poss_block(seen_poss))
-        elif t.text == "init":
+        elif t == "init":
             init.extend(p._sentence_block("init", False, len(init)))
-        elif t.text == "theory":
-            p._err("a theory block is not allowed here; use init", t)
+        elif t == "theory":
+            p._err("a theory block is not allowed here; use init")
         else:
-            p._err(f"expected a declaration or block, found {t.text!r}", t)
+            p._err(f"expected a declaration or block, found {t!r}")
     return BAT(
         p._signature(), Theory(tuple(init)), tuple(pres), tuple(ssas), tuple(p.spans)
     )
@@ -532,16 +594,15 @@ def parse_theory(text: str, path: str = "<input>") -> tuple[Signature, Theory]:
     """Parse a standalone theory file: declarations plus theory blocks."""
     p = _Parser(text, path)
     axioms: list[Formula] = []
-    while not p._at("end of input"):
-        t = p._peek()
-        if t.text in ("object", "static", "fluent", "action"):
+    while (t := p.toks[p.i]) != _EOF:
+        if t in _DECLARATIONS:
             p._declaration()
-        elif t.text == "theory":
+        elif t == "theory":
             axioms.extend(p._sentence_block("theory", True, len(axioms)))
-        elif t.text in ("ssa", "poss", "init"):
-            p._err(f"a {t.text} block is not allowed in a theory file", t)
+        elif t in ("ssa", "poss", "init"):
+            p._err(f"a {t} block is not allowed in a theory file")
         else:
-            p._err(f"expected a declaration or theory block, found {t.text!r}", t)
+            p._err(f"expected a declaration or theory block, found {t!r}")
     return p._signature(), Theory(tuple(axioms))
 
 
@@ -569,11 +630,11 @@ def parse_formula(
     return f
 
 
-def _ground_args(p: _Parser, t: _Token, name: str, ar: int) -> tuple[str, ...]:
-    """The constant arguments after the symbol token t, which end the input."""
+def _ground_args(p: _Parser, k: int, name: str, ar: int) -> tuple[str, ...]:
+    """The constant arguments after the symbol at k, which end the input."""
     args = p._list(p._constant, ")") if p._accept("(") else []
     if ar != len(args):
-        p._err(f"{name} declared with arity {ar}, used with {len(args)}", t)
+        p._err(f"{name} declared with arity {ar}, used with {len(args)}", k)
     p._end()
     return tuple(args)
 
@@ -581,17 +642,19 @@ def _ground_args(p: _Parser, t: _Token, name: str, ar: int) -> tuple[str, ...]:
 def parse_ground_action(text: str, env: Signature, path: str = "<action>") -> GroundAction:
     """Parse a ground action application such as move(A, B, C)."""
     p = _Parser(text, path, env)
-    t = p._ident("an action name")
-    if t.text not in p.actions:
-        p._err(f"{t.text} is not a declared action", t)
-    return GroundAction(t.text, _ground_args(p, t, t.text, p.actions[t.text]))
+    k = p._ident("an action name")
+    name = p.toks[k]
+    if name not in p.actions:
+        p._err(f"{name} is not a declared action", k)
+    return GroundAction(name, _ground_args(p, k, name, p.actions[name]))
 
 
 def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> GroundAtom:
     """Parse a ground atom such as Clear(B) or On'(A, C); statics have no stage."""
     p = _Parser(text, path, env)
-    t = p._ident("a predicate name")
-    name, primed = t.text, t.text.endswith("'")
+    k = p._ident("a predicate name")
+    name = p.toks[k]
+    primed = name.endswith("'")
     base = name[:-1] if primed else name
     if base in p.fluents:
         stage: Optional[Stage] = Stage.NEXT if primed else Stage.NOW
@@ -600,8 +663,8 @@ def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> Ground
         stage = None
         ar = p.statics[base]
     else:
-        p._err(f"{base} is not a declared fluent or static predicate", t)
-    return GroundAtom(base, _ground_args(p, t, base, ar), stage)
+        p._err(f"{base} is not a declared fluent or static predicate", k)
+    return GroundAtom(base, _ground_args(p, k, base, ar), stage)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ and the oracle's evaluate and grounding compiler oracle._compile (semantics
 per connective).  Their depth is the nesting depth of the formula, not its
 width: simplify flattens And/Or spines and tests its fixed point by
 identity, _fmt1 prints an And/Or spine with a loop, evaluate walks a
-left-nested spine with a loop, and _compile makes each spine one n-ary node
-and folds Not chains into the polarity.  The dataclass-generated __eq__,
+left-nested And/Or spine and a right-nested -> chain with a loop, and
+_compile makes each And/Or spine and each -> chain one n-ary node and folds
+Not chains into the polarity.  The dataclass-generated __eq__,
 __hash__ and __repr__ of the nodes recurse too, so comparing or hashing two
 deep trees that share no subtree can still hit the recursion limit.  The
 parser does not recurse: surface._Parser._formula keeps its own operator
@@ -213,10 +214,10 @@ def _spine(f: Formula, node: type, unit: type) -> list[Formula]:
     stack = [f]
     while stack:
         f = stack.pop()
-        if isinstance(f, node):
+        if type(f) is node:
             stack.append(f.rhs)
             stack.append(f.lhs)
-        elif not isinstance(f, unit):
+        elif type(f) is not unit:
             out.append(f)
     return out
 
@@ -475,20 +476,26 @@ def free_vars(f: Formula) -> frozenset[str]:
     stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
     while stack:
         g, bound = stack.pop()
-        known = getattr(g, "_fv", None)
-        if known is not None:
-            out.update(known - bound)
-        elif isinstance(g, _BINARY):
-            stack.append((g.rhs, bound))
-            stack.append((g.lhs, bound))
-        elif isinstance(g, Not):
-            stack.append((g.body, bound))
-        elif isinstance(g, (Forall, Exists)):
-            stack.append((g.body, bound | {g.var.name}))
+        node = type(g)  # dispatched by identity: this runs on every parsed sentence
+        if node is FluentAtom or node is StaticAtom:
+            terms = g.args
+        elif node is ObjEq:
+            terms = (g.lhs, g.rhs)
         else:
-            for t in _atom_terms(g):
-                if isinstance(t, Var) and t.name not in bound:
-                    out.add(t.name)
+            known = getattr(g, "_fv", None)
+            if known is not None:
+                out.update(known - bound)
+            elif node is Not:
+                stack.append((g.body, bound))
+            elif node in _BINARY:
+                stack.append((g.rhs, bound))
+                stack.append((g.lhs, bound))
+            elif node is Forall or node is Exists:
+                stack.append((g.body, bound | {g.var.name}))
+            continue
+        for t in terms:
+            if type(t) is Var and t.name not in bound:
+                out.add(t.name)
     fv = frozenset(out)
     object.__setattr__(f, "_fv", fv)
     return fv
@@ -584,8 +591,9 @@ def substitute(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
 # equality-aware simplification
 
 
-def _complementary(a: Formula, b: Formula) -> bool:
-    return (type(a) is Not and a.body == b) or (type(b) is Not and b.body == a)
+def _complement_in(p: Formula, kept: list[Formula], negs: list[Formula]) -> bool:
+    """Is p the complement of a formula in kept?  negs holds the bodies of its Nots."""
+    return (type(p) is Not and p.body in kept) or p in negs
 
 
 def _simp_eq(f: ObjEq, una: bool) -> Formula:
@@ -615,13 +623,14 @@ def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     f itself is returned if the rebuilt chain would equal it.
     """
     out: list[Formula] = []
+    negs: list[Formula] = []
     bindings: dict[str, str] = {}
     for p in parts:
         if isinstance(p, Falsity):
             return FALSE
         if isinstance(p, Truth) or p in out:
             continue
-        if any(_complementary(p, q) for q in out):
+        if _complement_in(p, out, negs):
             return FALSE
         if una:
             match p:
@@ -631,6 +640,8 @@ def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
                 case _:
                     pass
         out.append(p)
+        if type(p) is Not:
+            negs.append(p.body)
     return f if _is_chain(f, And, out) else conj(out)
 
 
@@ -640,14 +651,17 @@ def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     f itself is returned if the rebuilt chain would equal it.
     """
     flat: list[Formula] = []
+    negs: list[Formula] = []
     for p in parts:
         if isinstance(p, Truth):
             return TRUE
         if isinstance(p, Falsity) or p in flat:
             continue
-        if any(_complementary(p, q) for q in flat):
+        if _complement_in(p, flat, negs):
             return TRUE
         flat.append(p)
+        if type(p) is Not:
+            negs.append(p.body)
     # drop a disjunct whose conjunct set contains some other whole disjunct set,
     # and strip conjuncts refuted by another disjunct: d | (!d & e)  ==  d | e
     sets = [flatten_and(p) for p in flat]
@@ -664,7 +678,8 @@ def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     changed = False
     for i in survivors:
         others = [flat[j] for j in survivors if j != i]
-        stripped = [c for c in sets[i] if not any(_complementary(c, o) for o in others)]
+        other_negs = [o.body for o in others if type(o) is Not]
+        stripped = [c for c in sets[i] if not _complement_in(c, others, other_negs)]
         if len(stripped) != len(sets[i]):
             sets[i] = stripped
             changed = True

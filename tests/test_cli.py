@@ -405,6 +405,13 @@ class TestDeepInput:
         assert code == 0, err
         assert expected in out
 
+    def test_a_thousand_long_implication_chain_is_satisfiable(self, capsys, tmp_path):
+        f = tmp_path / "chain.bat"
+        f.write_text(f"static Z/0, Q/0;\n\ntheory {{\n  {' -> '.join(['Z', 'Q'] * 500)};\n}}\n")
+        code, out, err = run(capsys, "oracle", "sat", str(f))
+        assert code == 0, err
+        assert "satisfiable:" in out
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

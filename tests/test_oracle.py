@@ -58,6 +58,11 @@ class TestEvaluation:
         assert evaluate(m, f("exists x !P(x)"))
         assert theory_holds(m, t("P(c)", "exists x !P(x)"))
 
+    def test_evaluate_walks_a_thousand_long_implication_chain(self):
+        m = FiniteModel(2, (("c", 0),), ((("P", ""), frozenset({(0,)})),))
+        assert evaluate(m, f(" -> ".join(["P(c)"] * 1_000)))
+        assert not evaluate(m, f(" -> ".join(["P(c)"] * 999 + ["!P(c)"])))
+
     def test_model_enumeration_counts(self):
         sig = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1)}))
         assert len(list(models(Theory(()), CFG, sig=sig))) == 6
@@ -232,6 +237,12 @@ class TestEquivalenceAndSat:
         v = satisfiable(t("exists x (P(x) & !P(c))"), CFG)
         assert isinstance(v, Sat)
         assert evaluate(v.model, f("exists x (P(x) & !P(c))"))
+
+    def test_a_thousand_long_implication_chain_is_satisfiable(self):
+        text = " -> ".join(["P(c)", "exists x R(x, c)"] * 500)
+        v = satisfiable(t(text), CFG)
+        assert isinstance(v, Sat)
+        assert evaluate(v.model, f(text))
 
     def test_contradictions_are_unsat_at_every_size(self):
         v = satisfiable(t("P(c)", "!P(c)"), CFG)

@@ -1,8 +1,12 @@
-"""The surface parser against the recursive-descent cascade it replaced.
+"""The surface parser against the reference parser in surface_reference.
 
-Both parse the same texts: the corpus, rendered property-suite theories and
-formulas, and seeded one-edit mutations of all of them.  For each text and
-entry point they must return equal objects, or raise the same exception
+That is the parser as it was before token texts came from one regex pass:
+per-token positions from a finditer tokenizer, and formulas read by a
+recursive-descent cascade.  Both parse the same texts: the corpus, rendered
+property-suite theories and formulas, hand-written texts that exercise the
+scanner (CRLF line ends, tabs, comments, bad characters, primes, numbers),
+and seeded one-edit mutations of all of them.  For each text and entry point
+they must return equal objects with equal spans, or raise the same exception
 type with the same message, source span included.
 """
 
@@ -10,11 +14,11 @@ import random
 import re
 
 import pytest
-from surface_reference import reference
+import surface_reference
 from test_property_suites import SEEDS, random_formula, random_theory
 
-from sitcalc import corpus_path
-from sitcalc.surface import parse_bat, parse_formula, parse_theory, render, render_theory_file
+from sitcalc import corpus_path, surface
+from sitcalc.surface import parse_bat, render, render_theory_file
 from sitcalc.syntax import Iff, Not, Signature
 
 CORPUS = sorted(p.name for p in corpus_path("blocks_stacks.bat").parent.glob("*.bat"))
@@ -28,31 +32,69 @@ SIG = Signature(
 )
 
 TOKENS = ("(", ")", "!", "&", "|", "->", "<->", "forall x", "exists y", ",", ";",
-          "==", "!=", "true", "x")
+          "==", "!=", "true", "x", "@", "//", "'", "7", "\r\n")
 TOKEN_RE = re.compile(r"<->|->|==|!=|[A-Za-z_][A-Za-z0-9_]*'?|\S")
 MUTATIONS = 3_600
 CHUNKS = 12
 
 
+# Texts that exercise the scanner rather than the grammar.
+_STACKS = corpus_path("blocks_stacks.bat").read_text()
+EDGE_FILES = [
+    _STACKS.replace("\n", "\r\n"),
+    _STACKS.replace("  ", "\t"),
+    "object A;\nfluent F/1;\ntheory {\n  F(A);\n  F'(A) -> !F(A);\n}\n// no newline after this",
+    "object A;\nstatic P/1;\ntheory {\n  P(A) P(A);\n  P(@);\n}\n#\n",
+    "object A;\r\nstatic P/1;\r\ntheory {\r\n\tP(A;\r\n}\r\n\f",
+    "object A, B;\nstatic Block/1;\nfluent On/2;\ntheory {\n  On'(A, B) <-> On(A, B);"
+    "\n  forall x (Block(x) -> On'(x, A)); // primed\n}\n",
+    "object A;\nstatic P/12, Q/0;\n\ttheory { Q; P(A, 3); }",
+    "object A;\nfluent P/1;\naction go/1;\ninit {\n  P(A);\n}\nssa P(x) { pos: a == go(2); }\n",
+    "",
+    "  \r\n\t// only a comment",
+    # a name bound as a variable, then declared as a constant
+    "object A;\nstatic P/1;\ninit {\n  forall x P(x);\n}\nobject x;\ninit {\n  P(x);\n}\n",
+]
+EDGE_FORMULAS = [
+    "P(c1)\t&\r\n  R(c1, c2) // a comment to the end",
+    "forall x (P(x) -> P(c1)) @ P(c2) )",
+    "exists y R(y, y) & P(c1'))\f",
+    "R(c1, 2) | P(c3)",
+]
+SIG_ACTIONS = Signature(
+    objects=frozenset({"A", "B"}),
+    statics=frozenset({("Block", 1)}),
+    fluents=frozenset({("On", 2)}),
+    actions=frozenset({("move", 3), ("stop", 0)}),
+)
+GROUND = ["move(A, B, A)", "move(A,\tB,\r\nA) // c", "stop", "stop()", "move(A, B)",
+          "On'(A, B)", "On(A, @)", "Block(B) x", "Block'(A)", "move(A, B, 3)", "On(A,\fB)"]
+
+
 def _outcome(fn, *args, **kwargs):
     try:
-        return "ok", fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        return "ok", result, getattr(result, "spans", None)  # BAT equality skips spans
     except Exception as e:  # compared, not swallowed: both sides must agree
         return "error", type(e), str(e)
 
 
-def _file_outcomes(text):
-    return [_outcome(fn, text, "f.bat") for fn in (parse_bat, parse_theory)]
+def _file_outcomes(m, text):
+    return [_outcome(fn, text, "f.bat") for fn in (m.parse_bat, m.parse_theory)]
 
 
-def _formula_outcomes(text, allow_free):
-    return [_outcome(parse_formula, text, SIG, allow_free=allow_free)]
+def _formula_outcomes(m, text, allow_free):
+    return [_outcome(m.parse_formula, text, SIG, allow_free=allow_free)]
+
+
+def _ground_outcomes(m, text):
+    return [_outcome(fn, text, SIG_ACTIONS) for fn in (m.parse_ground_action, m.parse_ground_atom)]
 
 
 def _check(parse, *args):
-    """parse(*args) under both parsers: (our outcomes, a difference or None)."""
-    ours = parse(*args)
-    ref = reference(parse, *args)
+    """parse(module, *args) under both parsers: (our outcomes, a difference or None)."""
+    ours = parse(surface, *args)
+    ref = parse(surface_reference, *args)
     return ours, None if ours == ref else (args, ours, ref)
 
 
@@ -68,14 +110,16 @@ def _theory_file(seed):
 
 
 def _bases():
-    """Texts to mutate: the corpus, rendered theory files, rendered formulas."""
-    corpus = [corpus_path(n).read_text() for n in CORPUS]
-    return corpus, [_theory_file(s) for s in SEEDS], [_formula(s) for s in SEEDS]
+    """Texts to mutate: the corpus and the scanner texts, rendered theory files,
+    and rendered formulas with the scanner formulas."""
+    corpus = [corpus_path(n).read_text() for n in CORPUS] + EDGE_FILES
+    formulas = [_formula(s) for s in SEEDS] + EDGE_FORMULAS
+    return corpus, [_theory_file(s) for s in SEEDS], formulas
 
 
 def _mutate(rng, text):
     toks = [m.span() for m in TOKEN_RE.finditer(text)]
-    kind = rng.randrange(3)
+    kind = rng.randrange(3) if toks else 1
     if kind == 0:  # delete one character
         i = rng.randrange(len(text))
         return text[:i] + text[i + 1:]
@@ -92,6 +136,33 @@ def test_corpus_parses_alike(name):
     ours, diff = _check(_file_outcomes, corpus_path(name).read_text())
     assert diff is None
     assert ("ok",) in [o[:1] for o in ours]
+
+
+def test_corpus_spans_are_kept():
+    bat = parse_bat(_STACKS, "f.bat")
+    assert bat.spans and bat.spans == surface_reference.parse_bat(_STACKS, "f.bat").spans
+
+
+@pytest.mark.parametrize("i", range(len(EDGE_FILES)))
+def test_scanner_texts_parse_alike(i):
+    assert _check(_file_outcomes, EDGE_FILES[i])[1] is None
+
+
+@pytest.mark.parametrize("i", range(len(EDGE_FORMULAS)))
+def test_scanner_formulas_parse_alike(i):
+    for allow_free in (False, True):
+        assert _check(_formula_outcomes, EDGE_FORMULAS[i], allow_free)[1] is None
+
+
+@pytest.mark.parametrize("text", GROUND)
+def test_ground_actions_and_atoms_parse_alike(text):
+    assert _check(_ground_outcomes, text)[1] is None
+
+
+def test_a_bad_character_wins_over_an_earlier_syntax_error():
+    for text, (line, col, ch) in ((EDGE_FILES[3], (5, 5, "@")), (EDGE_FILES[4], (6, 1, "\f"))):
+        outcomes = _check(_file_outcomes, text)[0]
+        assert [o[2] for o in outcomes] == [f"f.bat:{line}:{col}: unexpected character {ch!r}"] * 2
 
 
 @pytest.mark.parametrize("seed", SEEDS)
