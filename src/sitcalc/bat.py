@@ -422,6 +422,25 @@ def transform_ssa(s: SSA, alpha: GroundAction) -> TransformedSSA:
     return TransformedSSA(s.fluent, s.head_vars, gp, gn)
 
 
+def _transformed(b: BAT, s: SSA, alpha: GroundAction) -> TransformedSSA:
+    """transform_ssa(s, alpha) for an SSA of b, computed once per BAT.
+
+    characteristic_set and instantiate_ssas both need it, and
+    progress_componentwise calls instantiate_ssas once per component.  The
+    table is an attribute of b outside its fields, so it lives as long as
+    b, and dataclasses.replace starts an empty one.
+    """
+    table = b.__dict__.get("_transformed")
+    if table is None:
+        table = {}
+        object.__setattr__(b, "_transformed", table)
+    key = (id(s), alpha)
+    hit = table.get(key)
+    if hit is None or hit[0] is not s:  # a copied table may hold the id of a freed SSA
+        hit = table[key] = (s, transform_ssa(s, alpha))
+    return hit[1]
+
+
 def argument_set(t: TransformedSSA) -> frozenset[tuple[str, ...]]:
     """Constant tuples on which the transformed SSA can change the fluent."""
     out = set()
@@ -436,8 +455,7 @@ def characteristic_set(b: BAT, alpha: GroundAction) -> frozenset[GroundAtom]:
     """All current-stage ground fluent atoms the action can possibly touch."""
     out = set()
     for s in b.ssas:
-        t = transform_ssa(s, alpha)
-        for tup in argument_set(t):
+        for tup in argument_set(_transformed(b, s, alpha)):
             out.add(GroundAtom(s.fluent, tup, Stage.NOW))
     return frozenset(out)
 
@@ -458,7 +476,7 @@ def instantiate_ssas(
             s = b.ssa(g.pred)
             if s is None:
                 raise MissingAxiom(f"no successor state axiom for {g.pred}")
-            transformed[g.pred] = transform_ssa(s, alpha)
+            transformed[g.pred] = _transformed(b, s, alpha)
         t = transformed[g.pred]
         if len(t.head_vars) != len(g.args):
             raise MissingAxiom(f"{g.pred} instantiated with {len(g.args)} arguments")

@@ -22,6 +22,11 @@ for atoms with a variable argument (any atom, without unique names),
 under the atom's predicate, stage and arity with its argument pattern.
 Each step looks up the axioms that can denote its atom instead of scanning
 the theory, and files the disjunction it adds.
+
+A step keeps shared structure shared, so that simplify, which memoizes per
+node, reduces each shared subtree once: the axioms it relativizes share one
+split table, which gives each occurrence pattern of g's predicate one split
+node, and replace_ground maps them all in one map_atoms call.
 """
 
 from __future__ import annotations
@@ -101,23 +106,35 @@ def _matches(f: Formula, g: GroundAtom) -> Optional[tuple]:
             return None
 
 
-def relativize(f: Formula, g: GroundAtom, una: bool = True) -> Formula:
+def relativize(
+    f: Formula, g: GroundAtom, una: bool = True, splits: Optional[dict[tuple, Formula]] = None
+) -> Formula:
     """Split every occurrence of g's predicate on whether its arguments equal g's.
 
     An occurrence P(t) becomes (t = c & P(c)) | (t != c & P(t)) for g = P(c),
     so that the only occurrences whose truth depends on g are the explicit
     ground ones.  The output is simplified, which restores occurrences with
     distinct constant arguments to plain atoms under unique names.
+
+    splits maps the argument tuple of each occurrence to its split.  A
+    caller that relativizes several axioms for the same g passes one dict
+    to every call, so that equal occurrences share one split node, which
+    simplify, memoizing per node, reduces once.
     """
     gatom = g.to_formula()
     gconsts = tuple(Const(c) for c in g.args)
+    if splits is None:
+        splits = {}
 
     def split(atom: Formula) -> Formula:
         args = _matches(atom, g)
         if args is None:
             return atom
-        eqs = conj([ObjEq(t, c) for t, c in zip(args, gconsts)])
-        return Or(And(eqs, gatom), And(Not(eqs), atom))
+        out = splits.get(args)
+        if out is None:
+            eqs = conj([ObjEq(t, c) for t, c in zip(args, gconsts)])
+            out = splits[args] = Or(And(eqs, gatom), And(Not(eqs), atom))
+        return out
 
     return simplify(map_atoms(f, split), una)
 
@@ -193,10 +210,12 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
         pos_parts: list[Formula] = []
         neg_parts: list[Formula] = []
         used: list[int] = []
-        for i in may_denote(g):
-            rel = relativize(axioms[i], g, una)
-            pos = replace_ground(rel, g, TRUE)
-            neg = replace_ground(rel, g, FALSE)
+        ids = may_denote(g)
+        splits: dict[tuple, Formula] = {}  # one split per occurrence pattern for the whole step
+        rels = Theory(tuple(relativize(axioms[i], g, una, splits) for i in ids))
+        pos_t = replace_ground(rels, g, TRUE)
+        neg_t = replace_ground(rels, g, FALSE)
+        for i, pos, neg in zip(ids, pos_t.axioms, neg_t.axioms):
             if pos is not neg:  # the same object exactly when g does not occur in rel
                 pos_parts.append(pos)
                 neg_parts.append(neg)

@@ -161,6 +161,7 @@ class _Parser:
             self.fluents.update(dict(sig.fluents))
             self.actions.update(dict(sig.actions))
         self.terms: dict[str, ObjTerm] = {}  # name -> its one Const or Var
+        self.saw_var = False  # _term_at handed out a Var since the flag was cleared
         self.spans: list[tuple[str, SourceSpan]] = []
         # formula context, toggled per block
         self.stage_default = Stage.NOW
@@ -290,6 +291,8 @@ class _Parser:
             else:
                 term = Var(name)
             self.terms[name] = term
+        if type(term) is Var:
+            self.saw_var = True
         return term
 
     def _term(self) -> ObjTerm:
@@ -361,7 +364,7 @@ class _Parser:
         if toks[i] != ")":
             while True:
                 term = self.terms.get(toks[i])
-                if term is None:  # a name not met yet, or no term at all
+                if type(term) is not Const:  # a variable, a name not met yet, or no term at all
                     self.i = i
                     term = self._term()
                 out.append(term)
@@ -425,10 +428,12 @@ class _Parser:
         start = self.i
         self.stage_default = stage_default
         self.allow_next = allow_next
+        self.saw_var = False
         f = self._formula()
-        loose = free_vars(f) - scope
-        if loose:
-            self._loose(loose, where, start)
+        if self.saw_var:  # else f has no variable term and is closed
+            loose = free_vars(f) - scope
+            if loose:
+                self._loose(loose, where, start)
         return f
 
     def _loose(self, names: frozenset[str], where: str, k: int) -> NoReturn:
@@ -541,8 +546,9 @@ class _Parser:
         out: list[Formula] = []
         while toks[self.i] != "}":
             start = self.i
+            self.saw_var = False
             f = self._formula()
-            if free_vars(f):
+            if self.saw_var and free_vars(f):  # without a variable term f is closed
                 self._loose(free_vars(f), f"a sentence of {kw}", start)
             if toks[self.i] != ";":
                 self._err(f"expected ';', found {toks[self.i]!r}")

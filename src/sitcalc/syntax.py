@@ -14,7 +14,10 @@ or wide formula costs memory, not interpreter recursion:
 - atoms_of(x) yields the atomic subformulas of a formula or theory, left
   to right;
 - map_atoms(x, fn) rebuilds a formula or theory around fn(atom), sharing
-  every subtree that fn left unchanged.
+  every subtree that fn left unchanged, and keeps shared structure
+  shared: each distinct node object is mapped once per call, across all
+  the axioms of a theory, so a subtree in several places comes back as
+  one object in all of them.
 
 New code that folds over atoms or rewrites atoms uses them.  signature_of,
 stages_of, rename_stage and forgetting's relativize, replace_ground and
@@ -41,12 +44,12 @@ and operand stacks.
 simplify and free_vars memoize their results on the nodes themselves, in
 slots that Formula declares: a node is immutable, so what was computed for
 it once holds for as long as it lives, and a subtree shared between an
-input and a result (map_atoms shares every unchanged one) is not
-simplified again.  The memo lives in slots rather than in an instance
-__dict__ because a dict would cost every node, memoized or not, a few
-hundred bytes (on CPython 3.11 a slotted And is 72 bytes, a plain
-dataclass And with its dict 352), and a progressed theory holds tens of
-thousands of nodes.
+input and a result (map_atoms shares every unchanged one), or between
+places in one formula or theory, is not simplified again.  The memo lives
+in slots rather than in an instance __dict__ because a dict would cost
+every node, memoized or not, a few hundred bytes (on CPython 3.11 a
+slotted And is 72 bytes, a plain dataclass And with its dict 352), and a
+progressed theory holds tens of thousands of nodes.
 """
 
 from __future__ import annotations
@@ -381,36 +384,52 @@ def map_atoms(x: Union[Formula, Theory], fn: Callable[[Formula], Formula]):
 
     Connectives and quantifiers are rebuilt around the results; a subtree in
     which fn changed nothing comes back as the very same object.  What fn
-    returns is not walked again.
+    returns is not walked again.  Each distinct node object is mapped once
+    per call, across all the axioms of a theory: a subtree that occurs in
+    several places comes back as one object in all of them, and fn runs
+    once per distinct atom object, so fn must be pure.
     """
-    if isinstance(x, Theory):
-        axioms = tuple(map_atoms(ax, fn) for ax in x.axioms)
-        return x if all(new is old for new, old in zip(axioms, x.axioms)) else Theory(axioms)
-    todo: list = [x]
-    done: list[Formula] = []
-    while todo:
-        f = todo.pop()
-        if f is _REBUILD:
+    roots = x.axioms if isinstance(x, Theory) else (x,)
+    memo: dict[int, Formula] = {}  # id of an input node -> its image; the input keeps the ids alive
+    out: list[Formula] = []
+    for root in roots:
+        todo: list = [root]
+        done: list[Formula] = []
+        while todo:
             f = todo.pop()
-            if isinstance(f, _BINARY):
-                rhs = done.pop()
-                lhs = done.pop()
-                done.append(f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs))
-            else:
-                body = done.pop()
-                if body is f.body:
-                    done.append(f)
+            if f is _REBUILD:
+                f = todo.pop()
+                if isinstance(f, _BINARY):
+                    rhs = done.pop()
+                    lhs = done.pop()
+                    new = f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
                 else:
-                    done.append(Not(body) if isinstance(f, Not) else type(f)(f.var, body))
-        elif isinstance(f, _ATOMIC):
-            done.append(fn(f))
-        elif isinstance(f, _BINARY):
-            todo += (f, _REBUILD, f.rhs, f.lhs)
-        elif isinstance(f, _UNARY):
-            todo += (f, _REBUILD, f.body)
-        else:
-            raise SitcalcError(f"not a formula: {f!r}")
-    return done[0]
+                    body = done.pop()
+                    if body is f.body:
+                        new = f
+                    else:
+                        new = Not(body) if isinstance(f, Not) else type(f)(f.var, body)
+            else:
+                new = memo.get(id(f))
+                if new is not None:
+                    done.append(new)
+                    continue
+                if isinstance(f, _ATOMIC):
+                    new = fn(f)
+                elif isinstance(f, _BINARY):
+                    todo += (f, _REBUILD, f.rhs, f.lhs)
+                    continue
+                elif isinstance(f, _UNARY):
+                    todo += (f, _REBUILD, f.body)
+                    continue
+                else:
+                    raise SitcalcError(f"not a formula: {f!r}")
+            memo[id(f)] = new
+            done.append(new)
+        out.append(done[0])
+    if isinstance(x, Theory):
+        return x if all(new is old for new, old in zip(out, x.axioms)) else Theory(tuple(out))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +615,52 @@ def _complement_in(p: Formula, kept: list[Formula], negs: list[Formula]) -> bool
     return (type(p) is Not and p.body in kept) or p in negs
 
 
+_LITERAL_ATOMS = (FluentAtom, StaticAtom, ObjEq)
+_WIDE = 16  # formulas from which a membership test hashes atoms rather than scanning
+
+
+class _Indexed(list):
+    """A list of formulas whose membership test hashes atoms and negated atoms.
+
+    _conjunction_of and _disjunction_of test each part against the parts
+    kept so far, and disjunct sets against each other, which on plain lists
+    is quadratic in the width.  From _WIDE parts on they keep them here.
+    Other formulas keep the scan, because a compound formula's dataclass
+    hash walks the whole formula on every call; below _WIDE a scan is
+    cheaper than hashing an atom.
+    """
+
+    __slots__ = ("atoms", "negated")
+
+    def __init__(self, items: Iterable[Formula] = ()) -> None:
+        super().__init__()
+        self.atoms: set[Formula] = set()
+        self.negated: set[Formula] = set()  # b for each Not(b) in the list, b an atom
+        for p in items:
+            self.append(p)
+
+    def append(self, p: Formula) -> None:
+        super().append(p)
+        node = type(p)
+        if node in _LITERAL_ATOMS:
+            self.atoms.add(p)
+        elif node is Not and type(p.body) in _LITERAL_ATOMS:
+            self.negated.add(p.body)
+
+    def __contains__(self, p: object) -> bool:
+        node = type(p)
+        if node in _LITERAL_ATOMS:
+            return p in self.atoms
+        if node is Not and type(p.body) in _LITERAL_ATOMS:
+            return p.body in self.negated
+        return super().__contains__(p)
+
+
+def _kept(width: int) -> list[Formula]:
+    """An empty list for up to width formulas, indexed if it can grow wide."""
+    return _Indexed() if width >= _WIDE else []
+
+
 def _simp_eq(f: ObjEq, una: bool) -> Formula:
     lhs, rhs = f.lhs, f.rhs
     if lhs == rhs:
@@ -622,8 +687,8 @@ def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
 
     f itself is returned if the rebuilt chain would equal it.
     """
-    out: list[Formula] = []
-    negs: list[Formula] = []
+    out = _kept(len(parts))
+    negs = _kept(len(parts))
     bindings: dict[str, str] = {}
     for p in parts:
         if isinstance(p, Falsity):
@@ -650,8 +715,8 @@ def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
 
     f itself is returned if the rebuilt chain would equal it.
     """
-    flat: list[Formula] = []
-    negs: list[Formula] = []
+    flat = _kept(len(parts))
+    negs = _kept(len(parts))
     for p in parts:
         if isinstance(p, Truth):
             return TRUE
@@ -665,20 +730,27 @@ def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     # drop a disjunct whose conjunct set contains some other whole disjunct set,
     # and strip conjuncts refuted by another disjunct: d | (!d & e)  ==  d | e
     sets = [flatten_and(p) for p in flat]
+    members = [_Indexed(s) if len(s) >= _WIDE else s for s in sets]
     keep = [True] * len(flat)
     for i, si in enumerate(sets):
         if not keep[i]:
             continue
-        for j, sj in enumerate(sets):
+        for j, sj in enumerate(members):
             if i == j or not keep[j]:
                 continue
             if all(c in sj for c in si):
                 keep[j] = False
     survivors = [i for i in range(len(flat)) if keep[i]]
+    # No disjunct is the complement of one of its own conjuncts, so testing
+    # against all the survivors is testing against the others.
+    others = _kept(len(survivors))
+    other_negs = _kept(len(survivors))
+    for i in survivors:
+        others.append(flat[i])
+        if type(flat[i]) is Not:
+            other_negs.append(flat[i].body)
     changed = False
     for i in survivors:
-        others = [flat[j] for j in survivors if j != i]
-        other_negs = [o.body for o in others if type(o) is Not]
         stripped = [c for c in sets[i] if not _complement_in(c, others, other_negs)]
         if len(stripped) != len(sets[i]):
             sets[i] = stripped

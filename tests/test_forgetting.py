@@ -1,11 +1,14 @@
 """Ground-atom and ground-symbol forgetting."""
 
 import random
+from pathlib import Path
 
 import pytest
 from blocks_worlds import ground_world
+from test_syntax import _bottom_up
 
-from sitcalc import forgetting
+from sitcalc import corpus_path, forgetting
+from sitcalc.bat import characteristic_set, instantiate_ssas
 from sitcalc.errors import NonGroundOccurrence
 from sitcalc.forgetting import (
     GroundAtom,
@@ -17,8 +20,8 @@ from sitcalc.forgetting import (
     replace_ground,
 )
 from sitcalc.oracle import OracleConfig, entails, equivalent, is_positive, verify_forgetting
-from sitcalc.surface import parse_formula, render
-from sitcalc.syntax import TRUE, Const, FluentAtom, Or, Signature, Stage, StaticAtom, Theory, atoms_of
+from sitcalc.surface import parse_bat, parse_formula, parse_ground_action, render
+from sitcalc.syntax import TRUE, Const, FluentAtom, Or, Signature, Stage, StaticAtom, Theory, Var, atoms_of, simplify
 
 SIG = Signature(
     objects=frozenset({"b", "c"}),
@@ -91,9 +94,9 @@ class TestLocality:
         calls = []
         real = forgetting.relativize
 
-        def counting(f, g, una=True):
+        def counting(f, g, una=True, splits=None):
             calls.append(f)
-            return real(f, g, una)
+            return real(f, g, una, splits)
 
         monkeypatch.setattr(forgetting, "relativize", counting)
         return calls
@@ -118,6 +121,32 @@ class TestLocality:
         assert relativized == [theory.axioms[0]]
         assert out.axioms[0] is theory.axioms[1]
         assert out != theory
+
+
+class TestSharing:
+    def test_an_atom_in_two_axioms_gets_one_split_object(self, monkeypatch):
+        b = parse_bat(Path(corpus_path("blocks_stacks.bat")).read_text())
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        omega = characteristic_set(b, alpha)
+        combined = Theory(instantiate_ssas(b, alpha, omega).axioms + b.init.axioms)
+        calls = []
+        real = forgetting.relativize
+
+        def recording(f, g, una=True, splits=None):
+            out = real(f, g, una, splits)
+            calls.append((g, out, splits))
+            return out
+
+        monkeypatch.setattr(forgetting, "relativize", recording)
+        forget_atoms(combined, omega)
+        # On(x, y) occurs in `forall x (exists y On(x, y) -> Block(x))` and in
+        # the axiom that forgetting Clear(B) and Clear(C) made first.
+        on_ab = [(out, splits) for g, out, splits in calls if g == GroundAtom("On", ("A", "B"))]
+        assert len(on_ab) == 2 and on_ab[0][1] is on_ab[1][1]
+        split = simplify(on_ab[0][1][(Var("x"), Var("y"))])
+        assert render(split) == "x == A & y == B & On(A, B) | !(x == A & y == B) & On(x, y)"
+        for out, _ in on_ab:
+            assert any(node is split for node in _bottom_up(out))
 
 
 class TestSemanticCheck:

@@ -5,18 +5,22 @@ The local version skips the axioms that cannot denote the forgotten atom;
 the results must be equal to the reference's, node for node, with unique
 names on and off.  Inputs are the property-suite theories and the theories
 progression forgets in: generated ground blocks worlds together with the
-successor state axioms instantiated for a legal move.
+successor state axioms instantiated for a legal move, and blocks-and-heap
+theories, whose quantified axioms mention the forgotten atoms' predicates
+several times each, progressed through a move and a push.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
-from blocks_worlds import ground_world
+from blocks_worlds import ground_world, stacks_world
 from forgetting_reference import forget_atom as reference
 from test_property_suites import CONSTS, SEEDS, random_target, random_theory
 
 from sitcalc.bat import characteristic_set, instantiate_ssas
 from sitcalc.forgetting import GroundAtom, forget_atom, forget_atoms, sorted_atoms
+from sitcalc.progression import progress
 from sitcalc.syntax import Theory
 
 UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
@@ -59,3 +63,18 @@ def test_progression_inputs_match_the_reference(una, sizes):
             omega = characteristic_set(b, alpha)
             combined = Theory(tuple(instantiate_ssas(b, alpha, omega).axioms) + tuple(b.init.axioms))
             _forget_in_turn(combined, sorted_atoms(omega), una, f"seed {seed}, {n} blocks")
+
+
+@pytest.mark.parametrize(
+    "una, sizes",
+    [pytest.param(True, ((3, 2), (5, 3), (8, 4)), id="una"), pytest.param(False, ((3, 2), (4, 2)), id="no-una")],
+)
+def test_blocks_and_heap_progressions_match_the_reference(una, sizes):
+    for seed in range(3):
+        for nb, nh in sizes:
+            b, actions = stacks_world(random.Random(f"{seed}-{nb}-{nh}"), nb, nh)
+            for alpha in actions:  # a move, then a push from the progressed theory
+                omega = characteristic_set(b, alpha)
+                combined = Theory(tuple(instantiate_ssas(b, alpha, omega).axioms) + tuple(b.init.axioms))
+                _forget_in_turn(combined, sorted_atoms(omega), una, f"seed {seed}, {nb}+{nh}, {alpha}")
+                b = replace(b, init=progress(b, alpha).theory)

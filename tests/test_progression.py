@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from sitcalc import bat
 from sitcalc.decomposition import Decomposition, group_ssas, syntactic_decompose
 from sitcalc.errors import MissingAxiom, SitcalcError
 from sitcalc.oracle import Countermodel, EquivalentFinite, equivalent, is_positive
@@ -95,6 +96,24 @@ class TestComponentwise:
         )
         whole = progress(blocks_stacks, alpha).theory
         assert isinstance(equivalent(union(after), whole, cfg1), EquivalentFinite)
+
+    def test_each_ssa_is_transformed_once_per_action(self, blocks_stacks, monkeypatch):
+        calls = []
+        real = bat.transform_ssa
+
+        def counting(s, alpha):
+            calls.append((s.fluent, alpha))
+            return real(s, alpha)
+
+        monkeypatch.setattr(bat, "transform_ssa", counting)
+        b = dataclasses.replace(blocks_stacks)  # the fixture's own table may be filled already
+        d = syntactic_decompose(b.init, DELTA_BLOCK)
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        progress_componentwise(b, d, group_ssas(b), alpha)
+        progress(b, alpha)
+        assert sorted(calls) == sorted((s.fluent, alpha) for s in b.ssas)
+        progress(dataclasses.replace(b, init=Theory(())), alpha)  # a new BAT has a new table
+        assert len(calls) == 2 * len(b.ssas)
 
     def test_failed_alignment_aborts_before_progressing(self, blocks_stacks):
         trimmed = dataclasses.replace(

@@ -192,6 +192,26 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_theory("static P/0;\ninit { P; }\n")
 
+    @pytest.mark.parametrize(
+        "parse, text, where",
+        [
+            # x was bound in an earlier sentence, so the parser has met it as a variable
+            (parse_bat, "object A;\nfluent F/1;\ninit {\n  F(A);\n  forall x F(x);\n  F(A) | F(x);\n}\n",
+             "6:3: free variables x in a sentence of init"),
+            (parse_bat, "object A;\nfluent F/1;\ninit { x == A; }\n", "3:8: free variables x in a sentence of init"),
+            (parse_theory, "object A;\nstatic P/1;\ntheory {\n  exists y P(y);\n    P(A) & P(y);\n}\n",
+             "5:5: free variables y in a sentence of theory"),
+            (parse_theory, "object A;\nstatic P/2;\ntheory { forall x P(x, z); }\n",
+             "3:10: free variables z in a sentence of theory"),
+            (parse_bat, "object A;\nfluent F/1;\naction m/1;\nposs m(x): F(x) & F(w);\n",
+             "4:12: free variables w in the precondition for m"),
+        ],
+    )
+    def test_loose_variables_are_reported_where_their_sentence_starts(self, parse, text, where):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert str(ei.value) == f"<input>:{where} (quantify them, or declare missing constants)"
+
     def test_free_variables_rejected_unless_allowed(self):
         with pytest.raises(ParseError):
             parse_formula("Block(x)", SIG)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sitcalc
-from sitcalc import corpus_path, parse_bat, parse_theory
+from sitcalc import corpus_path, parse_bat, parse_theory, syntax
 from sitcalc.errors import SitcalcError
 from sitcalc.syntax import (
     FALSE,
@@ -168,6 +168,33 @@ def _suite_formulas():
     return [ax for seed in SEEDS for ax in random_theory(random.Random(seed)).axioms]
 
 
+def _wide_formulas():
+    """Conjunctions and disjunctions of up to 40 literals, repeats and
+    complements among them, and disjunctions of such conjunctions: wide
+    enough that simplify hashes what it keeps."""
+    rng = random.Random(15)
+    out = []
+    for _ in range(150):
+        terms = rng.sample([Const(f"c{i}") for i in range(24)] + [x, y], rng.randint(1, 26))
+        negative = {t: rng.random() < 0.5 for t in terms}
+
+        def part():
+            t = rng.choice(terms)
+            atom = rng.choice([P(t), ObjEq(x, t)])  # a new object each time
+            lit = Not(atom) if negative[t] != (rng.random() < 0.1) else atom
+            roll = rng.random()
+            return Not(Not(lit)) if roll < 0.05 else Or(lit, P(a)) if roll < 0.1 else lit
+
+        def conjunction():
+            return conj(part() for _ in range(rng.randint(1, 40)))
+
+        if rng.random() < 0.5:
+            out.append(rng.choice([conj, disj])(part() for _ in range(rng.randint(1, 40))))
+        else:
+            out.append(disj(conjunction() for _ in range(rng.randint(2, 20))))
+    return out
+
+
 def _bottom_up(f):
     """Every subformula of f, each after its subformulas."""
     order, stack = [], [f]
@@ -181,7 +208,11 @@ def _bottom_up(f):
     return reversed(order)
 
 
-SOURCES = [pytest.param(_corpus_formulas, id="corpus"), pytest.param(_suite_formulas, id="suite")]
+SOURCES = [
+    pytest.param(_corpus_formulas, id="corpus"),
+    pytest.param(_suite_formulas, id="suite"),
+    pytest.param(_wide_formulas, id="wide"),
+]
 UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
 
 
@@ -203,6 +234,17 @@ class TestSimplifyMemo:
         for f, cold in zip(warm, source(), strict=True):
             assert f == cold
             assert simplify(cold, una) == simplify(f, una), f
+
+    @pytest.mark.parametrize("una", UNA)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_hashed_membership_gives_the_scanned_result(self, monkeypatch, source, una):
+        # _WIDE 0 hashes every atom and negated atom that simplify keeps;
+        # a _WIDE no list reaches scans them all.
+        monkeypatch.setattr(syntax, "_WIDE", 0)
+        hashed = [simplify(f, una) for f in source()]
+        monkeypatch.setattr(syntax, "_WIDE", 10**9)
+        for f, want in zip(source(), hashed, strict=True):
+            assert simplify(f, una) == want, f
 
     def test_memo_under_one_una_value_leaves_the_other(self):
         f = And(ObjEq(a, b), P(c))
@@ -254,6 +296,34 @@ class TestTraversal:
     def test_map_atoms_on_a_theory_keeps_it_when_nothing_changes(self):
         t = Theory((P(a), F(b)))
         assert map_atoms(t, lambda at: at) is t
+
+    def test_map_atoms_keeps_a_shared_subtree_shared(self):
+        shared = Or(P(x), F(x, Stage.NEXT))
+        f = And(Forall(x, shared), Exists(x, Not(shared)))
+        g = rename_stage(f, Stage.NEXT, Stage.NOW)
+        assert g.lhs.body is g.rhs.body.body
+        assert g.lhs.body == Or(P(x), F(x))
+
+    def test_map_atoms_calls_fn_once_per_distinct_atom_object(self):
+        once, twin = F(a, Stage.NEXT), F(a, Stage.NEXT)  # equal, but two objects
+        f = And(Or(once, once), And(twin, Not(once)))
+        seen = []
+
+        def retag(at):
+            seen.append(at)
+            return F(a)
+
+        g = map_atoms(f, retag)
+        assert [id(at) for at in seen] == [id(once), id(twin)]
+        assert g.lhs.lhs is g.lhs.rhs is g.rhs.rhs.body
+        assert g.rhs.lhs is not g.lhs.lhs and g.rhs.lhs == F(a)
+
+    def test_map_atoms_on_a_theory_shares_across_axioms(self):
+        shared = Forall(x, Implies(F(x, Stage.NEXT), P(x)))
+        t = Theory((And(shared, P(a)), Or(P(b), shared), shared))
+        out = rename_stage(t, Stage.NEXT, Stage.NOW)
+        assert out.axioms[0].lhs is out.axioms[1].rhs is out.axioms[2]
+        assert out.axioms[2] == Forall(x, Implies(F(x), P(x)))
 
 
 class TestDeepAndWide:
