@@ -120,6 +120,8 @@ class BAT:
     preconditions: tuple[Precondition, ...] = ()
     ssas: tuple[SSA, ...] = ()
     spans: tuple[tuple[str, SourceSpan], ...] = field(default=(), compare=False)
+    # (id(ssa), action) -> (ssa, transform_ssa(ssa, action)); see _transformed
+    _transformed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ssa(self, fluent: str) -> Optional[SSA]:
         for s in self.ssas:
@@ -426,18 +428,14 @@ def _transformed(b: BAT, s: SSA, alpha: GroundAction) -> TransformedSSA:
     """transform_ssa(s, alpha) for an SSA of b, computed once per BAT.
 
     characteristic_set and instantiate_ssas both need it, and
-    progress_componentwise calls instantiate_ssas once per component.  The
-    table is an attribute of b outside its fields, so it lives as long as
-    b, and dataclasses.replace starts an empty one.
+    progress_componentwise calls instantiate_ssas once per component.
+    dataclasses.replace starts an empty table.  The entry holds s, so
+    the id in its key cannot be reused while the table lives.
     """
-    table = b.__dict__.get("_transformed")
-    if table is None:
-        table = {}
-        object.__setattr__(b, "_transformed", table)
     key = (id(s), alpha)
-    hit = table.get(key)
-    if hit is None or hit[0] is not s:  # a copied table may hold the id of a freed SSA
-        hit = table[key] = (s, transform_ssa(s, alpha))
+    hit = b._transformed.get(key)
+    if hit is None:
+        hit = b._transformed[key] = (s, transform_ssa(s, alpha))
     return hit[1]
 
 
