@@ -211,6 +211,17 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
     def warn(msg: str, key: Optional[str] = None) -> None:
         warnings.append(Violation(msg, b.span_of(key) if key else None))
 
+    def check(f: Formula, bound: frozenset[str], key: str, subject: str, where: str) -> None:
+        """f is at the current stage, declared, and free only in bound."""
+        if not stages_of(f) <= frozenset({Stage.NOW}):
+            err(f"{subject} is not at the current stage", key)
+        if not signature_of(f) <= b.sig:
+            bad = (signature_of(f) - b.sig).sorted_names()
+            err(f"undeclared symbols {', '.join(bad)} in {where}", key)
+        loose = free_vars(f) - bound
+        if loose:
+            err(f"free variables {', '.join(sorted(loose))} in {where}", key)
+
     seen_fluents: set[str] = set()
     for s in b.ssas:
         key = f"ssa:{s.fluent}"
@@ -237,15 +248,10 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
             for t in d.action.args:
                 if isinstance(t, Const) and t.name not in b.sig.objects:
                     err(f"undeclared constant {t.name} in SSA for {s.fluent}", key)
-            if not stages_of(d.context) <= frozenset({Stage.NOW}):
-                err(f"context condition in SSA for {s.fluent} is not at the current stage", key)
-            if not signature_of(d.context) <= b.sig:
-                bad = (signature_of(d.context) - b.sig).sorted_names()
-                err(f"undeclared symbols {', '.join(bad)} in context of SSA for {s.fluent}", key)
-            allowed = set(head) | set(ex) | set(_arg_var_names(d.action))
-            loose = free_vars(d.context) - frozenset(allowed)
-            if loose:
-                err(f"free variables {', '.join(sorted(loose))} in context of SSA for {s.fluent}", key)
+            check(
+                d.context, frozenset(head + ex) | _arg_var_names(d.action), key,
+                f"context condition in SSA for {s.fluent}", f"context of SSA for {s.fluent}",
+            )
         shared = frozenset.intersection(*s.action_functions())
         for fn in sorted(shared):
             msg = f"action {fn} occurs in both effect conditions of {s.fluent}"
@@ -265,24 +271,11 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
         names = [v.name for v in p.params]
         if len(set(names)) != len(names):
             err(f"repeated parameter in precondition for {p.action}", key)
-        if not stages_of(p.formula) <= frozenset({Stage.NOW}):
-            err(f"precondition for {p.action} is not at the current stage", key)
-        if not signature_of(p.formula) <= b.sig:
-            bad = (signature_of(p.formula) - b.sig).sorted_names()
-            err(f"undeclared symbols {', '.join(bad)} in precondition for {p.action}", key)
-        loose = free_vars(p.formula) - frozenset(names)
-        if loose:
-            err(f"free variables {', '.join(sorted(loose))} in precondition for {p.action}", key)
+        subject = f"precondition for {p.action}"
+        check(p.formula, frozenset(names), key, subject, subject)
 
     for i, ax in enumerate(b.init.axioms):
-        key = f"init:{i}"
-        if not stages_of(ax) <= frozenset({Stage.NOW}):
-            err(f"initial axiom {i} is not at the current stage", key)
-        if not signature_of(ax) <= b.sig:
-            bad = (signature_of(ax) - b.sig).sorted_names()
-            err(f"undeclared symbols {', '.join(bad)} in initial axiom {i}", key)
-        if free_vars(ax):
-            err(f"free variables {', '.join(sorted(free_vars(ax)))} in initial axiom {i}", key)
+        check(ax, frozenset(), f"init:{i}", f"initial axiom {i}", f"initial axiom {i}")
 
     without_ssa = signature_of(b.init).fluents - frozenset(
         (s.fluent, len(s.head_vars)) for s in b.ssas

@@ -25,7 +25,7 @@ from .decomposition import (
     group_ssas,
     syntactic_decompose,
 )
-from .errors import BudgetExceeded, ParseError, SitcalcError
+from .errors import BudgetExceeded, SitcalcError
 from .forgetting import forget_atom, forget_ground_symbol
 from .oracle import (
     Countermodel,
@@ -47,10 +47,10 @@ from .oracle import (
 from .progression import executable, progress, progress_componentwise, project
 from .surface import (
     parse_bat,
+    parse_file,
     parse_formula,
     parse_ground_action,
     parse_ground_atom,
-    parse_theory,
     render,
     render_theory_file,
 )
@@ -73,42 +73,20 @@ def _load_bat(path: str) -> BAT:
 
 def _load_any(path: str) -> tuple[Signature, Theory, Optional[BAT]]:
     """A file is either a full action theory or a plain theory file."""
-    text = _read_text(path)
-    try:
-        b = parse_bat(text, path)
-        return b.sig, b.init, b
-    except ParseError as e:
-        if "theory block" not in str(e):
-            raise
-    sig, t = parse_theory(text, path)
-    return sig, t, None
+    return parse_file(_read_text(path), path)
 
 
 def _delta_of(spec: str, env: Signature) -> Signature:
-    objects: set[str] = set()
-    statics: set[tuple[str, int]] = set()
-    fluents: set[tuple[str, int]] = set()
-    actions: set[tuple[str, int]] = set()
-    for raw in spec.split(","):
-        name = raw.strip()
-        if not name:
-            continue
-        found = False
-        if name in env.objects:
-            objects.add(name)
-            found = True
-        for pool, out in ((env.statics, statics), (env.fluents, fluents), (env.actions, actions)):
-            for n, ar in pool:
-                if n == name:
-                    out.add((n, ar))
-                    found = True
-        if not found:
+    names = [name for name in (raw.strip() for raw in spec.split(",")) if name]
+    known = env.names()
+    for name in names:
+        if name not in known:
             raise SitcalcError(f"delta symbol {name!r} is not declared in the file")
     return Signature(
-        objects=frozenset(objects),
-        statics=frozenset(statics),
-        fluents=frozenset(fluents),
-        actions=frozenset(actions),
+        objects=env.objects.intersection(names),
+        statics=frozenset(e for e in env.statics if e[0] in names),
+        fluents=frozenset(e for e in env.fluents if e[0] in names),
+        actions=frozenset(e for e in env.actions if e[0] in names),
     )
 
 

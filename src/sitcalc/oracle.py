@@ -1077,7 +1077,9 @@ def _reduct_sets_by_size(
     return [(n, frozenset(r1), frozenset(r2)) for n, (r1, r2) in sorted(by_size.items())]
 
 
-def _delta_atoms(delta: Signature, nvars: int, include_consts: bool, stage: Stage) -> list[Formula]:
+def _delta_atoms(
+    delta: Signature, nvars: int, include_consts: bool, stages: frozenset[Stage]
+) -> list[Formula]:
     terms: list = [Var(f"v{i}") for i in range(nvars)]
     if include_consts:
         terms += [Const(c) for c in sorted(delta.objects)]
@@ -1087,14 +1089,17 @@ def _delta_atoms(delta: Signature, nvars: int, include_consts: bool, stage: Stag
             atoms.append(StaticAtom(name, tup))
     for name, ar in sorted(delta.fluents):
         for tup in itertools.product(terms, repeat=ar):
-            atoms.append(FluentAtom(name, tup, stage))
+            for tag in _stage_tags(stages):
+                atoms.append(FluentAtom(name, tup, Stage(tag)))
     for i, a in enumerate(terms):
         for b in terms[i + 1 :]:
             atoms.append(ObjEq(a, b))
     return atoms
 
 
-def _delta_sentences(delta: Signature, depth: int, include_consts: bool, stage: Stage) -> Iterator[Formula]:
+def _delta_sentences(
+    delta: Signature, depth: int, include_consts: bool, stages: frozenset[Stage]
+) -> Iterator[Formula]:
     """Prenex delta-sentences in a deterministic small-first order."""
     matrices: dict[tuple[int, int], list[Formula]] = {}
 
@@ -1103,7 +1108,7 @@ def _delta_sentences(delta: Signature, depth: int, include_consts: bool, stage: 
         if key in matrices:
             return matrices[key]
         if conn == 0:
-            out = list(_delta_atoms(delta, q, include_consts, stage))
+            out = list(_delta_atoms(delta, q, include_consts, stages))
         else:
             out = []
             for f in mats(q, conn - 1):
@@ -1246,11 +1251,9 @@ def check_inseparable(
     # Constant-free witnesses first: they are the more portable separators, so
     # the reported sentence does not mention constants unless it has to.
     passes = (False, True) if delta.objects else (False,)
-    # Fluent atoms sit at the current stage, unless the theories mention
-    # fluents only at the next one.
-    stage = Stage.NEXT if stages == {Stage.NEXT} else Stage.NOW
+    # Fluent atoms come at every stage the theories mention.
     for use_consts in passes:
-        for candidate in _delta_sentences(delta, cfg.witness_depth, use_consts, stage):
+        for candidate in _delta_sentences(delta, cfg.witness_depth, use_consts, stages):
             budget.check_time("witness search")
             if use_consts and not signature_of(candidate).objects:
                 continue

@@ -22,8 +22,11 @@ blocks carry the content:
 
 Fluent atoms are written without a situation argument; a trailing prime
 (On'(x, y)) selects the next stage where that is allowed.  Standalone
-theory files replace the ssa/poss/init blocks with a single `theory { ... }`
-block whose sentences may mix stages.  Comments run from // to end of line.
+theory files replace the ssa/poss/init blocks with `theory { ... }` blocks
+whose sentences may mix stages.  A file is a theory file exactly when it has
+a theory block.  parse_bat and parse_theory each read one kind, and
+parse_file reads either and says which.  Comments run from // to end of
+line.
 
 render is the inverse: for every parsed input the rendered text reparses to
 a structurally equal object, and rendering is deterministic.
@@ -106,6 +109,9 @@ _RESERVED = frozenset(
 )
 
 
+_DECLARATIONS = ("object", "static", "fluent", "action")
+_UNDECLARED = ("", 0)  # the declaration of a name that has none
+
 _T = TypeVar("_T")
 
 
@@ -151,21 +157,16 @@ class _Parser:
         if bad:  # the first bad character wins over any syntax error
             k = min(bad)
             self._err(f"unexpected character {toks[k]!r}", k)
-        self.objects: set[str] = set()
-        self.statics: dict[str, int] = {}
-        self.fluents: dict[str, int] = {}
-        self.actions: dict[str, int] = {}
+        # name -> (declaring keyword, arity); names are unique across sorts
+        self.decls: dict[str, tuple[str, int]] = {}
         if sig is not None:
-            self.objects |= set(sig.objects)
-            self.statics.update(dict(sig.statics))
-            self.fluents.update(dict(sig.fluents))
-            self.actions.update(dict(sig.actions))
+            self.decls.update((n, ("object", 0)) for n in sig.objects)
+            for kw, pool in (("static", sig.statics), ("fluent", sig.fluents), ("action", sig.actions)):
+                self.decls.update((n, (kw, ar)) for n, ar in pool)
         self.terms: dict[str, ObjTerm] = {}  # name -> its one Const or Var
         self.saw_var = False  # _term_at handed out a Var since the flag was cleared
         self.spans: list[tuple[str, SourceSpan]] = []
-        # formula context, toggled per block
-        self.stage_default = Stage.NOW
-        self.allow_next = True
+        self.allow_next = True  # primed atoms are allowed; toggled per block
 
     # --- token plumbing
 
@@ -222,13 +223,14 @@ class _Parser:
         if t != _EOF:
             self._err(f"unexpected trailing input {t!r}")
 
-    def _declared(self, name: str) -> bool:
-        return (
-            name in self.objects
-            or name in self.statics
-            or name in self.fluents
-            or name in self.actions
-        )
+    def _plain(self, k: int, noun: str) -> str:
+        """The identifier at k, which must be neither reserved nor primed."""
+        name = self.toks[k]
+        if name in _RESERVED:
+            self._err(f"{name!r} is a reserved word", k)
+        if name.endswith("'"):
+            self._err(f"{noun} cannot carry a prime", k)
+        return name
 
     # --- declarations
 
@@ -238,22 +240,18 @@ class _Parser:
         self.terms.clear()  # a name declared now is no longer a variable
         while True:
             k = self._ident(f"a {kind} name")
-            name = self.toks[k]
-            if name in _RESERVED:
-                self._err(f"{name!r} is a reserved word", k)
-            if name.endswith("'"):
-                self._err("declared names cannot carry a prime", k)
-            if self._declared(name):
+            name = self._plain(k, "declared names")
+            if name in self.decls:
                 self._err(f"{name} is already declared", k)
-            if kind == "object":
-                self.objects.add(name)
-            else:
+            ar = 0
+            if kind != "object":
                 self._expect("/")
                 n = self.toks[self.i]
                 if not n.isdecimal():
                     self._err(f"expected an arity after {name}/")
                 self.i += 1
-                getattr(self, kind + "s")[name] = int(n)
+                ar = int(n)
+            self.decls[name] = (kind, ar)
             self.spans.append((f"{kind}:{name}", self._span(k)))
             if not self._accept(","):
                 break
@@ -263,12 +261,8 @@ class _Parser:
 
     def _binder(self, what: str, taken: set[str]) -> Var:
         k = self._ident(what)
-        name = self.toks[k]
-        if name in _RESERVED:
-            self._err(f"{name!r} is a reserved word", k)
-        if name.endswith("'"):
-            self._err("variables cannot carry a prime", k)
-        if self._declared(name):
+        name = self._plain(k, "variables")
+        if name in self.decls:
             self._err(f"{name} is declared and cannot be used as a variable", k)
         if name in taken:
             self._err(f"repeated variable {name}", k)
@@ -280,13 +274,10 @@ class _Parser:
         name = self.toks[k]
         term = self.terms.get(name)
         if term is None:
-            if name in _RESERVED:
-                self._err(f"{name!r} is a reserved word", k)
-            if name.endswith("'"):
-                self._err("terms cannot carry a prime", k)
-            if name in self.objects:
+            kind = self.decls.get(self._plain(k, "terms"), _UNDECLARED)[0]
+            if kind == "object":
                 term = Const(name)
-            elif name in self.statics or name in self.fluents or name in self.actions:
+            elif kind:
                 self._err(f"{name} names a predicate or action and cannot be a term", k)
             else:
                 term = Var(name)
@@ -300,7 +291,7 @@ class _Parser:
 
     def _constant(self) -> str:
         k = self._ident("a constant")
-        if self.toks[k] not in self.objects:
+        if self.decls.get(self.toks[k], _UNDECLARED)[0] != "object":
             self._err(f"{self.toks[k]} is not a declared constant", k)
         return self.toks[k]
 
@@ -397,73 +388,66 @@ class _Parser:
         primed = name.endswith("'")
         base = name[:-1] if primed else name
         got = tuple(args) if args else ()
-        if base in self.fluents:
+        kind, ar = self.decls.get(base, _UNDECLARED)
+        if kind == "fluent":
             if primed and not self.allow_next:
                 self._err("a next-stage atom is not allowed here", k)
-            ar = self.fluents[base]
             if ar != len(got):
                 self._err(f"{base} declared with arity {ar}, used with {len(got)}", k)
-            stage = Stage.NEXT if primed else self.stage_default
-            return FluentAtom(base, got, stage)
+            return FluentAtom(base, got, Stage.NEXT if primed else Stage.NOW)
         if primed:
             self._err(f"{base} is not a declared fluent", k)
-        if name in self.statics:
-            ar = self.statics[name]
+        if kind == "static":
             if ar != len(got):
                 self._err(f"{name} declared with arity {ar}, used with {len(got)}", k)
             return StaticAtom(name, got)
-        if name in self.actions:
+        if kind == "action":
             self._err(f"action {name} cannot be used as a formula", k)
-        if name in self.objects:
+        if kind == "object":
             self._err(f"constant {name} is not a formula", k)
         self._err(f"undeclared symbol {name}", k)
 
-    def _block_formula(
-        self,
-        stage_default: Stage,
-        allow_next: bool,
-        scope: frozenset[str],
-        where: str,
-    ) -> Formula:
+    def _block_formula(self, allow_next: bool, scope: frozenset[str], where: str) -> Formula:
+        """A formula whose free variables lie in scope, reported where it starts."""
         start = self.i
-        self.stage_default = stage_default
         self.allow_next = allow_next
         self.saw_var = False
         f = self._formula()
         if self.saw_var:  # else f has no variable term and is closed
             loose = free_vars(f) - scope
             if loose:
-                self._loose(loose, where, start)
+                self._err(
+                    f"free variables {', '.join(sorted(loose))} in {where}"
+                    " (quantify them, or declare missing constants)",
+                    start,
+                )
         return f
-
-    def _loose(self, names: frozenset[str], where: str, k: int) -> NoReturn:
-        self._err(
-            f"free variables {', '.join(sorted(names))} in {where}"
-            " (quantify them, or declare missing constants)",
-            k,
-        )
 
     # --- blocks
 
-    def _ssa_block(self, seen: set[str]) -> SSA:
-        self._expect("ssa")
-        k = self._ident("a fluent name")
+    def _block_head(self, kind: str, seen: set[str]) -> tuple[int, str, int]:
+        """After an ssa or poss keyword: the declared name it is for, which
+        no earlier block of the same keyword named; its index and arity."""
+        kw = self.toks[self.i]
+        self.i += 1
+        k = self._ident(f"a {kind} name" if kind == "fluent" else f"an {kind} name")
         name = self.toks[k]
-        if name not in self.fluents:
-            self._err(f"{name} is not a declared fluent", k)
+        decl_kind, ar = self.decls.get(name, _UNDECLARED)
+        if decl_kind != kind:
+            self._err(f"{name} is not a declared {kind}", k)
         if name in seen:
-            self._err(f"duplicate ssa block for {name}", k)
+            self._err(f"duplicate {kw} block for {name}", k)
         seen.add(name)
-        self.spans.append((f"ssa:{name}", self._span(k)))
+        self.spans.append((f"{kw}:{name}", self._span(k)))
+        return k, name, ar
+
+    def _ssa_block(self, seen: set[str]) -> SSA:
+        k, name, ar = self._block_head("fluent", seen)
         taken: set[str] = set()
         self._expect("(")
         head = self._list(lambda: self._binder("a head variable", taken), ")")
-        if len(head) != self.fluents[name]:
-            self._err(
-                f"{name} declared with arity {self.fluents[name]}, "
-                f"ssa head has {len(head)}",
-                k,
-            )
+        if len(head) != ar:
+            self._err(f"{name} declared with arity {ar}, ssa head has {len(head)}", k)
         pos: list[EffectDisjunct] = []
         neg: list[EffectDisjunct] = []
         self._expect("{")
@@ -485,15 +469,15 @@ class _Parser:
             evs = self._list(lambda: self._binder("a quantified variable", taken))
         k = self._ident("an action variable")
         at = self.toks[k]
-        if self._declared(at) or at in _RESERVED or at in taken:
+        if at in self.decls or at in _RESERVED or at in taken:
             self._err("expected a fresh action variable", k)
         self._expect("==")
         k = self._ident("an action name")
         fn = self.toks[k]
-        if fn not in self.actions:
+        kind, ar = self.decls.get(fn, _UNDECLARED)
+        if kind != "action":
             self._err(f"{fn} is not a declared action", k)
         args = self._args() or []
-        ar = self.actions[fn]
         if ar != len(args):
             self._err(f"{fn} declared with arity {ar}, used with {len(args)}", k)
         bound = {v.name for v in head} | {v.name for v in evs}
@@ -502,129 +486,122 @@ class _Parser:
                 self._err(f"variable {a.name} in the action term is unbound", k)
         ctx = TRUE
         if self._accept("&"):
-            ctx = self._block_formula(
-                Stage.NOW, False, frozenset(bound),
-                f"the context of the ssa for {fluent}",
-            )
+            ctx = self._block_formula(False, frozenset(bound), f"the context of the ssa for {fluent}")
         return EffectDisjunct(tuple(evs), ActionTerm(fn, tuple(args)), ctx)
 
     def _poss_block(self, seen: set[str]) -> Precondition:
-        self._expect("poss")
-        k = self._ident("an action name")
-        name = self.toks[k]
-        if name not in self.actions:
-            self._err(f"{name} is not a declared action", k)
-        if name in seen:
-            self._err(f"duplicate poss block for {name}", k)
-        seen.add(name)
-        self.spans.append((f"poss:{name}", self._span(k)))
+        k, name, ar = self._block_head("action", seen)
         taken: set[str] = set()
         params: list[Var] = []
         if self._accept("("):
             params = self._list(lambda: self._binder("a parameter", taken), ")")
-        if len(params) != self.actions[name]:
-            self._err(
-                f"{name} declared with arity {self.actions[name]}, "
-                f"poss has {len(params)} parameters",
-                k,
-            )
+        if len(params) != ar:
+            self._err(f"{name} declared with arity {ar}, poss has {len(params)} parameters", k)
         self._expect(":")
-        f = self._block_formula(
-            Stage.NOW, False,
-            frozenset(v.name for v in params),
-            f"the precondition for {name}",
-        )
+        f = self._block_formula(False, frozenset(taken), f"the precondition for {name}")
         self._expect(";")
         return Precondition(name, tuple(params), f)
 
-    def _sentence_block(self, kw: str, allow_next: bool, count: int) -> list[Formula]:
-        self._expect(kw)
+    def _sentence_block(self, out: list[Formula]) -> None:
+        """Append the sentences of an init or theory block to out."""
+        kw = self.toks[self.i]
+        self.i += 1
         self._expect("{")
-        toks = self.toks
-        self.stage_default = Stage.NOW
-        self.allow_next = allow_next
-        out: list[Formula] = []
-        while toks[self.i] != "}":
+        where = f"a sentence of {kw}"
+        while self.toks[self.i] != "}":
             start = self.i
-            self.saw_var = False
-            f = self._formula()
-            if self.saw_var and free_vars(f):  # without a variable term f is closed
-                self._loose(free_vars(f), f"a sentence of {kw}", start)
-            if toks[self.i] != ";":
-                self._err(f"expected ';', found {toks[self.i]!r}")
-            self.i += 1
-            self.spans.append((f"{kw}:{count + len(out)}", self._span(start)))
-            out.append(f)
+            out.append(self._block_formula(kw == "theory", frozenset(), where))
+            self._expect(";")
+            self.spans.append((f"{kw}:{len(out) - 1}", self._span(start)))
         self.i += 1  # the "}"
-        return out
 
     def _signature(self) -> Signature:
+        by_kind: dict[str, list[tuple[str, int]]] = {kw: [] for kw in _DECLARATIONS}
+        for name, (kw, ar) in self.decls.items():
+            by_kind[kw].append((name, ar))
         return Signature(
-            objects=frozenset(self.objects),
-            statics=frozenset(self.statics.items()),
-            fluents=frozenset(self.fluents.items()),
-            actions=frozenset(self.actions.items()),
+            objects=frozenset(n for n, _ in by_kind["object"]),
+            statics=frozenset(by_kind["static"]),
+            fluents=frozenset(by_kind["fluent"]),
+            actions=frozenset(by_kind["action"]),
         )
 
 
-_DECLARATIONS = ("object", "static", "fluent", "action")
+def _read_file(
+    text: str, path: str, theory_file: Optional[bool]
+) -> tuple[Signature, Theory, Optional[BAT]]:
+    """The one block loop behind the file parsers.
+
+    theory_file says which kind of file the text must be: a theory file
+    (True), a basic action theory (False), or undecided (None), when the
+    first theory block makes it a theory file.  An ssa, poss or init block
+    before that theory block is then reported at its keyword.  The BAT is
+    None for a theory file.
+    """
+    p = _Parser(text, path)
+    ssas: list[SSA] = []
+    pres: list[Precondition] = []
+    sentences: list[Formula] = []  # of the init or of the theory blocks
+    seen_ssa: set[str] = set()
+    seen_poss: set[str] = set()
+    first_block: Optional[int] = None  # the keyword of the first ssa, poss or init block
+    while (t := p.toks[p.i]) != _EOF:
+        if t in _DECLARATIONS:
+            p._declaration()
+        elif t == "theory" and theory_file is not False:
+            if first_block is not None:
+                p._err(f"a {p.toks[first_block]} block is not allowed in a theory file", first_block)
+            theory_file = True
+            p._sentence_block(sentences)
+        elif t in ("ssa", "poss", "init"):
+            if theory_file:
+                p._err(f"a {t} block is not allowed in a theory file")
+            if first_block is None:
+                first_block = p.i
+            if t == "ssa":
+                ssas.append(p._ssa_block(seen_ssa))
+            elif t == "poss":
+                pres.append(p._poss_block(seen_poss))
+            else:
+                p._sentence_block(sentences)
+        elif t == "theory":
+            p._err("a theory block is not allowed here; use init")
+        else:
+            p._err(f"expected a declaration or {'theory ' if theory_file else ''}block, found {t!r}")
+    sig, theory = p._signature(), Theory(tuple(sentences))
+    if theory_file:
+        return sig, theory, None
+    return sig, theory, BAT(sig, theory, tuple(pres), tuple(ssas), tuple(p.spans))
 
 
 def parse_bat(text: str, path: str = "<input>") -> BAT:
     """Parse a full theory file with ssa/poss/init blocks."""
-    p = _Parser(text, path)
-    ssas: list[SSA] = []
-    pres: list[Precondition] = []
-    init: list[Formula] = []
-    seen_ssa: set[str] = set()
-    seen_poss: set[str] = set()
-    while (t := p.toks[p.i]) != _EOF:
-        if t in _DECLARATIONS:
-            p._declaration()
-        elif t == "ssa":
-            ssas.append(p._ssa_block(seen_ssa))
-        elif t == "poss":
-            pres.append(p._poss_block(seen_poss))
-        elif t == "init":
-            init.extend(p._sentence_block("init", False, len(init)))
-        elif t == "theory":
-            p._err("a theory block is not allowed here; use init")
-        else:
-            p._err(f"expected a declaration or block, found {t!r}")
-    return BAT(
-        p._signature(), Theory(tuple(init)), tuple(pres), tuple(ssas), tuple(p.spans)
-    )
+    return _read_file(text, path, False)[2]
 
 
 def parse_theory(text: str, path: str = "<input>") -> tuple[Signature, Theory]:
     """Parse a standalone theory file: declarations plus theory blocks."""
-    p = _Parser(text, path)
-    axioms: list[Formula] = []
-    while (t := p.toks[p.i]) != _EOF:
-        if t in _DECLARATIONS:
-            p._declaration()
-        elif t == "theory":
-            axioms.extend(p._sentence_block("theory", True, len(axioms)))
-        elif t in ("ssa", "poss", "init"):
-            p._err(f"a {t} block is not allowed in a theory file")
-        else:
-            p._err(f"expected a declaration or theory block, found {t!r}")
-    return p._signature(), Theory(tuple(axioms))
+    sig, theory, _ = _read_file(text, path, True)
+    return sig, theory
+
+
+def parse_file(text: str, path: str = "<input>") -> tuple[Signature, Theory, Optional[BAT]]:
+    """Parse either kind of file: a theory file exactly when it has a theory
+    block.  The signature, the initial or plain theory, and the BAT or None."""
+    return _read_file(text, path, None)
 
 
 def parse_formula(
     text: str,
     env: Signature,
-    stage_default: Stage = Stage.NOW,
     path: str = "<formula>",
     allow_free: bool = False,
 ) -> Formula:
     """Parse one formula against an existing signature.
 
-    Unprimed fluent atoms get stage_default; primed ones are next-stage.
+    Unprimed fluent atoms are at the current stage; primed ones are next-stage.
     """
     p = _Parser(text, path, env)
-    p.stage_default = stage_default
     f = p._formula()
     p._end()
     if not allow_free and free_vars(f):
@@ -650,9 +627,10 @@ def parse_ground_action(text: str, env: Signature, path: str = "<action>") -> Gr
     p = _Parser(text, path, env)
     k = p._ident("an action name")
     name = p.toks[k]
-    if name not in p.actions:
+    kind, ar = p.decls.get(name, _UNDECLARED)
+    if kind != "action":
         p._err(f"{name} is not a declared action", k)
-    return GroundAction(name, _ground_args(p, k, name, p.actions[name]))
+    return GroundAction(name, _ground_args(p, k, name, ar))
 
 
 def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> GroundAtom:
@@ -662,12 +640,11 @@ def parse_ground_atom(text: str, env: Signature, path: str = "<atom>") -> Ground
     name = p.toks[k]
     primed = name.endswith("'")
     base = name[:-1] if primed else name
-    if base in p.fluents:
+    kind, ar = p.decls.get(base, _UNDECLARED)
+    if kind == "fluent":
         stage: Optional[Stage] = Stage.NEXT if primed else Stage.NOW
-        ar = p.fluents[base]
-    elif not primed and base in p.statics:
+    elif kind == "static" and not primed:
         stage = None
-        ar = p.statics[base]
     else:
         p._err(f"{base} is not a declared fluent or static predicate", k)
     return GroundAtom(base, _ground_args(p, k, base, ar), stage)

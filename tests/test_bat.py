@@ -3,7 +3,11 @@
 import pytest
 
 from sitcalc.bat import (
+    BAT,
+    EffectDisjunct,
     GroundAction,
+    Precondition,
+    SSA,
     argument_set,
     characteristic_set,
     inline_preconditions,
@@ -12,7 +16,7 @@ from sitcalc.bat import (
     transform_ssa,
     validate,
 )
-from sitcalc.errors import MalformedTransform
+from sitcalc.errors import MalformedTransform, SourceSpan
 from sitcalc.forgetting import GroundAtom
 from sitcalc.surface import parse_bat, parse_formula, parse_ground_action, render
 from sitcalc.syntax import (
@@ -23,7 +27,11 @@ from sitcalc.syntax import (
     FluentAtom,
     Not,
     Or,
+    Signature,
     Stage,
+    StaticAtom,
+    Theory,
+    Var,
     signature_of,
     simplify,
 )
@@ -60,6 +68,124 @@ class TestValidate:
         )
         rep = validate(b, strict=True)
         assert rep.errors and rep.errors[0].span is not None
+
+
+class TestValidateMessages:
+    """Every message validate gives, on theories built through the API.
+
+    The parser rejects most of these faults before validate could see them,
+    so each theory here is assembled from the dataclasses directly.
+    """
+
+    SIG = Signature(
+        objects=frozenset({"A"}),
+        statics=frozenset({("S", 1)}),
+        fluents=frozenset({("F", 1), ("G", 1)}),
+        actions=frozenset({("m", 1)}),
+    )
+    x, y, z = Var("x"), Var("y"), Var("z")
+    # each of these is at the next stage, mentions an undeclared Q and has z free
+    BAD = And(FluentAtom("F", (x,), Stage.NEXT), StaticAtom("Q", (z,)))
+    BAD_CLOSED = And(FluentAtom("F", (Const("A"),), Stage.NEXT), StaticAtom("Q", (z,)))
+
+    def messages(self, b, strict=False):
+        rep = validate(b, strict)
+        return [str(v) for v in rep.errors], [str(v) for v in rep.warnings]
+
+    def test_each_formula_is_checked_for_stage_symbols_and_free_variables(self):
+        x = self.x
+        ssa = SSA("F", (x,), (EffectDisjunct((), ActionTerm("m", (x,)), self.BAD),))
+        pre = Precondition("m", (x,), self.BAD)
+        spans = tuple((k, SourceSpan("f.bat", i + 1, 1)) for i, k in enumerate(("ssa:F", "poss:m", "init:0")))
+        b = BAT(self.SIG, Theory((self.BAD_CLOSED,)), (pre,), (ssa,), spans)
+        assert self.messages(b) == (
+            [
+                "f.bat:1:1: context condition in SSA for F is not at the current stage",
+                "f.bat:1:1: undeclared symbols Q in context of SSA for F",
+                "f.bat:1:1: free variables z in context of SSA for F",
+                "f.bat:2:1: precondition for m is not at the current stage",
+                "f.bat:2:1: undeclared symbols Q in precondition for m",
+                "f.bat:2:1: free variables z in precondition for m",
+                "f.bat:3:1: initial axiom 0 is not at the current stage",
+                "f.bat:3:1: undeclared symbols Q in initial axiom 0",
+                "f.bat:3:1: free variables z in initial axiom 0",
+            ],
+            [],
+        )
+
+    def test_variables_bound_by_the_head_the_disjunct_and_the_action_are_not_free(self):
+        x, y, z = self.x, self.y, self.z
+        ctx = And(StaticAtom("S", (x,)), And(StaticAtom("S", (y,)), StaticAtom("S", (z,))))
+        ssa = SSA("F", (x,), (EffectDisjunct((y,), ActionTerm("m", (z,)), ctx),))
+        b = BAT(self.SIG, Theory(()), (Precondition("m", (z,), StaticAtom("S", (z,))),), (ssa,))
+        assert self.messages(b) == ([], [])
+
+    def test_axioms_against_the_declarations(self):
+        x, y = self.x, self.y
+        go = EffectDisjunct((), ActionTerm("m", (x,)))
+        ssas = (
+            SSA("F", (x,), (go,)),
+            SSA("F", (x,), (go,)),
+            SSA("H", (x,), (go,)),
+            SSA("G", (x, y), (EffectDisjunct((), ActionTerm("n", (x,))),), (EffectDisjunct((), ActionTerm("m", (x, y))),)),
+        )
+        pres = (
+            Precondition("m", (x,)),
+            Precondition("m", (x,)),
+            Precondition("n", (x,)),
+        )
+        b = BAT(self.SIG, Theory(()), pres, ssas)
+        assert self.messages(b)[0] == [
+            "duplicate successor state axiom for F",
+            "successor state axiom for undeclared fluent H",
+            "G declared with arity 1 but SSA head has 2",
+            "undeclared action n in SSA for G",
+            "action m used with 2 arguments, declared 1",
+            "duplicate precondition axiom for m",
+            "precondition axiom for undeclared action n",
+        ]
+        b = BAT(self.SIG, Theory(()), (Precondition("m", (x, y)),))
+        assert self.messages(b)[0] == ["m declared with arity 1 but precondition has 2 parameters"]
+
+    def test_variables_and_constants_of_axioms(self):
+        x, y = self.x, self.y
+        ssa = SSA(
+            "F",
+            (x, x),
+            (
+                EffectDisjunct((y, y), ActionTerm("m", (x,))),
+                EffectDisjunct((x,), ActionTerm("m", (x,))),
+                EffectDisjunct((), ActionTerm("m", (Const("B"),))),
+            ),
+        )
+        pre = Precondition("m", (x, x))
+        sig = Signature(objects=frozenset({"A"}), fluents=frozenset({("F", 2)}), actions=frozenset({("m", 1)}))
+        b = BAT(sig, Theory(()), (pre,), (ssa,))
+        assert self.messages(b)[0] == [
+            "repeated head variable in SSA for F",
+            "quantified variables of an effect disjunct of F clash",
+            "quantified variables of an effect disjunct of F clash",
+            "undeclared constant B in SSA for F",
+            "m declared with arity 1 but precondition has 2 parameters",
+            "repeated parameter in precondition for m",
+        ]
+
+    def test_the_two_warnings(self):
+        x = self.x
+        go = EffectDisjunct((), ActionTerm("m", (x,)))
+        b = BAT(
+            self.SIG,
+            Theory((FluentAtom("G", (Const("A"),), Stage.NOW),)),
+            (),
+            (SSA("F", (x,), (go,), (go,)),),
+            (("ssa:F", SourceSpan("f.bat", 4, 5)),),
+        )
+        warnings = [
+            "f.bat:4:5: action m occurs in both effect conditions of F",
+            "fluent G appears in the initial theory but has no successor state axiom",
+        ]
+        assert self.messages(b) == ([], warnings)
+        assert self.messages(b, strict=True) == (warnings[:1], warnings[1:])
 
 
 class TestLocalEffect:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sitcalc import cli, corpus_path
+from sitcalc import cli, corpus_path, surface
 from sitcalc.cli import main
 from sitcalc.errors import BudgetExceeded
 from sitcalc.surface import parse_bat
@@ -52,6 +52,40 @@ class TestParse:
         code, out, err = run(capsys, "parse", "/no/such/file.bat")
         assert code == 2
         assert "cannot read" in err
+
+
+class TestFileKind:
+    """A file is a theory file exactly when it has a theory block."""
+
+    DECLS = "object A;\nfluent F/1;\n"
+
+    @pytest.mark.parametrize(
+        "blocks, where",
+        [
+            ("init {\n  F(A;\n}\ntheory {\n  F(A);\n}\n", "4:6: expected ')', found ';'"),
+            ("init {\n  F(A);\n}\ntheory {\n  F'(A);\n}\n", "3:1: a init block is not allowed in a theory file"),
+            ("theory {\n  F'(A);\n}\ninit {\n  F(A);\n}\n", "6:1: a init block is not allowed in a theory file"),
+        ],
+    )
+    def test_mixed_blocks_are_input_errors(self, capsys, tmp_path, blocks, where):
+        f = tmp_path / "mixed.bat"
+        f.write_text(self.DECLS + blocks)
+        code, out, err = run(capsys, "parse", str(f))
+        assert (code, out, err) == (2, "", f"error: {f}:{where}\n")
+
+    @pytest.mark.parametrize("name", ["propositional_chain.bat", "blocks_stacks.bat"])
+    def test_each_file_is_parsed_once(self, capsys, monkeypatch, name):
+        built = []
+
+        class Counted(surface._Parser):
+            def __init__(self, *args):
+                built.append(args[1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(surface, "_Parser", Counted)
+        code, _, _ = run(capsys, "parse", path(name))
+        assert code == 0
+        assert built == [path(name)]
 
 
 class TestValidate:

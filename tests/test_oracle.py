@@ -301,6 +301,17 @@ class TestInseparability:
         assert isinstance(v, Separated) and v.entailed_by == 1
         assert render(v.witness) == "exists v0 F'(v0)"
 
+    def test_fluents_at_both_stages_are_searched_at_both(self):
+        # Only a sentence with a next-stage atom separates this pair.  With
+        # fluent atoms at the current stage alone, the short search ran all
+        # its candidates (about 90 s) before the characteristic sentence.
+        sig = Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)}))
+        one = Theory((parse_formula("forall x (F(x) -> F'(x))", sig),))
+        two = Theory((parse_formula("F(c) | !F'(c)", sig),))
+        v = check_inseparable(one, two, sig, OracleConfig(max_extra=1, time_limit=10))
+        assert isinstance(v, Separated) and v.entailed_by == 2
+        assert render(v.witness) == "exists v0 (F'(v0) -> F(v0))"
+
 
 class TestReductEnumeration:
     def test_forgotten_corpus_pair_reduct_counts(self, insep_pair):

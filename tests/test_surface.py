@@ -78,10 +78,6 @@ class TestFormulaRoundTrips:
         assert f.stage == Stage.NEXT
         assert render(f) == "Clear'(A)"
 
-    def test_default_stage_is_configurable(self):
-        f = parse_formula("Clear(A)", SIG, stage_default=Stage.NEXT)
-        assert f.stage == Stage.NEXT
-
 
 class TestDeepNesting:
     """Texts built directly, not by render, which still recurses.
