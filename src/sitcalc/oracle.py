@@ -7,20 +7,27 @@ labelled with the bound they hold up to; negative verdicts carry a concrete
 witness model or sentence and re-validate by direct evaluation before being
 returned.
 
-Every question is answered on one path: compile each theory once per call;
-over each candidate domain, instantiate its compiled axioms on one grounder;
-hand the ground trees to _solve, which Tseitin-encodes them and runs a small
-DPLL solver; read the model off the solver's assignment; re-validate it by
-direct evaluation.  A theory's negation is always grounded one way: as the
-disjunction of its axioms instantiated negated.  Entailment and
-satisfiability ask for one countermodel; equivalence asks for one in each
-direction, over the same two compiled theories.  Inseparability grounds
-each theory once per domain and lets one search enumerate the distinct
-reducts to the shared signature, deciding those atoms first; it always
-decides, because a reduct that only one theory realizes is described up to
-isomorphism by a sentence the other theory refutes.  Forgetting
-verification asks two satisfiability questions per domain, one for each
-way the result can be wrong.
+Every question is answered on one path.  One walk per theory per call
+compiles its axioms into a program: the grounding closures of the axioms,
+the env slot of each constant they mention, and the vocabulary and stages
+the walk met, which fix the domains to search, so no theory is walked a
+second time to find them.  Over each candidate domain the program is
+instantiated on one grounder, its constants placed once into one env that
+all its axioms share; _solve Tseitin-encodes the ground trees and runs a
+small DPLL solver; the model is read off the solver's assignment and
+re-validated by direct evaluation.  The walkers are module-level functions,
+or closures that free themselves when they return, so a question leaves
+no reference cycle for the garbage collector.
+
+A theory's negation is always grounded one way: as the disjunction of its
+axioms instantiated negated.  Entailment and satisfiability ask for one
+countermodel; equivalence asks for one in each direction, over the same
+two programs.  Inseparability grounds each theory once per domain and lets
+one search enumerate the distinct reducts to the shared signature,
+deciding those atoms first; it always decides, because a reduct that only
+one theory realizes is described up to isomorphism by a sentence the other
+theory refutes.  Forgetting verification asks two satisfiability questions
+per domain, one for each way the result can be wrong.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import BudgetExceeded, SitcalcError
 from .forgetting import GroundAtom
 from .syntax import (
     FALSE,
+    ActionTerm,
     And,
     Const,
     Exists,
@@ -59,7 +67,6 @@ from .syntax import (
     flatten_or,
     free_vars,
     signature_of,
-    stages_of,
 )
 
 RelKey = tuple[str, str]  # (predicate name, "" for statics / stage tag for fluents)
@@ -188,7 +195,12 @@ def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None
             case ObjEq(lhs, rhs):
                 return term(lhs) == term(rhs)
             case Not(body):
-                return not walk(body)
+                # a chain of negations is one polarity bit, not one frame per !
+                neg = True
+                while type(body) is Not:
+                    body = body.body
+                    neg = not neg
+                return walk(body) != neg
             case And(a, b):
                 # a wide conjunction is walked along its spine, not down it
                 if type(a) is And:
@@ -230,7 +242,12 @@ def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None
             case _:
                 raise SitcalcError(f"cannot evaluate {f!r}")
 
-    return walk(f)
+    try:
+        return walk(f)
+    finally:
+        # walk refers to itself: emptying its cell frees the closures by
+        # reference counting instead of leaving a cycle to the collector
+        walk = None  # noqa: F841
 
 
 def _restore(scope: dict, name: str, saved: Optional[int]) -> None:
@@ -260,20 +277,17 @@ def _rel_keys(vocab: Signature, stages: frozenset[Stage]) -> tuple[tuple[RelKey,
     return tuple(sorted(keys))
 
 
-def _growth_strings(m: int, n: int) -> Iterator[tuple[int, ...]]:
+def _growth_strings(m: int, n: int, prefix: tuple[int, ...] = (), top: int = -1) -> Iterator[tuple[int, ...]]:
     """Placements of m constants in range(n) where each constant goes to an
     element at most one above the largest used before it, in lexicographic
     order: one placement per identification of the constants, up to renaming
-    of elements."""
-
-    def extend(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m:
-            yield prefix
-            return
-        for e in range(min(top + 2, n)):
-            yield from extend(prefix + (e,), max(top, e))
-
-    return extend((), -1)
+    of elements.  prefix and top are the placement so far and its largest
+    element."""
+    if len(prefix) == m:
+        yield prefix
+        return
+    for e in range(min(top + 2, n)):
+        yield from _growth_strings(m, n, prefix + (e,), max(top, e))
 
 
 def _domain_specs(
@@ -344,22 +358,23 @@ def models(
     Domains come in the order of their specs; within one domain the models
     come in the solver's search order.
     """
-    vocab = signature_of(t) | (sig or Signature())
-    stages = stages if stages is not None else stages_of(t)
+    program = _compile(t.axioms)
+    vocab = program.vocab | (sig or Signature())
+    stages = stages if stages is not None else program.stages
     keys = _rel_keys(vocab, stages)
     budget = _Budget(cfg)
-    roots = [_compile(f) for f in t.axioms]
     for n, consts in _domain_specs(vocab, cfg):
-        for m in _projections(roots, n, consts, keys, consts, budget, "model enumeration"):
+        for m in _projections((program,), n, consts, keys, consts, budget, "model enumeration"):
             _require(theory_holds(m, t), "enumerated model does not re-validate")
             yield m
 
 
 # ---------------------------------------------------------------------------
-# grounding and solving: each formula is compiled once per oracle call into a
-# tree of closures, which is instantiated on the grounder of every domain
-# spec; _solve Tseitin-encodes the ground trees and runs a small DPLL solver,
-# and the caller reads its model off the assignment and re-validates it
+# grounding and solving: each theory is compiled once per oracle call, by one
+# walk, into a program of grounding closures, which is instantiated on the
+# grounder of every domain spec; _solve Tseitin-encodes the ground trees and
+# runs a small DPLL solver, and the caller reads its model off the assignment
+# and re-validates it
 
 # Ground trees are built from these two objects, so they are tested by identity.
 _PTRUE = ("T",)
@@ -402,6 +417,36 @@ def _por(children: list) -> object:
     return ("O", out)
 
 
+# The binary folds give the trees _pand([a, b]) and _por([a, b]) give, without
+# building the list.  A tree is never mutated, so a child may come back as is.
+
+
+def _pand2(a, b) -> object:
+    if a is _PTRUE:
+        return b
+    if b is _PTRUE or a is _PFALSE:
+        return a
+    if b is _PFALSE:
+        return b
+    a_flat = type(a) is tuple and a[0] == "A"
+    if type(b) is tuple and b[0] == "A":
+        return ("A", a[1] + b[1] if a_flat else [a, *b[1]])
+    return ("A", [*a[1], b] if a_flat else [a, b])
+
+
+def _por2(a, b) -> object:
+    if a is _PFALSE:
+        return b
+    if b is _PFALSE or a is _PTRUE:
+        return a
+    if b is _PTRUE:
+        return b
+    a_flat = type(a) is tuple and a[0] == "O"
+    if type(b) is tuple and b[0] == "O":
+        return ("O", a[1] + b[1] if a_flat else [a, *b[1]])
+    return ("O", [*a[1], b] if a_flat else [a, b])
+
+
 class _Grounder:
     """One domain spec's grounding state: the domain size, the constant
     placement and the propositional variable of each ground atom, numbered
@@ -427,17 +472,43 @@ if TYPE_CHECKING:  # typing caches subscripted aliases, which would keep this mo
     # A compiled node: (grounder, env, neg) -> the ground tree of the node, or
     # of its negation if neg, with the bound variables and constants read from env.
     _Node = Callable[[_Grounder, list, bool], object]
-    # A compiled formula: (grounder, neg) -> its ground tree over that grounder.
-    _Compiled = Callable[[_Grounder, bool], object]
 
 
-def _compile(f: Formula) -> _Compiled:
-    """Compile f once into a tree of grounding closures, to be instantiated
-    on the grounder of each domain spec.
+class _Program:
+    """A sequence of formulas compiled by _compile: one root node per
+    formula, the env slot of each constant they mention, the number of env
+    slots, and the symbols and stages the walk met.
+
+    vocab and stages are what signature_of and stages_of give for the
+    formulas, so an oracle question reads them here instead of walking its
+    theories again.
+    """
+
+    __slots__ = ("roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab")
+
+    def ground(self, g: _Grounder, neg: bool) -> list:
+        """The ground tree of each formula over g, or of its negation if neg.
+
+        The constants are placed once into one env that all the roots share:
+        each binder has a slot of its own, which its quantifier loop sets
+        before the body reads it.
+        """
+        env = [0] * self.nslots
+        const_map = g.const_map
+        for name, i in self.consts.items():
+            if name not in const_map:
+                raise SitcalcError(f"constant {name} missing from oracle vocabulary")
+            env[i] = const_map[name]
+        return [root(g, env, neg) for root in self.roots]
+
+
+def _compile(formulas: Sequence[Formula]) -> _Program:
+    """Compile a theory's axioms, or a query, by one walk into a program to
+    be instantiated on the grounder of each domain spec.
 
     Node types are dispatched and variables resolved here, once, instead of
     for every instance: each binder and each constant gets a slot in one
-    list env, filled from the grounder's const_map when the formula is
+    list env, filled from the grounder's const_map when the program is
     instantiated and by the quantifier loops as they run.  Not is folded
     into the polarity and And/Or spines into one n-ary node, so the closure
     tree nests only as deep as the formula alternates connectives.  The
@@ -448,72 +519,74 @@ def _compile(f: Formula) -> _Compiled:
     anything is grounded, a free variable or an ungroundable node when it
     is reached.
     """
-    consts: dict[str, int] = {}
-    nslots = 0
+    p = _Program()
+    p.consts = {}
+    p.nslots = 0
+    p.objects, p.statics, p.fluents, p.actions, p.stages = set(), set(), set(), set(), set()
+    p.roots = [_comp(f, {}, False, p) for f in formulas]
+    p.vocab = Signature(
+        frozenset(p.objects | p.consts.keys()), frozenset(p.statics), frozenset(p.fluents), frozenset(p.actions)
+    )
+    p.stages = frozenset(p.stages)
+    return p
 
-    def slot() -> int:
-        nonlocal nslots
-        nslots += 1
-        return nslots - 1
 
-    def term(t, scope: Mapping[str, int]) -> Union[int, str]:
-        """The env slot of a term, or the message of the error grounding it raises."""
-        if type(t) is Var:
-            return scope[t.name] if t.name in scope else f"formula has free variable {t.name}"
-        if type(t) is Const:
-            if t.name not in consts:
-                consts[t.name] = slot()
-            return consts[t.name]
-        return f"cannot ground term {t!r}"
+def _comp(f: Formula, scope: Mapping[str, int], flip: bool, p: _Program) -> _Node:
+    """The node grounding f with its polarity flipped if flip, recording in
+    p the slots, symbols and stages f mentions."""
+    while type(f) is Not:
+        f = f.body
+        flip = not flip
+    # (g, env, neg) -> ground(f, neg != flip) for each kind of node
+    node = type(f)  # dispatched by identity: this runs on every node of every question
+    if node is FluentAtom:
+        p.fluents.add((f.fluent, len(f.args)))
+        p.stages.add(f.stage)
+        return _atom((f.fluent, f.stage.value), [_term_slot(t, scope, p) for t in f.args], flip)
+    if node is StaticAtom:
+        p.statics.add((f.pred, len(f.args)))
+        return _atom((f.pred, ""), [_term_slot(t, scope, p) for t in f.args], flip)
+    if node is And or node is Or:
+        spine = flatten_and(f) if node is And else flatten_or(f)
+        return _connective(node is Or, [_comp(c, scope, flip, p) for c in spine], flip)
+    if node is Implies:
+        # a right-nested chain a1 -> a2 -> ... -> b is one disjunction
+        # !a1 | !a2 | ... | b, which _por folds as it would the nesting
+        children = []
+        while type(f) is Implies:
+            children.append(_comp(f.lhs, scope, not flip, p))
+            f = f.rhs
+        children.append(_comp(f, scope, flip, p))
+        return _connective(True, children, flip)
+    if node is ObjEq:
+        return _equality(_term_slot(f.lhs, scope, p), _term_slot(f.rhs, scope, p), flip)
+    if node is Forall or node is Exists:
+        i = p.nslots
+        p.nslots += 1
+        return _quantifier(node is Exists, i, _comp(f.body, {**scope, f.var.name: i}, flip, p), flip)
+    if node is Iff:
+        return _iff(_comp(f.lhs, scope, False, p), _comp(f.rhs, scope, False, p), flip)
+    if node is Truth or node is Falsity:
+        vals = (_PFALSE, _PTRUE) if (node is Falsity) != flip else (_PTRUE, _PFALSE)
+        return lambda g, env, neg: vals[neg]
+    return _fail(f"cannot ground {f!r}")
 
-    def comp(f: Formula, scope: Mapping[str, int], flip: bool) -> _Node:
-        """The node grounding f with its polarity flipped if flip."""
-        while type(f) is Not:
-            f = f.body
-            flip = not flip
-        # (g, env, neg) -> ground(f, neg != flip) for each kind of node
-        match f:
-            case Truth() | Falsity():
-                vals = (_PFALSE, _PTRUE) if (type(f) is Falsity) != flip else (_PTRUE, _PFALSE)
-                return lambda g, env, neg: vals[neg]
-            case FluentAtom(name, args) | StaticAtom(name, args):
-                key = (name, f.stage.value) if type(f) is FluentAtom else (name, "")
-                return _atom(key, [term(t, scope) for t in args], flip)
-            case ObjEq(lhs, rhs):
-                return _equality(term(lhs, scope), term(rhs, scope), flip)
-            case And() | Or():
-                spine = flatten_and(f) if type(f) is And else flatten_or(f)
-                return _connective(type(f) is Or, [comp(c, scope, flip) for c in spine], flip)
-            case Implies():
-                # a right-nested chain a1 -> a2 -> ... -> b is one disjunction
-                # !a1 | !a2 | ... | b, which _por folds as it would the nesting
-                children = []
-                while type(f) is Implies:
-                    children.append(comp(f.lhs, scope, not flip))
-                    f = f.rhs
-                children.append(comp(f, scope, flip))
-                return _connective(True, children, flip)
-            case Iff(a, b):
-                return _iff(comp(a, scope, False), comp(b, scope, False), flip)
-            case Forall(v, body) | Exists(v, body):
-                i = slot()
-                return _quantifier(type(f) is Exists, i, comp(body, {**scope, v.name: i}, flip), flip)
-            case _:
-                return _fail(f"cannot ground {f!r}")
 
-    root = comp(f, {}, False)
-    placed = tuple(consts.items())
-    size = nslots
-
-    def instantiate(g: _Grounder, neg: bool) -> object:
-        env = [0] * size
-        for name, i in placed:
-            if name not in g.const_map:
-                raise SitcalcError(f"constant {name} missing from oracle vocabulary")
-            env[i] = g.const_map[name]
-        return root(g, env, neg)
-
-    return instantiate
+def _term_slot(t, scope: Mapping[str, int], p: _Program) -> Union[int, str]:
+    """The env slot of a term, or the message of the error grounding it raises."""
+    if type(t) is Var:
+        return scope[t.name] if t.name in scope else f"formula has free variable {t.name}"
+    if type(t) is Const:
+        if t.name not in p.consts:
+            p.consts[t.name] = p.nslots
+            p.nslots += 1
+        return p.consts[t.name]
+    if type(t) is ActionTerm:
+        # not groundable, but its symbols are in the vocabulary all the same
+        sig = signature_of(t)
+        p.objects.update(sig.objects)
+        p.actions.update(sig.actions)
+    return f"cannot ground term {t!r}"
 
 
 def _fail(message: str) -> _Node:
@@ -555,14 +628,15 @@ def _equality(i, j, flip: bool) -> _Node:
 
 def _connective(disjunctive: bool, children: list[_Node], flip: bool) -> _Node:
     """An n-ary conjunction, or disjunction if disjunctive, of the children."""
-    fold = (_por, _pand) if disjunctive != flip else (_pand, _por)
-    if len(children) == 2:  # most are binary: spare the list comprehension's frame
+    if len(children) == 2:  # most are binary: fold them without a list
         a, b = children
+        fold2 = (_por2, _pand2) if disjunctive != flip else (_pand2, _por2)
 
         def binary(g: _Grounder, env: list, neg: bool) -> object:
-            return fold[neg]([a(g, env, neg), b(g, env, neg)])
+            return fold2[neg](a(g, env, neg), b(g, env, neg))
 
         return binary
+    fold = (_por, _pand) if disjunctive != flip else (_pand, _por)
 
     def connective(g: _Grounder, env: list, neg: bool) -> object:
         return fold[neg]([c(g, env, neg) for c in children])
@@ -575,8 +649,8 @@ def _iff(a: _Node, b: _Node, flip: bool) -> _Node:
         ap, an = a(g, env, False), a(g, env, True)
         bp, bn = b(g, env, False), b(g, env, True)
         if neg != flip:
-            return _por([_pand([ap, bn]), _pand([an, bp])])
-        return _pand([_por([an, bp]), _por([bn, ap])])
+            return _por2(_pand2(ap, bn), _pand2(an, bp))
+        return _pand2(_por2(an, bp), _por2(bn, ap))
 
     return iff
 
@@ -648,40 +722,34 @@ def _dpll_models(
     if that decision had hit a conflict, so it yields exactly one model per
     assignment of the projected variables that extends to a model; with
     project empty it yields at most one.  The yielded list is the solver's
-    own assignment, indexed by variable: read it before resuming.
+    own assignment, indexed by literal: entry v is the value of variable v
+    for 1 <= v <= nvars.  Read it before resuming.
     """
-    assign: list[Optional[bool]] = [None] * (nvars + 1)
-    occ: dict[int, list[int]] = {}
-    for ci, cl in enumerate(clauses):
+    # value[lit] and occ[lit], for -nvars <= lit <= nvars: a negative literal
+    # indexes from the end of the list
+    value: list[Optional[bool]] = [None] * (2 * nvars + 1)
+    occ: list[list[list[int]]] = [[] for _ in value]  # the clauses lit occurs in, once per occurrence
+    for cl in clauses:
         if not cl:
             return
         for lit in cl:
-            occ.setdefault(lit, []).append(ci)
+            occ[lit].append(cl)
 
-    counts = [0] * (nvars + 1)
-    for cl in clauses:
-        for lit in cl:
-            counts[abs(lit)] += 1
     projected = [False] * (nvars + 1)
     for v in project:
         projected[v] = True
-    order = sorted(range(1, nvars + 1), key=lambda v: (not projected[v], -counts[v], v))
+    order = sorted(range(1, nvars + 1), key=lambda v: (not projected[v], -len(occ[v]) - len(occ[-v]), v))
 
     trail: list[int] = []
     qhead = 0
 
-    def value(lit: int) -> Optional[bool]:
-        v = assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
     def set_lit(lit: int) -> bool:
-        cur = value(lit)
+        cur = value[lit]
         if cur is False:
             return False
         if cur is None:
-            assign[abs(lit)] = lit > 0
+            value[lit] = True
+            value[-lit] = False
             trail.append(lit)
         return True
 
@@ -691,33 +759,30 @@ def _dpll_models(
             budget.check_time("SAT search")
             lit = trail[qhead]
             qhead += 1
-            for ci in occ.get(-lit, ()):
-                cl = clauses[ci]
-                unassigned = None
-                n_un = 0
-                sat = False
+            for cl in occ[-lit]:
+                unassigned = 0
                 for l in cl:
-                    val = value(l)
-                    if val is True:
-                        sat = True
-                        break
+                    val = value[l]
                     if val is None:
-                        n_un += 1
+                        if unassigned:
+                            break  # two unassigned literals: not a unit
                         unassigned = l
-                        if n_un > 1:
-                            break
-                if sat or n_un > 1:
-                    continue
-                if n_un == 0:
-                    return False
-                if not set_lit(unassigned):
-                    return False
+                    elif val:
+                        break  # satisfied
+                else:
+                    if not unassigned:
+                        return False  # every literal false: a conflict
+                    # a unit clause: its one unassigned literal must hold
+                    value[unassigned] = True
+                    value[-unassigned] = False
+                    trail.append(unassigned)
         return True
 
     def undo_to(mark: int) -> None:
         nonlocal qhead
         while len(trail) > mark:
-            assign[abs(trail.pop())] = None
+            lit = trail.pop()
+            value[lit] = value[-lit] = None
         qhead = mark
 
     for cl in clauses:
@@ -732,12 +797,12 @@ def _dpll_models(
     while True:
         var = None
         while oi < len(order):
-            if assign[order[oi]] is None:
+            if value[order[oi]] is None:
                 var = order[oi]
                 break
             oi += 1
         if var is None:
-            yield assign
+            yield value
             # Projected variables are decided first, so the decisions above
             # the deepest projected one only choose among models with the
             # projection just reported.
@@ -799,7 +864,7 @@ def _solve_ground(
 
 
 def _projections(
-    roots: Sequence[_Compiled],
+    programs: Sequence[_Program],
     n: int,
     consts: tuple[tuple[str, int], ...],
     keys: Sequence[tuple[RelKey, int]],
@@ -808,7 +873,7 @@ def _projections(
     what: str,
 ) -> Iterator[FiniteModel]:
     """Each interpretation of the relations in keys that extends to a model
-    of the compiled axioms over the given domain, exactly once.
+    of the programs' formulas over the given domain, exactly once.
 
     Every ground atom over keys gets a variable before grounding, so atoms the
     axioms do not mention are enumerated both ways.  The yielded models
@@ -816,7 +881,7 @@ def _projections(
     """
     g = _Grounder(n, consts)
     atoms = [(key, tup, g._var(key, tup)) for key, ar in keys for tup in itertools.product(range(n), repeat=ar)]
-    props = [root(g, False) for root in roots]
+    props = [tree for p in programs for tree in p.ground(g, False)]
     for assignment in _solve(g, props, budget, [v for _, _, v in atoms]):
         budget.spend(what)
         tables: dict[RelKey, list[tuple[int, ...]]] = {key: [] for key, _ in keys}
@@ -922,10 +987,10 @@ def entails(
     stages: Optional[frozenset[Stage]] = None,
 ) -> Union[EntailedFinite, Countermodel]:
     """Does every bounded model of t satisfy f?"""
-    vocab = signature_of(t) | signature_of(f) | (sig or Signature())
-    stages = stages if stages is not None else (stages_of(t) | stages_of(f))
-    roots = [_compile(a) for a in t.axioms]
-    return _countermodel(t, roots, Theory((f,)), [_compile(f)], cfg, vocab, stages)
+    tp, fp = _compile(t.axioms), _compile((f,))
+    vocab = tp.vocab | fp.vocab | (sig or Signature())
+    stages = stages if stages is not None else (tp.stages | fp.stages)
+    return _countermodel(t, tp, Theory((f,)), fp, cfg, vocab, stages)
 
 
 def equivalent(
@@ -935,14 +1000,13 @@ def equivalent(
     sig: Optional[Signature] = None,
 ) -> Union[EquivalentFinite, NotEquivalent]:
     """Do t1 and t2 have the same bounded models over the joint vocabulary?"""
-    vocab = signature_of(t1) | signature_of(t2) | (sig or Signature())
-    stages = stages_of(t1) | stages_of(t2)
-    roots1 = [_compile(a) for a in t1.axioms]
-    roots2 = [_compile(a) for a in t2.axioms]
-    v12 = _countermodel(t1, roots1, t2, roots2, cfg, vocab, stages)
+    p1, p2 = _compile(t1.axioms), _compile(t2.axioms)
+    vocab = p1.vocab | p2.vocab | (sig or Signature())
+    stages = p1.stages | p2.stages
+    v12 = _countermodel(t1, p1, t2, p2, cfg, vocab, stages)
     if isinstance(v12, Countermodel):
         return NotEquivalent(v12.model, "1!=>2")
-    v21 = _countermodel(t2, roots2, t1, roots1, cfg, vocab, stages)
+    v21 = _countermodel(t2, p2, t1, p1, cfg, vocab, stages)
     if isinstance(v21, Countermodel):
         return NotEquivalent(v21.model, "2!=>1")
     return EquivalentFinite(max(v12.bound, v21.bound))
@@ -950,21 +1014,21 @@ def equivalent(
 
 def _countermodel(
     t: Theory,
-    t_roots: Sequence[_Compiled],
+    tp: _Program,
     u: Theory,
-    u_roots: Sequence[_Compiled],
+    up: _Program,
     cfg: OracleConfig,
     vocab: Signature,
     stages: frozenset[Stage],
 ) -> Union[EntailedFinite, Countermodel]:
-    """A bounded model of t that falsifies u, from their compiled axioms, over
-    a vocabulary and stages that cover both; not-u is grounded as the
+    """A bounded model of t that falsifies u, from their programs tp and up,
+    over a vocabulary and stages that cover both; not-u is grounded as the
     disjunction of u's axioms instantiated negated."""
     budget = _Budget(cfg)
     for n, consts in _domain_specs(vocab, cfg, canonical=True):
         g = _Grounder(n, consts)
-        props = [root(g, False) for root in t_roots]
-        props.append(_por([root(g, True) for root in u_roots]))
+        props = tp.ground(g, False)
+        props.append(_por(up.ground(g, True)))
         m = _solve_ground(g, props, vocab, stages, budget)
         if m is not None:
             _require(theory_holds(m, t) and not theory_holds(m, u), "countermodel does not re-validate")
@@ -999,20 +1063,19 @@ def verify_forgetting(
     negated, r is too strong where (t or t') and not r is satisfiable, and
     too weak where r and not t and not t' is.
     """
-    vocab = signature_of(t) | signature_of(r) | g.signature()
-    stages = stages_of(t) | stages_of(r)
+    tp, rp = _compile(t.axioms), _compile(r.axioms)
+    vocab = tp.vocab | rp.vocab | g.signature()
+    stages = tp.stages | rp.stages
     if g.stage is not None:
         stages = stages | {g.stage}
     budget = _Budget(cfg)
-    t_roots = [_compile(f) for f in t.axioms]
-    r_roots = [_compile(f) for f in r.axioms]
     for n, consts in _domain_specs(vocab, cfg, canonical=True):
         gr = _Grounder(n, consts)
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
-        t_pos = _pand([root(gr, False) for root in t_roots])
-        t_neg = _por([root(gr, True) for root in t_roots])
-        r_pos = _pand([root(gr, False) for root in r_roots])
-        r_neg = _por([root(gr, True) for root in r_roots])
+        t_pos = _pand(tp.ground(gr, False))
+        t_neg = _por(tp.ground(gr, True))
+        r_pos = _pand(rp.ground(gr, False))
+        r_neg = _por(rp.ground(gr, True))
         queries = (
             ("result-too-strong", [_por([t_pos, _negate_var(t_pos, gv)]), r_neg]),
             ("result-too-weak", [r_pos, t_neg, _negate_var(t_neg, gv)]),
@@ -1049,16 +1112,17 @@ _WITNESS_CANDIDATES = 50_000
 
 
 def _reduct_sets_by_size(
-    t1: Theory,
-    t2: Theory,
+    side1: Sequence[_Program],
+    side2: Sequence[_Program],
     delta: Signature,
     vocab: Signature,
     stages: frozenset[Stage],
     cfg: OracleConfig,
 ) -> list[tuple[int, frozenset[FiniteModel], frozenset[FiniteModel]]]:
-    """Delta-reducts of each theory's bounded models, grouped by domain size.
+    """Delta-reducts of the bounded models of each side, grouped by domain
+    size; a side is the theory whose axioms are those of its programs.
 
-    Each theory is grounded once per domain spec, and one solver search that
+    Each side is grounded once per domain spec, and one solver search that
     decides the delta atoms first yields each realized reduct once, so the
     interpretations of the remaining symbols are never enumerated.  Grouping
     by size (rather than by constant placement) matters without unique names:
@@ -1067,12 +1131,11 @@ def _reduct_sets_by_size(
     budget = _Budget(cfg)
     delta_keys = _rel_keys(delta, stages)
     by_size: dict[int, tuple[set[FiniteModel], set[FiniteModel]]] = {}
-    compiled = [[_compile(f) for f in t.axioms] for t in (t1, t2)]
     for n, consts in _domain_specs(vocab, cfg):
         delta_consts = tuple((nm, e) for nm, e in consts if nm in delta.objects)
-        for roots, reducts in zip(compiled, by_size.setdefault(n, (set(), set()))):
+        for side, reducts in zip((side1, side2), by_size.setdefault(n, (set(), set()))):
             reducts.update(
-                _projections(roots, n, consts, delta_keys, delta_consts, budget, "reduct enumeration")
+                _projections(side, n, consts, delta_keys, delta_consts, budget, "reduct enumeration")
             )
     return [(n, frozenset(r1), frozenset(r2)) for n, (r1, r2) in sorted(by_size.items())]
 
@@ -1097,39 +1160,48 @@ def _delta_atoms(
     return atoms
 
 
+def _matrices(
+    memo: dict[tuple[int, int], list[Formula]],
+    q: int,
+    conn: int,
+    delta: Signature,
+    include_consts: bool,
+    stages: frozenset[Stage],
+) -> list[Formula]:
+    """Matrices over the variables v0 .. v{q-1} with conn connectives, built
+    from _delta_atoms and memoized in memo by (q, conn)."""
+    key = (q, conn)
+    if key in memo:
+        return memo[key]
+    if conn == 0:
+        out = list(_delta_atoms(delta, q, include_consts, stages))
+    else:
+        out = []
+        for f in _matrices(memo, q, conn - 1, delta, include_consts, stages):
+            if not isinstance(f, Not):
+                out.append(Not(f))
+        for i in range(conn):
+            j = conn - 1 - i
+            for a in _matrices(memo, q, i, delta, include_consts, stages):
+                if len(out) > _WITNESS_CANDIDATES:
+                    break
+                for b in _matrices(memo, q, j, delta, include_consts, stages):
+                    ra, rb = repr(a), repr(b)
+                    if ra < rb:
+                        out.append(And(a, b))
+                        out.append(Or(a, b))
+                    if ra != rb:
+                        out.append(Implies(a, b))
+        del out[_WITNESS_CANDIDATES + 1 :]
+    memo[key] = out
+    return out
+
+
 def _delta_sentences(
     delta: Signature, depth: int, include_consts: bool, stages: frozenset[Stage]
 ) -> Iterator[Formula]:
     """Prenex delta-sentences in a deterministic small-first order."""
     matrices: dict[tuple[int, int], list[Formula]] = {}
-
-    def mats(q: int, conn: int) -> list[Formula]:
-        key = (q, conn)
-        if key in matrices:
-            return matrices[key]
-        if conn == 0:
-            out = list(_delta_atoms(delta, q, include_consts, stages))
-        else:
-            out = []
-            for f in mats(q, conn - 1):
-                if not isinstance(f, Not):
-                    out.append(Not(f))
-            for i in range(conn):
-                j = conn - 1 - i
-                for a in mats(q, i):
-                    if len(out) > _WITNESS_CANDIDATES:
-                        break
-                    for b in mats(q, j):
-                        ra, rb = repr(a), repr(b)
-                        if ra < rb:
-                            out.append(And(a, b))
-                            out.append(Or(a, b))
-                        if ra != rb:
-                            out.append(Implies(a, b))
-            del out[_WITNESS_CANDIDATES + 1 :]
-        matrices[key] = out
-        return out
-
     emitted = 0
     for total in range(2 * depth + 1):
         for q in range(min(total, depth) + 1):
@@ -1137,7 +1209,7 @@ def _delta_sentences(
             if conn > depth:
                 continue
             names = frozenset(f"v{i}" for i in range(q))
-            for matrix in mats(q, conn):
+            for matrix in _matrices(matrices, q, conn, delta, include_consts, stages):
                 if free_vars(matrix) != names:
                     continue
                 for shape in itertools.product((Forall, Exists), repeat=q):
@@ -1223,9 +1295,10 @@ def check_inseparable(
     sentence fixes the domain size, and every reduct of that size was
     enumerated.  Every witness is re-validated in both directions.
     """
-    vocab = signature_of(t1) | signature_of(t2) | delta
-    stages = stages_of(t1) | stages_of(t2)
-    sets = _reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
+    p1, p2 = _compile(t1.axioms), _compile(t2.axioms)
+    vocab = p1.vocab | p2.vocab | delta
+    stages = p1.stages | p2.stages
+    sets = _reduct_sets_by_size((p1,), (p2,), delta, vocab, stages, cfg)
     counts = tuple((n, len(r1), len(r2)) for n, r1, r2 in sets)
     bound = max(n for n, _, _ in sets)
     budget = _Budget(cfg)
@@ -1234,13 +1307,17 @@ def check_inseparable(
         return InseparableFinite(bound, counts)
 
     def separated(witness: Formula, by: int) -> Separated:
-        winner, loser = (t1, t2) if by == 1 else (t2, t1)
+        # entails(winner, witness) and entails(loser, witness) over vocab and
+        # stages, on the programs compiled above
+        (winner, wp), (loser, lp) = ((t1, p1), (t2, p2)) if by == 1 else ((t2, p2), (t1, p1))
+        query, qp = Theory((witness,)), _compile((witness,))
+        qvocab = vocab | qp.vocab
         _require(
-            isinstance(entails(winner, witness, cfg, sig=vocab, stages=stages), EntailedFinite),
+            isinstance(_countermodel(winner, wp, query, qp, cfg, qvocab, stages), EntailedFinite),
             "separation witness not entailed on re-validation",
         )
         _require(
-            isinstance(entails(loser, witness, cfg, sig=vocab, stages=stages), Countermodel),
+            isinstance(_countermodel(loser, lp, query, qp, cfg, qvocab, stages), Countermodel),
             "separation witness lacks a countermodel on re-validation",
         )
         return Separated(witness, by, bound)
@@ -1297,14 +1374,14 @@ def check_expansion(
     domain.  The containment union-into-t1 holds by construction, so only
     the converse is tested, and likewise for t2.
     """
-    vocab = signature_of(t1) | signature_of(t2)
-    stages = stages_of(t1) | stages_of(t2)
-    union = Theory(tuple(t1.axioms) + tuple(t2.axioms))
+    p1, p2 = _compile(t1.axioms), _compile(t2.axioms)
+    vocab = p1.vocab | p2.vocab
+    stages = p1.stages | p2.stages
     verdicts: list[bool] = []
     bound = 0
-    for t in (t1, t2):
-        own = signature_of(t)
-        sets = _reduct_sets_by_size(t, union, own, vocab, stages, cfg)
+    for p in (p1, p2):
+        # the union theory's axioms are t1's followed by t2's
+        sets = _reduct_sets_by_size((p,), (p1, p2), p.vocab, vocab, stages, cfg)
         bound = max(bound, max(n for n, _, _ in sets))
         verdicts.append(all(r1 <= r2 for _, r1, r2 in sets))
     return ExpansionReport(bound, verdicts[0], verdicts[1])

@@ -33,9 +33,9 @@ and the oracle's evaluate and grounding compiler oracle._compile (semantics
 per connective).  Their depth is the nesting depth of the formula, not its
 width: simplify flattens And/Or spines and tests its fixed point by
 identity, _fmt1 prints an And/Or spine with a loop, evaluate walks a
-left-nested And/Or spine and a right-nested -> chain with a loop, and
-_compile makes each And/Or spine and each -> chain one n-ary node and folds
-Not chains into the polarity.  The dataclass-generated __eq__,
+left-nested And/Or spine and a right-nested -> chain with a loop and folds
+a Not chain into one polarity bit, and _compile makes each And/Or spine and
+each -> chain one n-ary node and folds Not chains into the polarity.  The dataclass-generated __eq__,
 __hash__ and __repr__ of the nodes recurse too, so comparing or hashing two
 deep trees that share no subtree can still hit the recursion limit.  The
 parser does not recurse: surface._Parser._formula keeps its own operator
@@ -563,47 +563,49 @@ def substitute(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
     for v in binding.values():
         if not isinstance(v, (Var, Const)):
             raise SortError(f"substitution value must be an object term, got {v!r}")
+    return _subst(f, dict(binding))
 
-    def walk(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
-        if not binding:
+
+def _subst(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
+    """substitute's walk: a module-level function, not a closure that refers
+    to itself and so leaves a reference cycle behind each call."""
+    if not binding:
+        return f
+    match f:
+        case Truth() | Falsity():
             return f
-        match f:
-            case Truth() | Falsity():
-                return f
-            case FluentAtom(name, args, stage):
-                return FluentAtom(name, tuple(_subst_term(t, binding) for t in args), stage)
-            case StaticAtom(name, args):
-                return StaticAtom(name, tuple(_subst_term(t, binding) for t in args))
-            case ObjEq(lhs, rhs):
-                return ObjEq(_subst_term(lhs, binding), _subst_term(rhs, binding))
-            case Not(body):
-                return Not(walk(body, binding))
-            case And(a, b):
-                return And(walk(a, binding), walk(b, binding))
-            case Or(a, b):
-                return Or(walk(a, binding), walk(b, binding))
-            case Implies(a, b):
-                return Implies(walk(a, binding), walk(b, binding))
-            case Iff(a, b):
-                return Iff(walk(a, binding), walk(b, binding))
-            case Forall(v, body) | Exists(v, body):
-                inner = {k: t for k, t in binding.items() if k != v.name}
-                captured = {
-                    t.name for t in inner.values() if isinstance(t, Var) and t.name == v.name
+        case FluentAtom(name, args, stage):
+            return FluentAtom(name, tuple(_subst_term(t, binding) for t in args), stage)
+        case StaticAtom(name, args):
+            return StaticAtom(name, tuple(_subst_term(t, binding) for t in args))
+        case ObjEq(lhs, rhs):
+            return ObjEq(_subst_term(lhs, binding), _subst_term(rhs, binding))
+        case Not(body):
+            return Not(_subst(body, binding))
+        case And(a, b):
+            return And(_subst(a, binding), _subst(b, binding))
+        case Or(a, b):
+            return Or(_subst(a, binding), _subst(b, binding))
+        case Implies(a, b):
+            return Implies(_subst(a, binding), _subst(b, binding))
+        case Iff(a, b):
+            return Iff(_subst(a, binding), _subst(b, binding))
+        case Forall(v, body) | Exists(v, body):
+            inner = {k: t for k, t in binding.items() if k != v.name}
+            captured = {
+                t.name for t in inner.values() if isinstance(t, Var) and t.name == v.name
+            }
+            if captured:
+                avoid = set(free_vars(body)) | set(inner) | {
+                    t.name for t in inner.values() if isinstance(t, Var)
                 }
-                if captured:
-                    avoid = set(free_vars(body)) | set(inner) | {
-                        t.name for t in inner.values() if isinstance(t, Var)
-                    }
-                    fresh = Var(_fresh_name(v.name, avoid))
-                    body = walk(body, {v.name: fresh})
-                    v = fresh
-                new_body = walk(body, inner)
-                return Forall(v, new_body) if isinstance(f, Forall) else Exists(v, new_body)
-            case _:
-                raise SitcalcError(f"not a formula: {f!r}")
-
-    return walk(f, dict(binding))
+                fresh = Var(_fresh_name(v.name, avoid))
+                body = _subst(body, {v.name: fresh})
+                v = fresh
+            new_body = _subst(body, inner)
+            return Forall(v, new_body) if isinstance(f, Forall) else Exists(v, new_body)
+        case _:
+            raise SitcalcError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

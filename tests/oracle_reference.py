@@ -1,10 +1,14 @@
-"""Reference implementations of the oracle's grounding and enumerations.
+"""Reference implementations of the oracle's grounding, solver and enumerations.
 
 ground is the grounder the oracle used before it compiled each formula into
 a tree of grounding closures: a recursive interpreter that dispatches on the
 node type for every instance and copies its environment dict at every
 binder.  The compiled grounder must build the same ground tree and number
 the atoms in the same order.
+
+dpll_models is the solver the oracle used before its occurrence lists were
+indexed by literal and its value test inlined: the oracle's _dpll_models
+must make the same decisions and yield the same sequence of assignments.
 
 The enumerations are those the oracle used before it answered them with
 one projected solver search: every interpretation streamed and evaluated
@@ -26,7 +30,6 @@ from sitcalc.oracle import (
     VerifiedFinite,
     _Budget,
     _domain_specs,
-    _dpll_models,
     _Grounder,
     _pand,
     _por,
@@ -115,6 +118,126 @@ def ground(g, f, env, neg):
             raise SitcalcError(f"cannot ground {f!r}")
 
 
+def dpll_models(nvars, clauses, budget, project=()):
+    """Deterministic DPLL with unit propagation, enumerating models.
+
+    The variables in project are decided before all others.  After each model
+    the search backtracks to the deepest decision on a projected variable as
+    if that decision had hit a conflict, so it yields exactly one model per
+    assignment of the projected variables that extends to a model; with
+    project empty it yields at most one.  The yielded list is the solver's
+    own assignment, indexed by variable: read it before resuming.
+    """
+    assign = [None] * (nvars + 1)
+    occ = {}
+    for ci, cl in enumerate(clauses):
+        if not cl:
+            return
+        for lit in cl:
+            occ.setdefault(lit, []).append(ci)
+
+    counts = [0] * (nvars + 1)
+    for cl in clauses:
+        for lit in cl:
+            counts[abs(lit)] += 1
+    projected = [False] * (nvars + 1)
+    for v in project:
+        projected[v] = True
+    order = sorted(range(1, nvars + 1), key=lambda v: (not projected[v], -counts[v], v))
+
+    trail = []
+    qhead = 0
+
+    def value(lit):
+        v = assign[abs(lit)]
+        if v is None:
+            return None
+        return v if lit > 0 else not v
+
+    def set_lit(lit):
+        cur = value(lit)
+        if cur is False:
+            return False
+        if cur is None:
+            assign[abs(lit)] = lit > 0
+            trail.append(lit)
+        return True
+
+    def propagate():
+        nonlocal qhead
+        while qhead < len(trail):
+            budget.check_time("SAT search")
+            lit = trail[qhead]
+            qhead += 1
+            for ci in occ.get(-lit, ()):
+                cl = clauses[ci]
+                unassigned = None
+                n_un = 0
+                sat = False
+                for l in cl:
+                    val = value(l)
+                    if val is True:
+                        sat = True
+                        break
+                    if val is None:
+                        n_un += 1
+                        unassigned = l
+                        if n_un > 1:
+                            break
+                if sat or n_un > 1:
+                    continue
+                if n_un == 0:
+                    return False
+                if not set_lit(unassigned):
+                    return False
+        return True
+
+    def undo_to(mark):
+        nonlocal qhead
+        while len(trail) > mark:
+            assign[abs(trail.pop())] = None
+        qhead = mark
+
+    for cl in clauses:
+        if len(cl) == 1 and not set_lit(cl[0]):
+            return
+    if not propagate():
+        return
+
+    # decision stack entries: (trail mark before the decision, literal, flipped?)
+    decisions = []
+    oi = 0
+    while True:
+        var = None
+        while oi < len(order):
+            if assign[order[oi]] is None:
+                var = order[oi]
+                break
+            oi += 1
+        if var is None:
+            yield assign
+            # Projected variables are decided first, so the decisions above
+            # the deepest projected one only choose among models with the
+            # projection just reported.
+            while decisions and not projected[abs(decisions[-1][1])]:
+                undo_to(decisions.pop()[0])
+            ok = False
+        else:
+            decisions.append((len(trail), -var, False))
+            ok = set_lit(-var) and propagate()
+        while not ok:
+            while decisions and decisions[-1][2]:
+                mark, _, _ = decisions.pop()
+                undo_to(mark)
+            if not decisions:
+                return
+            mark, lit, _ = decisions.pop()
+            undo_to(mark)
+            decisions.append((mark, -lit, True))
+            ok = set_lit(-lit) and propagate()
+            oi = 0
+
+
 def interpretations(vocab, stages, cfg):
     """Every interpretation over the vocabulary within the domain bounds."""
     keys = _rel_keys(vocab, stages)
@@ -137,7 +260,7 @@ def _extends(axioms, n, consts, diagram, budget):
     for p in props:
         cnf.assert_root(p)
     cnf.clauses.extend([u] for u in units)
-    return not cnf.trivially_false and next(_dpll_models(cnf.nvars, cnf.clauses, budget), None) is not None
+    return not cnf.trivially_false and next(dpll_models(cnf.nvars, cnf.clauses, budget), None) is not None
 
 
 def reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg):

@@ -454,6 +454,14 @@ class TestDeepInput:
         assert code == 0, err
         assert "satisfiable:" in out
 
+    def test_three_thousand_negations_before_an_atom_are_satisfiable(self, capsys, tmp_path):
+        f = tmp_path / "negations.bat"
+        f.write_text(f"static P/0;\n\ntheory {{\n  {'!' * 3_000}P;\n}}\n")
+        code, out, err = run(capsys, "oracle", "sat", str(f))
+        assert code == 0, err
+        assert "satisfiable:" in out
+        assert "P = true" in out
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -3,8 +3,9 @@
 For every formula, domain spec and polarity, grounding through the compiled
 closure tree must give the same ground tree as tests/oracle_reference.py's
 ground, and must number the atoms in the same order: the CNF, the solver's
-search and so every reported model depend on both.  Each formula is
-compiled once and instantiated on every spec, as the oracle does.
+search and so every reported model depend on both.  The formulas are
+compiled into one program once and instantiated on every spec, as the
+oracle does with a theory.
 
 The oracle grounds a theory's negation as the disjunction of its compiled
 axioms instantiated negated; that must be the tree, and the atom order, of
@@ -56,12 +57,12 @@ def _specs(formulas, per_config=5):
 
 
 def assert_same_grounding(formulas, specs):
-    compiled = [_compile(f) for f in formulas]
+    program = _compile(formulas)
     for n, consts in specs:
         for neg in (False, True):
             want_g, got_g = _Grounder(n, consts), _Grounder(n, consts)
             want = [ground(want_g, f, {}, neg) for f in formulas]
-            got = [root(got_g, neg) for root in compiled]
+            got = program.ground(got_g, neg)
             assert got == want, (n, consts, neg)
             assert list(got_g.atom_vars.items()) == list(want_g.atom_vars.items()), (n, consts, neg)
             assert got_g.nvars == want_g.nvars
@@ -71,16 +72,16 @@ def assert_negation_grounds_as_negated_conjunction(axioms, specs):
     """_por of the axioms instantiated negated against Not(conj(axioms)),
     on a fresh grounder and after the axioms were grounded positively, as
     the equivalence question over a theory and itself does."""
-    roots = [_compile(f) for f in axioms]
-    whole = _compile(Not(conj(axioms)))
+    program = _compile(axioms)
+    whole = _compile((Not(conj(axioms)),))
     for n, consts in specs:
-        for first in ((), roots):
+        for first in ((), (program,)):
             want_g, got_g = _Grounder(n, consts), _Grounder(n, consts)
             for g in (want_g, got_g):
-                for root in first:
-                    root(g, False)
-            want = whole(want_g, False)
-            got = _por([root(got_g, True) for root in roots])
+                for p in first:
+                    p.ground(g, False)
+            want = whole.ground(want_g, False)[0]
+            got = _por(program.ground(got_g, True))
             assert got == want, (n, consts, len(first))
             assert list(got_g.atom_vars.items()) == list(want_g.atom_vars.items()), (n, consts, len(first))
 
@@ -166,14 +167,14 @@ def test_wide_spines_and_negation_chains_ground_without_recursion():
     consts = tuple((f"c{i}", i % 3) for i in range(10_000))
     for f, kind in ((conj(atoms), "A"), (disj(atoms), "O")):
         g = _Grounder(3, consts)
-        assert _compile(f)(g, False) == (kind, [1, 2, 3] * 3333 + [1])
-        assert _compile(f)(g, True) == ("O" if kind == "A" else "A", [-1, -2, -3] * 3333 + [-1])
+        assert _compile((f,)).ground(g, False)[0] == (kind, [1, 2, 3] * 3333 + [1])
+        assert _compile((f,)).ground(g, True)[0] == ("O" if kind == "A" else "A", [-1, -2, -3] * 3333 + [-1])
     deep = P(a)
     for _ in range(3_000):
         deep = Not(deep)
     g = _Grounder(1, (("a", 0),))
-    assert _compile(deep)(g, False) == 1
-    assert _compile(Not(deep))(g, False) == -1
+    assert _compile((deep,)).ground(g, False)[0] == 1
+    assert _compile((Not(deep),)).ground(g, False)[0] == -1
 
 
 class TestNegatedTheory:

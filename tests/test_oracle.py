@@ -1,5 +1,6 @@
 """Bounded finite-model reasoning: entailment, equivalence, inseparability."""
 
+import gc
 import itertools
 from dataclasses import dataclass
 
@@ -32,9 +33,10 @@ from sitcalc.oracle import (
     satisfiable,
     search_bound,
     theory_holds,
+    verify_forgetting,
 )
 from sitcalc.surface import parse_formula, render
-from sitcalc.syntax import TRUE, ActionTerm, And, Formula, Not, Signature, StaticAtom, Theory
+from sitcalc.syntax import TRUE, ActionTerm, And, Formula, Not, Signature, StaticAtom, Theory, signature_of
 
 SIG = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1), ("R", 2)}))
 CFG = OracleConfig(max_extra=1)
@@ -62,6 +64,14 @@ class TestEvaluation:
         m = FiniteModel(2, (("c", 0),), ((("P", ""), frozenset({(0,)})),))
         assert evaluate(m, f(" -> ".join(["P(c)"] * 1_000)))
         assert not evaluate(m, f(" -> ".join(["P(c)"] * 999 + ["!P(c)"])))
+
+    def test_evaluate_folds_a_chain_of_three_thousand_negations(self):
+        m = FiniteModel(2, (("c", 0),), ((("P", ""), frozenset({(0,)})),))
+        deep = f("P(c)")
+        for _ in range(3_000):
+            deep = Not(deep)
+        assert evaluate(m, deep)
+        assert not evaluate(m, Not(deep))
 
     def test_model_enumeration_counts(self):
         sig = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1)}))
@@ -164,7 +174,7 @@ class TestGroundingErrors:
         ids=["free-variable", "unknown-node"],
     )
     def test_errors_are_raised_by_grounding_not_by_compiling(self, bad, message):
-        ground = _compile(Not(bad))
+        ground = _compile((Not(bad),)).ground
         with pytest.raises(SitcalcError) as e:
             ground(_Grounder(1, (("c", 0),)), False)
         assert str(e.value) == message
@@ -208,27 +218,32 @@ class TestEquivalenceAndSat:
         assert v.direction == "2!=>1"
 
     def test_both_directions_share_one_vocabulary(self, monkeypatch):
+        # the compile walk of each theory gives the vocabulary and stages:
+        # no theory is walked a second time to find them
         one, other = t("forall x P(x)"), t("P(c)", "forall x P(x)")
         read = []
-        for name in ("signature_of", "stages_of"):
-            walk = getattr(oracle, name)
-            monkeypatch.setattr(oracle, name, lambda x, walk=walk: read.append(x) or walk(x))
+        monkeypatch.setattr(oracle, "signature_of", lambda x: read.append(x) or signature_of(x))
+        assert not hasattr(oracle, "stages_of")
+        compiled = []
+        real = oracle._compile
+        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.append(x) or real(x))
         assert isinstance(equivalent(one, other, CFG), EquivalentFinite)
-        assert read == [one, other, one, other]
+        assert read == []
+        assert compiled == [one.axioms, other.axioms]
 
     def test_each_axiom_is_compiled_once(self, monkeypatch):
         # both directions are searched, and neither compiles a negation of its own
         one, other = t("forall x P(x)", "R(c, c)"), t("R(c, c)", "P(c)", "forall x P(x)")
         compiled = []
         real = oracle._compile
-        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.append(x) or real(x))
+        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.extend(x) or real(x))
         assert isinstance(equivalent(one, other, CFG), EquivalentFinite)
         assert compiled == [*one.axioms, *other.axioms]
 
     def test_entailment_compiles_the_query_not_its_negation(self, monkeypatch):
         compiled = []
         real = oracle._compile
-        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.append(x) or real(x))
+        monkeypatch.setattr(oracle, "_compile", lambda x: compiled.extend(x) or real(x))
         theory, query = t("forall x P(x)"), f("P(c)")
         assert isinstance(entails(theory, query, CFG), EntailedFinite)
         assert compiled == [*theory.axioms, query]
@@ -243,6 +258,15 @@ class TestEquivalenceAndSat:
         v = satisfiable(t(text), CFG)
         assert isinstance(v, Sat)
         assert evaluate(v.model, f(text))
+
+    def test_three_thousand_negations_before_an_atom_are_satisfiable(self):
+        # re-validation evaluates the axiom: the parent walked one frame per !
+        deep = f("P(c)")
+        for _ in range(3_000):
+            deep = Not(deep)
+        v = satisfiable(Theory((deep,)), CFG)
+        assert isinstance(v, Sat)
+        assert evaluate(v.model, f("P(c)"))
 
     def test_contradictions_are_unsat_at_every_size(self):
         v = satisfiable(t("P(c)", "!P(c)"), CFG)
@@ -320,7 +344,8 @@ class TestReductEnumeration:
         g = GroundAtom("R", ("c", "c"), None)
         t1, t2 = forget_atom(one, g), forget_atom(two, g)
         vocab = sig1 | sig2 | delta
-        sets = oracle._reduct_sets_by_size(t1, t2, delta, vocab, frozenset(), OracleConfig(max_extra=1))
+        sides = (oracle._compile(t1.axioms),), (oracle._compile(t2.axioms),)
+        sets = oracle._reduct_sets_by_size(*sides, delta, vocab, frozenset(), OracleConfig(max_extra=1))
         assert tuple((n, len(r1), len(r2)) for n, r1, r2 in sets) == ((2, 6, 12), (3, 196, 392))
 
     def test_delta_atoms_the_theories_do_not_mention_count_both_ways(self):
@@ -356,3 +381,43 @@ class TestExpansion:
         assert v.entailed_by == 1
         want = Theory((parse_formula("forall x exists y R(x, y)", sig1),))
         assert is_positive(equivalent(Theory((v.witness,)), want, cfg1))
+
+
+class TestNoCyclicGarbage:
+    """An oracle call frees what it builds by reference counting: it leaves
+    no reference cycle for the collector to find.  Closures that refer to
+    themselves, as a recursive walker nested in the function that calls it
+    does, would leave one per call."""
+
+    @staticmethod
+    def collected_after(call):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_entailment_equivalence_and_satisfiability(self, chain, insep_pair, cfg1):
+        (_, one), (_, two) = insep_pair
+        _, theory = chain
+        no_una = OracleConfig(max_extra=1, una=False)
+        calls = {
+            "entails": lambda: entails(theory, theory.axioms[-1], cfg1),
+            "equivalent": lambda: equivalent(one, two, cfg1),
+            "satisfiable": lambda: satisfiable(one, cfg1),
+            "satisfiable-no-una": lambda: satisfiable(one, no_una),
+        }
+        assert {name: self.collected_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+
+    def test_forgetting_verification_and_inseparability(self, insep_pair, cfg1):
+        (_, one), (_, two) = insep_pair
+        g = GroundAtom("R", ("c", "c"), None)
+        forgot1, forgot2 = forget_atom(one, g), forget_atom(two, g)
+        delta = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
+        calls = {
+            "verify_forgetting": lambda: verify_forgetting(one, g, forgot1, cfg1),
+            "check_inseparable": lambda: check_inseparable(forgot1, forgot2, delta, cfg1),
+        }
+        assert {name: self.collected_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)

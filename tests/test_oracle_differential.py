@@ -65,7 +65,8 @@ def test_reduct_sets_match_diagram_pinning(cfg):
         delta = Signature(objects=shown, statics=frozenset(preds))
         vocab = signature_of(t1) | signature_of(t2) | delta
         stages = stages_of(t1) | stages_of(t2)
-        got = oracle._reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
+        sides = (oracle._compile(t1.axioms),), (oracle._compile(t2.axioms),)
+        got = oracle._reduct_sets_by_size(*sides, delta, vocab, stages, cfg)
         want = reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
         assert got == want, f"seed {seed}"
 
