@@ -133,24 +133,21 @@ def _model_json(m: FiniteModel) -> dict:
     return {"size": m.size, "consts": dict(m.consts), "relations": rels}
 
 
-def _model_lines(m: FiniteModel, indent: str = "  ") -> list[str]:
-    lines = [f"{indent}domain size {m.size}"]
+def _model_lines(m: FiniteModel, sig: Signature) -> list[str]:
+    """The model, indented; sig declares its relations, whose arities tell an
+    empty relation from a false proposition."""
+    lines = [f"  domain size {m.size}"]
     if m.consts:
-        lines.append(indent + ", ".join(f"{n} = {e}" for n, e in m.consts))
+        lines.append("  " + ", ".join(f"{n} = {e}" for n, e in m.consts))
+    statics, fluents = dict(sig.statics), dict(sig.fluents)
     for (name, tag), table in m.relations:
         shown = name if not tag else f"{name}[{tag}]"
-        if not _rel_arity(table):
-            lines.append(f"{indent}{shown} = {'true' if () in table else 'false'}")
+        if not (fluents[name] if tag else statics[name]):
+            lines.append(f"  {shown} = {'true' if () in table else 'false'}")
         else:
             tups = ", ".join("(" + ", ".join(map(str, t)) + ")" for t in sorted(table))
-            lines.append(f"{indent}{shown} = {{{tups}}}")
+            lines.append(f"  {shown} = {{{tups}}}")
     return lines
-
-
-def _rel_arity(table: frozenset) -> int:
-    for t in table:
-        return len(t)
-    return 0
 
 
 def _verdict_json(v) -> dict:
@@ -174,19 +171,20 @@ def _verdict_json(v) -> dict:
     return {"kind": type(v).__name__}
 
 
-def _verdict_lines(v) -> list[str]:
+def _verdict_lines(v, sig: Signature) -> list[str]:
+    """The verdict for people; sig declares the symbols of its model."""
     match v:
         case EntailedFinite(bound):
             return [f"entailed in every model up to domain size {bound}"]
         case Countermodel(model):
-            return ["countermodel found:"] + _model_lines(model)
+            return ["countermodel found:"] + _model_lines(model, sig)
         case EquivalentFinite(bound):
             return [f"equivalent in every model up to domain size {bound}"]
         case NotEquivalent(model, direction):
             which = "the first theory but not the second" if direction == "1!=>2" else "the second theory but not the first"
-            return [f"not equivalent; this model satisfies {which}:"] + _model_lines(model)
+            return [f"not equivalent; this model satisfies {which}:"] + _model_lines(model, sig)
         case Sat(model):
-            return ["satisfiable:"] + _model_lines(model)
+            return ["satisfiable:"] + _model_lines(model, sig)
         case UnsatFinite(bound):
             return [f"unsatisfiable in every model up to domain size {bound}"]
         case InseparableFinite(bound, _):
@@ -372,7 +370,7 @@ def _cmd_project(args) -> tuple[int, dict, list[str]]:
         "query": render(query),
         "verdict": _verdict_json(v),
     }
-    return (0 if is_positive(v) else 1), rep, _verdict_lines(v)
+    return (0 if is_positive(v) else 1), rep, _verdict_lines(v, b.sig)
 
 
 def _cmd_executable(args) -> tuple[int, dict, list[str]]:
@@ -405,6 +403,7 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     elif args.mode == "equiv":
         sig1, t1, _ = _load_any(args.file)
         sig2, t2, _ = _load_any(args.file2)
+        sig = sig1 | sig2
         v = equivalent(t1, t2, cfg)
         rep.update({"path": args.file, "path2": args.file2})
     elif args.mode == "sat":
@@ -414,11 +413,12 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     else:
         sig1, t1, _ = _load_any(args.file)
         sig2, t2, _ = _load_any(args.file2)
-        delta = _delta_of(args.delta, sig1 | sig2)
+        sig = sig1 | sig2
+        delta = _delta_of(args.delta, sig)
         v = check_inseparable(t1, t2, delta, cfg)
         rep.update({"path": args.file, "path2": args.file2, "delta": sorted(delta.names())})
     rep["verdict"] = _verdict_json(v)
-    return (0 if is_positive(v) else 1), rep, _verdict_lines(v)
+    return (0 if is_positive(v) else 1), rep, _verdict_lines(v, sig)
 
 
 # ---------------------------------------------------------------------------

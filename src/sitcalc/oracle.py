@@ -10,10 +10,13 @@ returned.
 Every question is answered on one path.  One walk per theory per call
 compiles its axioms into a program: the grounding closures of the axioms,
 the env slot of each constant they mention, and the vocabulary and stages
-the walk met, which fix the domains to search, so no theory is walked a
-second time to find them.  Over each candidate domain the program is
-instantiated on one grounder, its constants placed once into one env that
-all its axioms share; _solve Tseitin-encodes the ground trees and runs a
+the walk met, so no theory is walked a second time to find them.  From
+these each public call builds one search, _Search, which fixes for the
+whole call the vocabulary, the stages, the relation keys and domain bound
+they give, and the one budget that every phase spends from, so time_limit
+and max_models hold for the call.  Over each candidate domain the program
+is instantiated on one grounder, its constants placed once into one env
+that all its axioms share; _solve Tseitin-encodes the ground trees and runs a
 small DPLL solver; the model is read off the solver's assignment and
 re-validated by direct evaluation.  The walkers are module-level functions,
 or closures that free themselves when they return, so a question leaves
@@ -82,9 +85,10 @@ class OracleConfig:
          satisfiability, equivalence and forgetting verification try one
          constant placement per identification, up to renaming of elements;
          models() and inseparability try every placement.
-    max_models: cap on the models or reducts one enumeration may produce
-         (models(), inseparability, expansion).
-    time_limit: wall-clock budget in seconds, None for unlimited.
+    max_models: cap on the models or reducts one oracle call may produce,
+         over all its enumerations (models(), inseparability, expansion).
+    time_limit: wall-clock budget in seconds for the whole oracle call,
+         every phase included; None for unlimited.
     witness_depth: quantifier/connective depth of the short separating
          sentences tried first; it chooses how short a witness is, never
          whether one is found.
@@ -326,19 +330,29 @@ def search_bound(vocab: Signature, cfg: OracleConfig) -> int:
     return max(1, len(vocab.objects) + cfg.max_extra)
 
 
-class _Budget:
-    """Shared wall-clock and count budget for one oracle call."""
+class _Search:
+    """What one public oracle call fixes once and every phase of it reads:
+    the config, the vocabulary and stages searched, the relation keys and
+    largest domain size they give, and the call's one budget of models or
+    reducts (count) and wall-clock time (deadline), which holds for the
+    whole call."""
 
-    def __init__(self, cfg: OracleConfig):
-        self.max_models = cfg.max_models
+    __slots__ = ("cfg", "vocab", "stages", "keys", "bound", "deadline", "count", "_tick")
+
+    def __init__(self, cfg: OracleConfig, vocab: Signature, stages: frozenset[Stage]):
+        self.cfg = cfg
+        self.vocab = vocab
+        self.stages = stages
+        self.keys = _rel_keys(vocab, stages)
+        self.bound = search_bound(vocab, cfg)
         self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         self.count = 0
         self._tick = 0
 
     def spend(self, what: str = "model enumeration") -> None:
         self.count += 1
-        if self.count > self.max_models:
-            raise BudgetExceeded(f"{what} exceeded the budget of {self.max_models} models or reducts")
+        if self.count > self.cfg.max_models:
+            raise BudgetExceeded(f"{what} exceeded the budget of {self.cfg.max_models} models or reducts")
         self.check_time(what)
 
     def check_time(self, what: str = "oracle search") -> None:
@@ -347,24 +361,16 @@ class _Budget:
             raise BudgetExceeded(f"{what} exceeded the time budget")
 
 
-def models(
-    t: Theory,
-    cfg: OracleConfig = DEFAULT_CONFIG,
-    sig: Optional[Signature] = None,
-    stages: Optional[frozenset[Stage]] = None,
-) -> Iterator[FiniteModel]:
+def models(t: Theory, cfg: OracleConfig = DEFAULT_CONFIG, sig: Optional[Signature] = None) -> Iterator[FiniteModel]:
     """Stream the bounded finite models of a theory, each exactly once.
 
     Domains come in the order of their specs; within one domain the models
     come in the solver's search order.
     """
     program = _compile(t.axioms)
-    vocab = program.vocab | (sig or Signature())
-    stages = stages if stages is not None else program.stages
-    keys = _rel_keys(vocab, stages)
-    budget = _Budget(cfg)
-    for n, consts in _domain_specs(vocab, cfg):
-        for m in _projections((program,), n, consts, keys, consts, budget, "model enumeration"):
+    s = _Search(cfg, program.vocab | (sig or Signature()), program.stages)
+    for n, consts in _domain_specs(s.vocab, cfg):
+        for m in _projections(s, (program,), n, consts, s.keys, consts, "model enumeration"):
             _require(theory_holds(m, t), "enumerated model does not re-validate")
             yield m
 
@@ -475,16 +481,17 @@ if TYPE_CHECKING:  # typing caches subscripted aliases, which would keep this mo
 
 
 class _Program:
-    """A sequence of formulas compiled by _compile: one root node per
-    formula, the env slot of each constant they mention, the number of env
-    slots, and the symbols and stages the walk met.
+    """A sequence of formulas compiled by _compile: the theory of those
+    formulas, which re-validation evaluates, one root node per formula, the
+    env slot of each constant they mention, the number of env slots, and
+    the symbols and stages the walk met.
 
     vocab and stages are what signature_of and stages_of give for the
     formulas, so an oracle question reads them here instead of walking its
     theories again.
     """
 
-    __slots__ = ("roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab")
+    __slots__ = ("theory", "roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab")
 
     def ground(self, g: _Grounder, neg: bool) -> list:
         """The ground tree of each formula over g, or of its negation if neg.
@@ -520,6 +527,7 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     is reached.
     """
     p = _Program()
+    p.theory = Theory(tuple(formulas))
     p.consts = {}
     p.nslots = 0
     p.objects, p.statics, p.fluents, p.actions, p.stages = set(), set(), set(), set(), set()
@@ -712,7 +720,7 @@ class _CNF:
 def _dpll_models(
     nvars: int,
     clauses: list[list[int]],
-    budget: _Budget,
+    s: _Search,
     project: Collection[int] = (),
 ) -> Iterator[list[Optional[bool]]]:
     """Deterministic DPLL with unit propagation, enumerating models.
@@ -756,7 +764,7 @@ def _dpll_models(
     def propagate() -> bool:
         nonlocal qhead
         while qhead < len(trail):
-            budget.check_time("SAT search")
+            s.check_time("SAT search")
             lit = trail[qhead]
             qhead += 1
             for cl in occ[-lit]:
@@ -826,9 +834,9 @@ def _dpll_models(
 
 
 def _solve(
+    s: _Search,
     g: _Grounder,
     props: Sequence[object],
-    budget: _Budget,
     project: Collection[int] = (),
 ) -> Iterator[list[Optional[bool]]]:
     """Tseitin-encode the conjunction of ground trees built by g and yield
@@ -838,24 +846,19 @@ def _solve(
     for p in props:
         cnf.assert_root(p)
     if not cnf.trivially_false:
-        yield from _dpll_models(cnf.nvars, cnf.clauses, budget, project)
+        yield from _dpll_models(cnf.nvars, cnf.clauses, s, project)
 
 
-def _solve_ground(
-    g: _Grounder,
-    props: Sequence[object],
-    vocab: Signature,
-    stages: frozenset[Stage],
-    budget: _Budget,
-) -> Optional[FiniteModel]:
+def _solve_ground(s: _Search, g: _Grounder, props: Sequence[object]) -> Optional[FiniteModel]:
     """A model of the conjunction of ground trees built by g, or None.
 
-    Atoms that no tree mentions are false in the model.
+    The model interprets the relations of s.keys; atoms that no tree
+    mentions are false in it.
     """
-    assignment = next(_solve(g, props, budget), None)
+    assignment = next(_solve(s, g, props), None)
     if assignment is None:
         return None
-    tables: dict[RelKey, set[tuple[int, ...]]] = {key: set() for key, _ in _rel_keys(vocab, stages)}
+    tables: dict[RelKey, set[tuple[int, ...]]] = {key: set() for key, _ in s.keys}
     for (key, tup), var in g.atom_vars.items():
         if assignment[var]:
             tables.setdefault(key, set()).add(tup)
@@ -864,12 +867,12 @@ def _solve_ground(
 
 
 def _projections(
+    s: _Search,
     programs: Sequence[_Program],
     n: int,
     consts: tuple[tuple[str, int], ...],
     keys: Sequence[tuple[RelKey, int]],
     shown_consts: tuple[tuple[str, int], ...],
-    budget: _Budget,
     what: str,
 ) -> Iterator[FiniteModel]:
     """Each interpretation of the relations in keys that extends to a model
@@ -882,8 +885,8 @@ def _projections(
     g = _Grounder(n, consts)
     atoms = [(key, tup, g._var(key, tup)) for key, ar in keys for tup in itertools.product(range(n), repeat=ar)]
     props = [tree for p in programs for tree in p.ground(g, False)]
-    for assignment in _solve(g, props, budget, [v for _, _, v in atoms]):
-        budget.spend(what)
+    for assignment in _solve(s, g, props, [v for _, _, v in atoms]):
+        s.spend(what)
         tables: dict[RelKey, list[tuple[int, ...]]] = {key: [] for key, _ in keys}
         for key, tup, v in atoms:
             if assignment[v]:
@@ -971,8 +974,10 @@ def is_positive(v: Verdict) -> bool:
 
 
 def _require(cond: bool, message: str) -> None:
+    """A failed self-check is a defect of the oracle, not bad input; an
+    explicit raise, so that python -O keeps it."""
     if not cond:
-        raise SitcalcError(f"oracle self-check failed: {message}")
+        raise AssertionError(f"oracle self-check failed: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -984,65 +989,48 @@ def entails(
     f: Formula,
     cfg: OracleConfig = DEFAULT_CONFIG,
     sig: Optional[Signature] = None,
-    stages: Optional[frozenset[Stage]] = None,
 ) -> Union[EntailedFinite, Countermodel]:
     """Does every bounded model of t satisfy f?"""
     tp, fp = _compile(t.axioms), _compile((f,))
-    vocab = tp.vocab | fp.vocab | (sig or Signature())
-    stages = stages if stages is not None else (tp.stages | fp.stages)
-    return _countermodel(t, tp, Theory((f,)), fp, cfg, vocab, stages)
+    s = _Search(cfg, tp.vocab | fp.vocab | (sig or Signature()), tp.stages | fp.stages)
+    return _countermodel(s, tp, fp)
 
 
 def equivalent(
-    t1: Theory,
-    t2: Theory,
-    cfg: OracleConfig = DEFAULT_CONFIG,
-    sig: Optional[Signature] = None,
+    t1: Theory, t2: Theory, cfg: OracleConfig = DEFAULT_CONFIG
 ) -> Union[EquivalentFinite, NotEquivalent]:
     """Do t1 and t2 have the same bounded models over the joint vocabulary?"""
     p1, p2 = _compile(t1.axioms), _compile(t2.axioms)
-    vocab = p1.vocab | p2.vocab | (sig or Signature())
-    stages = p1.stages | p2.stages
-    v12 = _countermodel(t1, p1, t2, p2, cfg, vocab, stages)
+    s = _Search(cfg, p1.vocab | p2.vocab, p1.stages | p2.stages)
+    v12 = _countermodel(s, p1, p2)
     if isinstance(v12, Countermodel):
         return NotEquivalent(v12.model, "1!=>2")
-    v21 = _countermodel(t2, p2, t1, p1, cfg, vocab, stages)
+    v21 = _countermodel(s, p2, p1)
     if isinstance(v21, Countermodel):
         return NotEquivalent(v21.model, "2!=>1")
-    return EquivalentFinite(max(v12.bound, v21.bound))
+    return EquivalentFinite(s.bound)
 
 
-def _countermodel(
-    t: Theory,
-    tp: _Program,
-    u: Theory,
-    up: _Program,
-    cfg: OracleConfig,
-    vocab: Signature,
-    stages: frozenset[Stage],
-) -> Union[EntailedFinite, Countermodel]:
-    """A bounded model of t that falsifies u, from their programs tp and up,
-    over a vocabulary and stages that cover both; not-u is grounded as the
-    disjunction of u's axioms instantiated negated."""
-    budget = _Budget(cfg)
-    for n, consts in _domain_specs(vocab, cfg, canonical=True):
+def _countermodel(s: _Search, tp: _Program, up: _Program) -> Union[EntailedFinite, Countermodel]:
+    """A bounded model of tp's theory t that falsifies up's theory u, over
+    the search's vocabulary and stages, which cover both; not-u is grounded
+    as the disjunction of u's axioms instantiated negated."""
+    for n, consts in _domain_specs(s.vocab, s.cfg, canonical=True):
         g = _Grounder(n, consts)
         props = tp.ground(g, False)
         props.append(_por(up.ground(g, True)))
-        m = _solve_ground(g, props, vocab, stages, budget)
+        m = _solve_ground(s, g, props)
         if m is not None:
-            _require(theory_holds(m, t) and not theory_holds(m, u), "countermodel does not re-validate")
+            _require(
+                theory_holds(m, tp.theory) and not theory_holds(m, up.theory), "countermodel does not re-validate"
+            )
             return Countermodel(m)
-    return EntailedFinite(search_bound(vocab, cfg))
+    return EntailedFinite(s.bound)
 
 
-def satisfiable(
-    t: Theory,
-    cfg: OracleConfig = DEFAULT_CONFIG,
-    sig: Optional[Signature] = None,
-) -> Union[Sat, UnsatFinite]:
+def satisfiable(t: Theory, cfg: OracleConfig = DEFAULT_CONFIG) -> Union[Sat, UnsatFinite]:
     """Does t have a bounded model?  Exactly when t does not entail FALSE."""
-    v = entails(t, FALSE, cfg, sig)
+    v = entails(t, FALSE, cfg)
     return Sat(v.model) if isinstance(v, Countermodel) else UnsatFinite(v.bound)
 
 
@@ -1064,12 +1052,11 @@ def verify_forgetting(
     too weak where r and not t and not t' is.
     """
     tp, rp = _compile(t.axioms), _compile(r.axioms)
-    vocab = tp.vocab | rp.vocab | g.signature()
     stages = tp.stages | rp.stages
     if g.stage is not None:
         stages = stages | {g.stage}
-    budget = _Budget(cfg)
-    for n, consts in _domain_specs(vocab, cfg, canonical=True):
+    s = _Search(cfg, tp.vocab | rp.vocab | g.signature(), stages)
+    for n, consts in _domain_specs(s.vocab, cfg, canonical=True):
         gr = _Grounder(n, consts)
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
         t_pos = _pand(tp.ground(gr, False))
@@ -1081,7 +1068,7 @@ def verify_forgetting(
             ("result-too-weak", [r_pos, t_neg, _negate_var(t_neg, gv)]),
         )
         for direction, props in queries:
-            m = _solve_ground(gr, props, vocab, stages, budget)
+            m = _solve_ground(s, gr, props)
             if m is None:
                 continue
             reachable = theory_holds(m, t) or theory_holds(m.with_toggled(g), t)
@@ -1091,7 +1078,7 @@ def verify_forgetting(
                 "forgetting mismatch does not re-validate",
             )
             return ForgettingMismatch(m, direction)
-    return VerifiedFinite(search_bound(vocab, cfg))
+    return VerifiedFinite(s.bound)
 
 
 def _negate_var(p, var: int) -> object:
@@ -1112,12 +1099,7 @@ _WITNESS_CANDIDATES = 50_000
 
 
 def _reduct_sets_by_size(
-    side1: Sequence[_Program],
-    side2: Sequence[_Program],
-    delta: Signature,
-    vocab: Signature,
-    stages: frozenset[Stage],
-    cfg: OracleConfig,
+    s: _Search, side1: Sequence[_Program], side2: Sequence[_Program], delta: Signature
 ) -> list[tuple[int, frozenset[FiniteModel], frozenset[FiniteModel]]]:
     """Delta-reducts of the bounded models of each side, grouped by domain
     size; a side is the theory whose axioms are those of its programs.
@@ -1128,15 +1110,12 @@ def _reduct_sets_by_size(
     by size (rather than by constant placement) matters without unique names:
     the same reduct may be realized under different placements.
     """
-    budget = _Budget(cfg)
-    delta_keys = _rel_keys(delta, stages)
+    delta_keys = _rel_keys(delta, s.stages)
     by_size: dict[int, tuple[set[FiniteModel], set[FiniteModel]]] = {}
-    for n, consts in _domain_specs(vocab, cfg):
+    for n, consts in _domain_specs(s.vocab, s.cfg):
         delta_consts = tuple((nm, e) for nm, e in consts if nm in delta.objects)
         for side, reducts in zip((side1, side2), by_size.setdefault(n, (set(), set()))):
-            reducts.update(
-                _projections(side, n, consts, delta_keys, delta_consts, budget, "reduct enumeration")
-            )
+            reducts.update(_projections(s, side, n, consts, delta_keys, delta_consts, "reduct enumeration"))
     return [(n, frozenset(r1), frozenset(r2)) for n, (r1, r2) in sorted(by_size.items())]
 
 
@@ -1256,15 +1235,15 @@ def _characteristic_sentence(m: FiniteModel, delta: Signature) -> Formula:
 
 
 def _first_unmatched(
+    s: _Search,
     sets: Sequence[tuple[int, frozenset[FiniteModel], frozenset[FiniteModel]]],
     delta: Signature,
-    budget: _Budget,
 ) -> Optional[tuple[Formula, int]]:
     """The characteristic sentence of the first reduct that only one theory
     realizes up to isomorphism, and the theory lacking it; None if none."""
     for _, r1, r2 in sets:
         for m in sorted(r1 ^ r2, key=FiniteModel.sort_key):
-            budget.check_time("witness search")
+            s.check_time("witness search")
             chi = _characteristic_sentence(m, delta)
             lacking, other = (2, r2) if m in r1 else (1, r1)
             # With unique names and a constant outside delta, the other theory
@@ -1296,48 +1275,39 @@ def check_inseparable(
     enumerated.  Every witness is re-validated in both directions.
     """
     p1, p2 = _compile(t1.axioms), _compile(t2.axioms)
-    vocab = p1.vocab | p2.vocab | delta
-    stages = p1.stages | p2.stages
-    sets = _reduct_sets_by_size((p1,), (p2,), delta, vocab, stages, cfg)
-    counts = tuple((n, len(r1), len(r2)) for n, r1, r2 in sets)
-    bound = max(n for n, _, _ in sets)
-    budget = _Budget(cfg)
-    unmatched = _first_unmatched(sets, delta, budget)
+    s = _Search(cfg, p1.vocab | p2.vocab | delta, p1.stages | p2.stages)
+    sets = _reduct_sets_by_size(s, (p1,), (p2,), delta)
+    unmatched = _first_unmatched(s, sets, delta)
     if unmatched is None:
-        return InseparableFinite(bound, counts)
+        return InseparableFinite(s.bound, tuple((n, len(r1), len(r2)) for n, r1, r2 in sets))
 
     def separated(witness: Formula, by: int) -> Separated:
-        # entails(winner, witness) and entails(loser, witness) over vocab and
-        # stages, on the programs compiled above
-        (winner, wp), (loser, lp) = ((t1, p1), (t2, p2)) if by == 1 else ((t2, p2), (t1, p1))
-        query, qp = Theory((witness,)), _compile((witness,))
-        qvocab = vocab | qp.vocab
+        # entails(winner, witness) and entails(loser, witness) on the
+        # programs compiled above; a delta-sentence adds nothing to s.vocab
+        winner, loser = (p1, p2) if by == 1 else (p2, p1)
+        qp = _compile((witness,))
         _require(
-            isinstance(_countermodel(winner, wp, query, qp, cfg, qvocab, stages), EntailedFinite),
+            isinstance(_countermodel(s, winner, qp), EntailedFinite),
             "separation witness not entailed on re-validation",
         )
         _require(
-            isinstance(_countermodel(loser, lp, query, qp, cfg, qvocab, stages), Countermodel),
+            isinstance(_countermodel(s, loser, qp), Countermodel),
             "separation witness lacks a countermodel on re-validation",
         )
-        return Separated(witness, by, bound)
+        return Separated(witness, by, s.bound)
 
     all1 = sorted({m for _, r1, _ in sets for m in r1}, key=FiniteModel.sort_key)
     all2 = sorted({m for _, _, r2 in sets for m in r2}, key=FiniteModel.sort_key)
-    seen_vectors: set[tuple[bool, ...]] = set()
     # Constant-free witnesses first: they are the more portable separators, so
     # the reported sentence does not mention constants unless it has to.
     passes = (False, True) if delta.objects else (False,)
     # Fluent atoms come at every stage the theories mention.
     for use_consts in passes:
-        for candidate in _delta_sentences(delta, cfg.witness_depth, use_consts, stages):
-            budget.check_time("witness search")
+        for candidate in _delta_sentences(delta, cfg.witness_depth, use_consts, s.stages):
+            s.check_time("witness search")
             if use_consts and not signature_of(candidate).objects:
                 continue
             vec = tuple(evaluate(m, candidate) for m in all1 + all2)
-            if vec in seen_vectors:
-                continue
-            seen_vectors.add(vec)
             e1 = all(vec[: len(all1)])
             e2 = all(vec[len(all1) :])
             if e1 != e2:
@@ -1375,13 +1345,9 @@ def check_expansion(
     the converse is tested, and likewise for t2.
     """
     p1, p2 = _compile(t1.axioms), _compile(t2.axioms)
-    vocab = p1.vocab | p2.vocab
-    stages = p1.stages | p2.stages
-    verdicts: list[bool] = []
-    bound = 0
-    for p in (p1, p2):
-        # the union theory's axioms are t1's followed by t2's
-        sets = _reduct_sets_by_size((p,), (p1, p2), p.vocab, vocab, stages, cfg)
-        bound = max(bound, max(n for n, _, _ in sets))
-        verdicts.append(all(r1 <= r2 for _, r1, r2 in sets))
-    return ExpansionReport(bound, verdicts[0], verdicts[1])
+    s = _Search(cfg, p1.vocab | p2.vocab, p1.stages | p2.stages)
+    # the union theory's axioms are t1's followed by t2's
+    t1_expandable, t2_expandable = (
+        all(r1 <= r2 for _, r1, r2 in _reduct_sets_by_size(s, (p,), (p1, p2), p.vocab)) for p in (p1, p2)
+    )
+    return ExpansionReport(s.bound, t1_expandable, t2_expandable)

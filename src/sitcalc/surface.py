@@ -165,7 +165,9 @@ class _Parser:
                 self.decls.update((n, (kw, ar)) for n, ar in pool)
         self.terms: dict[str, ObjTerm] = {}  # name -> its one Const or Var
         self.saw_var = False  # _term_at handed out a Var since the flag was cleared
-        self.spans: list[tuple[str, SourceSpan]] = []
+        # (key, token index) of each declared name, block and sentence; a BAT
+        # turns them into positions, a theory file never needs them
+        self.spans: list[tuple[str, int]] = []
         self.allow_next = True  # primed atoms are allowed; toggled per block
 
     # --- token plumbing
@@ -252,7 +254,7 @@ class _Parser:
                 self.i += 1
                 ar = int(n)
             self.decls[name] = (kind, ar)
-            self.spans.append((f"{kind}:{name}", self._span(k)))
+            self.spans.append((f"{kind}:{name}", k))
             if not self._accept(","):
                 break
         self._expect(";")
@@ -438,7 +440,7 @@ class _Parser:
         if name in seen:
             self._err(f"duplicate {kw} block for {name}", k)
         seen.add(name)
-        self.spans.append((f"{kw}:{name}", self._span(k)))
+        self.spans.append((f"{kw}:{name}", k))
         return k, name, ar
 
     def _ssa_block(self, seen: set[str]) -> SSA:
@@ -512,7 +514,7 @@ class _Parser:
             start = self.i
             out.append(self._block_formula(kw == "theory", frozenset(), where))
             self._expect(";")
-            self.spans.append((f"{kw}:{len(out) - 1}", self._span(start)))
+            self.spans.append((f"{kw}:{len(out) - 1}", start))
         self.i += 1  # the "}"
 
     def _signature(self) -> Signature:
@@ -571,7 +573,8 @@ def _read_file(
     sig, theory = p._signature(), Theory(tuple(sentences))
     if theory_file:
         return sig, theory, None
-    return sig, theory, BAT(sig, theory, tuple(pres), tuple(ssas), tuple(p.spans))
+    spans = tuple((key, p._span(k)) for key, k in p.spans)
+    return sig, theory, BAT(sig, theory, tuple(pres), tuple(ssas), spans)
 
 
 def parse_bat(text: str, path: str = "<input>") -> BAT:

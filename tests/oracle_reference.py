@@ -28,12 +28,12 @@ from sitcalc.oracle import (
     FiniteModel,
     ForgettingMismatch,
     VerifiedFinite,
-    _Budget,
     _domain_specs,
     _Grounder,
     _pand,
     _por,
     _rel_keys,
+    _Search,
     search_bound,
     theory_holds,
 )
@@ -266,7 +266,7 @@ def _extends(axioms, n, consts, diagram, budget):
 def reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg):
     """Delta-reducts of each theory's bounded models, grouped by domain size,
     by pinning every complete delta-diagram in turn."""
-    budget = _Budget(cfg)
+    budget = _Search(cfg, vocab, stages)
     delta_keys = _rel_keys(delta, stages)
     by_size = {}
     for n, consts in _domain_specs(vocab, cfg):

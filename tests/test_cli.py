@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sitcalc import cli, corpus_path, surface
+from sitcalc import cli, corpus_path, oracle, surface
 from sitcalc.cli import main
 from sitcalc.errors import BudgetExceeded
 from sitcalc.surface import parse_bat
@@ -425,6 +425,14 @@ class TestOracle:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_an_empty_relation_prints_as_an_empty_table(self, capsys, tmp_path):
+        # the table alone cannot tell R/2 holding nowhere from a false P/0
+        f = tmp_path / "empty.bat"
+        f.write_text("object a;\nstatic R/2, P/0;\n\ntheory {\n  forall x forall y !R(x, y);\n  !P;\n}\n")
+        code, out, err = run(capsys, "oracle", "sat", str(f))
+        assert code == 0, err
+        assert out == "satisfiable:\n  domain size 1\n  P = false\n  R = {}\n"
+
     def test_the_smallest_bounds_in_range_are_accepted(self, capsys):
         code, out, err = run(
             capsys, "oracle", "entails", path("propositional_chain.bat"),
@@ -526,3 +534,13 @@ class TestNoVerdict:
         assert code == 3
         assert out == ""
         assert err.splitlines()[-1].startswith(prefix)
+
+    def test_a_failed_oracle_self_check_is_an_internal_error(self, capsys, monkeypatch):
+        # a verdict that does not re-validate is a defect, not bad input
+        monkeypatch.setattr(oracle, "theory_holds", lambda m, t: False)
+        code, out, err = run(capsys, "oracle", "sat", path("propositional_chain.bat"))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "internal error: AssertionError: oracle self-check failed: countermodel does not re-validate"
+        )

@@ -202,8 +202,8 @@ class TestConfigBounds:
 
     def test_every_time_limit_sets_a_deadline(self):
         # time_limit=0 used to pass as no limit at all
-        assert oracle._Budget(OracleConfig(time_limit=1e-9)).deadline is not None
-        assert oracle._Budget(OracleConfig()).deadline is None
+        assert oracle._Search(OracleConfig(time_limit=1e-9), Signature(), frozenset()).deadline is not None
+        assert oracle._Search(OracleConfig(), Signature(), frozenset()).deadline is None
 
 
 class TestEquivalenceAndSat:
@@ -345,7 +345,8 @@ class TestReductEnumeration:
         t1, t2 = forget_atom(one, g), forget_atom(two, g)
         vocab = sig1 | sig2 | delta
         sides = (oracle._compile(t1.axioms),), (oracle._compile(t2.axioms),)
-        sets = oracle._reduct_sets_by_size(*sides, delta, vocab, frozenset(), OracleConfig(max_extra=1))
+        search = oracle._Search(OracleConfig(max_extra=1), vocab, frozenset())
+        sets = oracle._reduct_sets_by_size(search, *sides, delta)
         assert tuple((n, len(r1), len(r2)) for n, r1, r2 in sets) == ((2, 6, 12), (3, 196, 392))
 
     def test_delta_atoms_the_theories_do_not_mention_count_both_ways(self):
@@ -421,3 +422,55 @@ class TestNoCyclicGarbage:
             "check_inseparable": lambda: check_inseparable(forgot1, forgot2, delta, cfg1),
         }
         assert {name: self.collected_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+
+
+class TestOneSearchPerCall:
+    """Each public oracle call fixes its vocabulary, stages, bound and budget
+    once, in one search that every phase of the call reads."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        built = []
+        search = oracle._Search
+
+        def record(*args):
+            built.append(search(*args))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "_Search", record)
+        return built
+
+    def test_each_public_call_builds_one_search(self, searches, chain, insep_pair, cfg1):
+        (_, one), (_, two) = insep_pair
+        _, theory = chain
+        g = GroundAtom("R", ("c", "c"), None)
+        delta = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
+        calls = {
+            "entails": lambda: entails(theory, theory.axioms[-1], cfg1),
+            "satisfiable": lambda: satisfiable(one, cfg1),
+            # both directions run: the second one finds the countermodel
+            "equivalent": lambda: equivalent(one, two, cfg1),
+            "verify_forgetting": lambda: verify_forgetting(one, g, forget_atom(one, g), cfg1),
+            "check_inseparable": lambda: check_inseparable(one, two, delta, cfg1),
+            "check_expansion": lambda: check_expansion(one, two, cfg1),
+            "models": lambda: list(models(one, cfg1)),
+        }
+        built = {}
+        for name, call in calls.items():
+            searches.clear()
+            verdict = call()
+            built[name] = len(searches)
+            if name == "equivalent":
+                assert verdict.direction == "2!=>1"
+            if name == "check_inseparable":
+                assert isinstance(verdict, Separated)
+        assert built == dict.fromkeys(calls, 1)
+
+    def test_max_models_holds_for_the_whole_call(self, searches, insep_pair):
+        # check_expansion enumerates reducts twice, on one budget
+        (_, one), (_, two) = insep_pair
+        check_expansion(one, two, OracleConfig(max_extra=1))
+        total = searches[-1].count
+        check_expansion(one, two, OracleConfig(max_extra=1, max_models=total))
+        with pytest.raises(BudgetExceeded, match="reduct enumeration"):
+            check_expansion(one, two, OracleConfig(max_extra=1, max_models=total - 1))

@@ -66,7 +66,7 @@ def test_reduct_sets_match_diagram_pinning(cfg):
         vocab = signature_of(t1) | signature_of(t2) | delta
         stages = stages_of(t1) | stages_of(t2)
         sides = (oracle._compile(t1.axioms),), (oracle._compile(t2.axioms),)
-        got = oracle._reduct_sets_by_size(*sides, delta, vocab, stages, cfg)
+        got = oracle._reduct_sets_by_size(oracle._Search(cfg, vocab, stages), *sides, delta)
         want = reduct_sets_by_size(t1, t2, delta, vocab, stages, cfg)
         assert got == want, f"seed {seed}"
 

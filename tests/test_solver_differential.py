@@ -19,7 +19,7 @@ from test_property_suites import SEEDS, random_target, random_theory
 
 from sitcalc import oracle
 from sitcalc.forgetting import GroundAtom, forget_atom
-from sitcalc.oracle import OracleConfig, _Budget, _dpll_models
+from sitcalc.oracle import OracleConfig, _dpll_models, _Search
 from sitcalc.syntax import Signature, Theory
 
 CFG = OracleConfig(max_extra=1)
@@ -29,7 +29,7 @@ DELTA = Signature(objects=frozenset({"c1"}), statics=frozenset({("P", 1)}))
 
 def assignments(solver, nvars, clauses, project):
     """The values of variables 1..nvars in each assignment the solver yields."""
-    budget = _Budget(OracleConfig())
+    budget = _Search(OracleConfig(), Signature(), frozenset())
     return [tuple(a[1 : nvars + 1]) for a in solver(nvars, clauses, budget, project)]
 
 

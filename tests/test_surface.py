@@ -2,7 +2,7 @@
 
 import pytest
 
-from sitcalc import corpus_path
+from sitcalc import corpus_path, surface
 from sitcalc.errors import ParseError
 from sitcalc.surface import (
     parse_bat,
@@ -248,6 +248,18 @@ class TestFileRoundTrips:
         sig2, t2 = parse_theory(text, name)
         assert render_theory_file(sig2, t2) == text
         assert (sig2, t2) == (sig, t)
+
+    def test_only_an_action_theory_computes_source_positions(self, monkeypatch):
+        # positions are for a BAT's spans and for errors; a valid theory
+        # file needs none
+        calls = []
+        span = surface._Parser._span
+        monkeypatch.setattr(surface._Parser, "_span", lambda p, k: calls.append(k) or span(p, k))
+        for name in ("insep_forgetting_t1.bat", "insep_forgetting_t2.bat", "propositional_chain.bat"):
+            parse_theory(corpus_path(name).read_text(), name)
+        assert calls == []
+        b = parse_bat(corpus_path("blocks_stacks.bat").read_text(), "blocks_stacks.bat")
+        assert len(calls) == len(b.spans)
 
     def test_declarations_recorded_with_spans(self):
         b = parse_bat(corpus_path("blocks_stacks.bat").read_text(), "blocks_stacks.bat")
