@@ -5,9 +5,11 @@ disjuncts, each an action term under optional existential quantifiers with
 a context condition at the current stage, read as
 [exists ys] a == A(ts) & context.  The action variable a and its equality
 are never formulas: for a ground action, unique names for actions settle
-a == A(ts) from the structure alone.  The local-effect check, the
-ground-action transform, argument sets and the characteristic set all read
-directly off the structure instead of performing formula surgery.
+a == A(ts) from the structure alone.  The local-effect check reads the
+action arguments off the structure.  The ground-action transform builds
+formulas: it settles each disjunct's action equality, builds the
+disjunction of the surviving blocks, simplifies it and splits it back into
+blocks, which argument sets and the characteristic set then read.
 """
 
 from __future__ import annotations

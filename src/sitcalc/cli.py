@@ -431,7 +431,7 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-una", action="store_true",
                    help="drop the unique-names assumption on constants")
     p.add_argument("--max-models", type=int, default=None, metavar="N",
-                   help="cap on the models or reducts one enumeration may produce")
+                   help="cap on the models or reducts one oracle call may produce")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -22,14 +22,16 @@ re-validated by direct evaluation.  The walkers are module-level functions,
 or closures that free themselves when they return, so a question leaves
 no reference cycle for the garbage collector.
 
-A theory's negation is always grounded one way: as the disjunction of its
-axioms instantiated negated.  Entailment and satisfiability ask for one
-countermodel; equivalence asks for one in each direction, over the same
-two programs.  Inseparability grounds each theory once per domain and lets
-one search enumerate the distinct reducts to the shared signature,
-deciding those atoms first; it always decides, because a reduct that only
-one theory realizes is described up to isomorphism by a sentence the other
-theory refutes.  Forgetting verification asks two satisfiability questions
+Each compiled node grounds in the one polarity the compiler fixed for it,
+and a negation is never grounded: it is the dual of the tree already
+built, with conjunction and disjunction, TRUE and FALSE and each literal
+swapped.  Entailment and satisfiability ask for one countermodel;
+equivalence asks for one in each direction, over the same two programs.
+Inseparability grounds each theory once per domain and lets one search
+enumerate the distinct reducts to the shared signature, deciding those
+atoms first; it always decides, because a reduct that only one theory
+realizes is described up to isomorphism by a sentence the other theory
+refutes.  Forgetting verification asks two satisfiability questions
 per domain, one for each way the result can be wrong.
 """
 
@@ -387,83 +389,82 @@ _PTRUE = ("T",)
 _PFALSE = ("F",)
 
 
-def _pand(children: list) -> object:
-    out: list = []
-    for c in children:
-        if c is _PFALSE:
-            return _PFALSE
-        if c is _PTRUE:
-            continue
-        if isinstance(c, tuple) and c[0] == "A":
-            out.extend(c[1])
-        else:
-            out.append(c)
-    if not out:
-        return _PTRUE
-    if len(out) == 1:
-        return out[0]
-    return ("A", out)
+def _folds(kind: str, unit: tuple, zero: tuple) -> tuple[Callable[[list], object], Callable[[object, object], object]]:
+    """The n-ary and the binary fold of the connective kind, "A" or "O",
+    whose unit is dropped and whose zero absorbs.  Both flatten a child of
+    the same kind into the result; the binary fold gives the tree the n-ary
+    one gives for [a, b], without building the list.  A tree is never
+    mutated, so a child may come back as is."""
+
+    def fold(children: list) -> object:
+        out: list = []
+        for c in children:
+            if c is zero:
+                return zero
+            if c is unit:
+                continue
+            if isinstance(c, tuple) and c[0] == kind:
+                out.extend(c[1])
+            else:
+                out.append(c)
+        if not out:
+            return unit
+        if len(out) == 1:
+            return out[0]
+        return (kind, out)
+
+    def fold2(a, b) -> object:
+        if a is unit:
+            return b
+        if b is unit or a is zero:
+            return a
+        if b is zero:
+            return b
+        a_flat = type(a) is tuple and a[0] == kind
+        if type(b) is tuple and b[0] == kind:
+            return (kind, a[1] + b[1] if a_flat else [a, *b[1]])
+        return (kind, [*a[1], b] if a_flat else [a, b])
+
+    return fold, fold2
 
 
-def _por(children: list) -> object:
-    out: list = []
-    for c in children:
-        if c is _PTRUE:
-            return _PTRUE
-        if c is _PFALSE:
-            continue
-        if isinstance(c, tuple) and c[0] == "O":
-            out.extend(c[1])
-        else:
-            out.append(c)
-    if not out:
+_pand, _pand2 = _folds("A", _PTRUE, _PFALSE)
+_por, _por2 = _folds("O", _PFALSE, _PTRUE)
+
+
+def _untimed(what: str) -> None:
+    pass
+
+
+def _negate(p, check_time: Callable[[str], None] = _untimed) -> object:
+    """The dual of the ground tree p: "A" and "O" swapped, TRUE and FALSE
+    swapped and every literal negated.  It is the tree that grounding the
+    negation of p's formula gives, because the folds of the two connectives
+    are duals.  check_time is ticked once per connective."""
+    if type(p) is int:
+        return -p
+    if p is _PTRUE:
         return _PFALSE
-    if len(out) == 1:
-        return out[0]
-    return ("O", out)
-
-
-# The binary folds give the trees _pand([a, b]) and _por([a, b]) give, without
-# building the list.  A tree is never mutated, so a child may come back as is.
-
-
-def _pand2(a, b) -> object:
-    if a is _PTRUE:
-        return b
-    if b is _PTRUE or a is _PFALSE:
-        return a
-    if b is _PFALSE:
-        return b
-    a_flat = type(a) is tuple and a[0] == "A"
-    if type(b) is tuple and b[0] == "A":
-        return ("A", a[1] + b[1] if a_flat else [a, *b[1]])
-    return ("A", [*a[1], b] if a_flat else [a, b])
-
-
-def _por2(a, b) -> object:
-    if a is _PFALSE:
-        return b
-    if b is _PFALSE or a is _PTRUE:
-        return a
-    if b is _PTRUE:
-        return b
-    a_flat = type(a) is tuple and a[0] == "O"
-    if type(b) is tuple and b[0] == "O":
-        return ("O", a[1] + b[1] if a_flat else [a, *b[1]])
-    return ("O", [*a[1], b] if a_flat else [a, b])
+    if p is _PFALSE:
+        return _PTRUE
+    check_time("grounding")
+    kind, children = p
+    return ("O" if kind == "A" else "A", [_negate(c, check_time) for c in children])
 
 
 class _Grounder:
     """One domain spec's grounding state: the domain size, the constant
-    placement and the propositional variable of each ground atom, numbered
-    in the order the atoms are first met."""
+    placement, the propositional variable of each ground atom, numbered
+    in the order the atoms are first met, and the time check of the search
+    it grounds for, which the nodes that multiply work tick."""
 
-    def __init__(self, size: int, consts: tuple[tuple[str, int], ...]):
+    def __init__(self, size: int, consts: tuple[tuple[str, int], ...], check_time: Callable[[str], None] = _untimed):
         self.size = size
         self.consts = consts
         self.const_map = dict(consts)
         self.atom_vars: dict[tuple[RelKey, tuple[int, ...]], int] = {}
         self.nvars = 0
+        self.check_time = check_time
 
     def _var(self, key: RelKey, tup: tuple[int, ...]) -> int:
         return self.atom_vars.get((key, tup)) or self._new_var((key, tup))
@@ -475,9 +476,9 @@ class _Grounder:
 
 
 if TYPE_CHECKING:  # typing caches subscripted aliases, which would keep this module alive
-    # A compiled node: (grounder, env, neg) -> the ground tree of the node, or
-    # of its negation if neg, with the bound variables and constants read from env.
-    _Node = Callable[[_Grounder, list, bool], object]
+    # A compiled node: (grounder, env) -> the ground tree of the node in the polarity
+    # fixed when it was compiled, with the bound variables and constants read from env.
+    _Node = Callable[[_Grounder, list], object]
 
 
 class _Program:
@@ -493,8 +494,8 @@ class _Program:
 
     __slots__ = ("theory", "roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab")
 
-    def ground(self, g: _Grounder, neg: bool) -> list:
-        """The ground tree of each formula over g, or of its negation if neg.
+    def ground(self, g: _Grounder) -> list:
+        """The ground tree of each formula over g.
 
         The constants are placed once into one env that all the roots share:
         each binder has a slot of its own, which its quantifier loop sets
@@ -506,7 +507,7 @@ class _Program:
             if name not in const_map:
                 raise SitcalcError(f"constant {name} missing from oracle vocabulary")
             env[i] = const_map[name]
-        return [root(g, env, neg) for root in self.roots]
+        return [root(g, env) for root in self.roots]
 
 
 def _compile(formulas: Sequence[Formula]) -> _Program:
@@ -517,14 +518,14 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     for every instance: each binder and each constant gets a slot in one
     list env, filled from the grounder's const_map when the program is
     instantiated and by the quantifier loops as they run.  Not is folded
-    into the polarity and And/Or spines into one n-ary node, so the closure
-    tree nests only as deep as the formula alternates connectives.  The
-    closures visit the nodes in the order of the recursive definition and
-    never short-circuit, so the atoms are numbered in that order and the
-    ground tree is the one _pand/_por fold from it.  Errors are deferred to
-    instantiation: a constant missing from const_map is reported before
-    anything is grounded, a free variable or an ungroundable node when it
-    is reached.
+    into the polarity, which each node fixes here, and And/Or spines into
+    one n-ary node, so the closure tree nests only as deep as the formula
+    alternates connectives.  The closures visit the nodes in the order of
+    the recursive definition and never short-circuit, so the atoms are
+    numbered in that order and the ground tree is the one _pand/_por fold
+    from it.  Errors are deferred to instantiation: a constant missing
+    from const_map is reported before anything is grounded, a free
+    variable or an ungroundable node when it is reached.
     """
     p = _Program()
     p.theory = Theory(tuple(formulas))
@@ -540,12 +541,11 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
 
 
 def _comp(f: Formula, scope: Mapping[str, int], flip: bool, p: _Program) -> _Node:
-    """The node grounding f with its polarity flipped if flip, recording in
-    p the slots, symbols and stages f mentions."""
+    """The node grounding f, or its negation if flip, recording in p the
+    slots, symbols and stages f mentions."""
     while type(f) is Not:
         f = f.body
         flip = not flip
-    # (g, env, neg) -> ground(f, neg != flip) for each kind of node
     node = type(f)  # dispatched by identity: this runs on every node of every question
     if node is FluentAtom:
         p.fluents.add((f.fluent, len(f.args)))
@@ -556,7 +556,7 @@ def _comp(f: Formula, scope: Mapping[str, int], flip: bool, p: _Program) -> _Nod
         return _atom((f.pred, ""), [_term_slot(t, scope, p) for t in f.args], flip)
     if node is And or node is Or:
         spine = flatten_and(f) if node is And else flatten_or(f)
-        return _connective(node is Or, [_comp(c, scope, flip, p) for c in spine], flip)
+        return _connective((node is Or) != flip, [_comp(c, scope, flip, p) for c in spine])
     if node is Implies:
         # a right-nested chain a1 -> a2 -> ... -> b is one disjunction
         # !a1 | !a2 | ... | b, which _por folds as it would the nesting
@@ -565,18 +565,18 @@ def _comp(f: Formula, scope: Mapping[str, int], flip: bool, p: _Program) -> _Nod
             children.append(_comp(f.lhs, scope, not flip, p))
             f = f.rhs
         children.append(_comp(f, scope, flip, p))
-        return _connective(True, children, flip)
+        return _connective(not flip, children)
     if node is ObjEq:
         return _equality(_term_slot(f.lhs, scope, p), _term_slot(f.rhs, scope, p), flip)
     if node is Forall or node is Exists:
         i = p.nslots
         p.nslots += 1
-        return _quantifier(node is Exists, i, _comp(f.body, {**scope, f.var.name: i}, flip, p), flip)
+        return _quantifier((node is Exists) != flip, i, _comp(f.body, {**scope, f.var.name: i}, flip, p))
     if node is Iff:
         return _iff(_comp(f.lhs, scope, False, p), _comp(f.rhs, scope, False, p), flip)
     if node is Truth or node is Falsity:
-        vals = (_PFALSE, _PTRUE) if (node is Falsity) != flip else (_PTRUE, _PFALSE)
-        return lambda g, env, neg: vals[neg]
+        val = _PFALSE if (node is Falsity) != flip else _PTRUE
+        return lambda g, env: val
     return _fail(f"cannot ground {f!r}")
 
 
@@ -598,7 +598,7 @@ def _term_slot(t, scope: Mapping[str, int], p: _Program) -> Union[int, str]:
 
 
 def _fail(message: str) -> _Node:
-    def fail(g: _Grounder, env: list, neg: bool) -> object:
+    def fail(g: _Grounder, env: list) -> object:
         raise SitcalcError(message)
 
     return fail
@@ -615,10 +615,10 @@ def _atom(key: RelKey, slots: list, flip: bool) -> _Node:
         # itemgetter of two or more slots returns their tuple
         args = itemgetter(*slots) if slots else lambda env: ()
 
-    def atom(g: _Grounder, env: list, neg: bool) -> object:
+    def atom(g: _Grounder, env: list) -> object:
         k = (key, args(env))
         v = g.atom_vars.get(k) or g._new_var(k)
-        return -v if neg != flip else v
+        return -v if flip else v
 
     return atom
 
@@ -628,56 +628,58 @@ def _equality(i, j, flip: bool) -> _Node:
         if type(s) is str:
             return _fail(s)
 
-    def equality(g: _Grounder, env: list, neg: bool) -> object:
-        return _PTRUE if (env[i] == env[j]) != (neg != flip) else _PFALSE
+    def equality(g: _Grounder, env: list) -> object:
+        return _PTRUE if (env[i] == env[j]) != flip else _PFALSE
 
     return equality
 
 
-def _connective(disjunctive: bool, children: list[_Node], flip: bool) -> _Node:
+def _connective(disjunctive: bool, children: list[_Node]) -> _Node:
     """An n-ary conjunction, or disjunction if disjunctive, of the children."""
+    fold, fold2 = (_por, _por2) if disjunctive else (_pand, _pand2)
     if len(children) == 2:  # most are binary: fold them without a list
         a, b = children
-        fold2 = (_por2, _pand2) if disjunctive != flip else (_pand2, _por2)
 
-        def binary(g: _Grounder, env: list, neg: bool) -> object:
-            return fold2[neg](a(g, env, neg), b(g, env, neg))
+        def binary(g: _Grounder, env: list) -> object:
+            return fold2(a(g, env), b(g, env))
 
         return binary
-    fold = (_por, _pand) if disjunctive != flip else (_pand, _por)
 
-    def connective(g: _Grounder, env: list, neg: bool) -> object:
-        return fold[neg]([c(g, env, neg) for c in children])
+    def connective(g: _Grounder, env: list) -> object:
+        return fold([c(g, env) for c in children])
 
     return connective
 
 
 def _iff(a: _Node, b: _Node, flip: bool) -> _Node:
-    def iff(g: _Grounder, env: list, neg: bool) -> object:
-        ap, an = a(g, env, False), a(g, env, True)
-        bp, bn = b(g, env, False), b(g, env, True)
-        if neg != flip:
-            return _por2(_pand2(ap, bn), _pand2(an, bp))
+    def iff(g: _Grounder, env: list) -> object:
+        g.check_time("grounding")
+        ap, bp = a(g, env), b(g, env)
+        an, bn = _negate(ap, g.check_time), _negate(bp, g.check_time)
+        if flip:  # the dual of the positive form below
+            return _por2(_pand2(ap, bn), _pand2(bp, an))
         return _pand2(_por2(an, bp), _por2(bn, ap))
 
     return iff
 
 
-def _quantifier(existential: bool, i: int, body: _Node, flip: bool) -> _Node:
-    fold = (_por, _pand) if existential != flip else (_pand, _por)
+def _quantifier(existential: bool, i: int, body: _Node) -> _Node:
+    fold = _por if existential else _pand
 
-    def quantifier(g: _Grounder, env: list, neg: bool) -> object:
+    def quantifier(g: _Grounder, env: list) -> object:
+        g.check_time("grounding")
         # binds env[i] to each element in turn
-        return fold[neg]([body(g, env, neg) for env[i] in range(g.size)])
+        return fold([body(g, env) for env[i] in range(g.size)])
 
     return quantifier
 
 
 class _CNF:
-    def __init__(self, nvars: int):
+    def __init__(self, nvars: int, check_time: Callable[[str], None] = _untimed):
         self.nvars = nvars
         self.clauses: list[list[int]] = []
         self.trivially_false = False
+        self.check_time = check_time
 
     def _fresh(self) -> int:
         self.nvars += 1
@@ -687,6 +689,7 @@ class _CNF:
         """Tseitin literal equisatisfiable with the NNF node."""
         if isinstance(p, int):
             return p
+        self.check_time("encoding")
         kind, children = p
         lits = [self._encode(c) for c in children]
         v = self._fresh()
@@ -842,7 +845,7 @@ def _solve(
     """Tseitin-encode the conjunction of ground trees built by g and yield
     what _dpll_models yields for it: nothing if the conjunction is trivially
     false."""
-    cnf = _CNF(g.nvars)
+    cnf = _CNF(g.nvars, s.check_time)
     for p in props:
         cnf.assert_root(p)
     if not cnf.trivially_false:
@@ -882,9 +885,9 @@ def _projections(
     axioms do not mention are enumerated both ways.  The yielded models
     interpret only keys and shown_consts.
     """
-    g = _Grounder(n, consts)
+    g = _Grounder(n, consts, s.check_time)
     atoms = [(key, tup, g._var(key, tup)) for key, ar in keys for tup in itertools.product(range(n), repeat=ar)]
-    props = [tree for p in programs for tree in p.ground(g, False)]
+    props = [tree for p in programs for tree in p.ground(g)]
     for assignment in _solve(s, g, props, [v for _, _, v in atoms]):
         s.spend(what)
         tables: dict[RelKey, list[tuple[int, ...]]] = {key: [] for key, _ in keys}
@@ -1013,12 +1016,12 @@ def equivalent(
 
 def _countermodel(s: _Search, tp: _Program, up: _Program) -> Union[EntailedFinite, Countermodel]:
     """A bounded model of tp's theory t that falsifies up's theory u, over
-    the search's vocabulary and stages, which cover both; not-u is grounded
-    as the disjunction of u's axioms instantiated negated."""
+    the search's vocabulary and stages, which cover both; not-u is the dual
+    of u's ground tree."""
     for n, consts in _domain_specs(s.vocab, s.cfg, canonical=True):
-        g = _Grounder(n, consts)
-        props = tp.ground(g, False)
-        props.append(_por(up.ground(g, True)))
+        g = _Grounder(n, consts, s.check_time)
+        props = tp.ground(g)
+        props.append(_negate(_pand(up.ground(g)), s.check_time))
         m = _solve_ground(s, g, props)
         if m is not None:
             _require(
@@ -1047,9 +1050,10 @@ def verify_forgetting(
     """Check that r's bounded models are exactly t's models with g released.
 
     M must satisfy r iff M or its g-toggled variant satisfies t.  Over each
-    domain the theories are grounded once; writing t' for t with g's variable
-    negated, r is too strong where (t or t') and not r is satisfiable, and
-    too weak where r and not t and not t' is.
+    domain each theory is grounded once and its negation is the dual tree;
+    writing t' for t with g's variable negated, r is too strong where
+    (t or t') and not r is satisfiable, and too weak where r and not t and
+    not t' is.
     """
     tp, rp = _compile(t.axioms), _compile(r.axioms)
     stages = tp.stages | rp.stages
@@ -1057,12 +1061,10 @@ def verify_forgetting(
         stages = stages | {g.stage}
     s = _Search(cfg, tp.vocab | rp.vocab | g.signature(), stages)
     for n, consts in _domain_specs(s.vocab, cfg, canonical=True):
-        gr = _Grounder(n, consts)
+        gr = _Grounder(n, consts, s.check_time)
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
-        t_pos = _pand(tp.ground(gr, False))
-        t_neg = _por(tp.ground(gr, True))
-        r_pos = _pand(rp.ground(gr, False))
-        r_neg = _por(rp.ground(gr, True))
+        t_pos, r_pos = _pand(tp.ground(gr)), _pand(rp.ground(gr))
+        t_neg, r_neg = _negate(t_pos, s.check_time), _negate(r_pos, s.check_time)
         queries = (
             ("result-too-strong", [_por([t_pos, _negate_var(t_pos, gv)]), r_neg]),
             ("result-too-weak", [r_pos, t_neg, _negate_var(t_neg, gv)]),

@@ -31,12 +31,14 @@ than per atom: simplify (rewrite rules per connective), substitute
 (parentheses per connective, from the precedence table the parser reads)
 and the oracle's evaluate and grounding compiler oracle._compile (semantics
 per connective).  Their depth is the nesting depth of the formula, not its
-width: simplify flattens And/Or spines and tests its fixed point by
-identity, _fmt1 prints an And/Or spine with a loop, evaluate walks a
-left-nested And/Or spine and a right-nested -> chain with a loop and folds
-a Not chain into one polarity bit, and _compile makes each And/Or spine and
-each -> chain one n-ary node and folds Not chains into the polarity.  The dataclass-generated __eq__,
-__hash__ and __repr__ of the nodes recurse too, so comparing or hashing two
+width: simplify flattens And/Or spines, folds a Not chain into one
+polarity bit, walks a right-nested -> chain along its spine and tests its
+fixed point by identity, _fmt1 prints an And/Or spine with a loop,
+evaluate walks a left-nested And/Or spine and a right-nested -> chain
+with a loop and folds a Not chain into one polarity bit, and _compile
+makes each And/Or spine and each -> chain one n-ary node and folds Not
+chains into the polarity.  The dataclass-generated __eq__, __hash__ and
+__repr__ of the nodes recurse too, so comparing or hashing two
 deep trees that share no subtree can still hit the recursion limit.  The
 parser does not recurse: surface._Parser._formula keeps its own operator
 and operand stacks.
@@ -782,6 +784,10 @@ def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm
 _NORMAL = object()  # simplify memo: no rule rewrites the node
 
 
+def _memo_slot(una: bool) -> str:
+    return "_simp_una" if una else "_simp_no_una"
+
+
 def _step(f: Formula, una: bool) -> Formula:
     """One rewriting pass over f, memoized on the node per una value.
 
@@ -789,7 +795,7 @@ def _step(f: Formula, una: bool) -> Formula:
     tell a fixed point by identity.  A normal node stores _NORMAL rather
     than a reference to itself, which would make it a reference cycle.
     """
-    slot = "_simp_una" if una else "_simp_no_una"
+    slot = _memo_slot(una)
     memo = getattr(f, slot, None)
     if memo is not None:
         return f if memo is _NORMAL else memo
@@ -805,36 +811,43 @@ def _rewrite(f: Formula, una: bool) -> Formula:
         case ObjEq():
             return _simp_eq(f, una)
         case Not(body):
-            match _step(body, una):
+            # a chain of negations is one polarity bit, not one frame per !
+            neg = True
+            while type(body) is Not:
+                body = body.body
+                neg = not neg
+            g = _step(body, una)
+            if not neg:
+                return g
+            match g:
                 case Truth():
                     return FALSE
                 case Falsity():
                     return TRUE
                 case Not(inner):
                     return inner
-                case g:
-                    return f if g is body else Not(g)
+                case _:
+                    return f if g is f.body else Not(g)
         case And():
             parts = [_step(p, una) for p in flatten_and(f)]
             return _conjunction_of(parts, una, f)
         case Or():
             parts = [_step(p, una) for p in flatten_or(f)]
             return _disjunction_of(parts, una, f)
-        case Implies(lhs, rhs):
-            a, b = _step(lhs, una), _step(rhs, una)
-            match (a, b):
-                case (Truth(), _):
-                    return b
-                case (Falsity(), _):
-                    return TRUE
-                case (_, Truth()):
-                    return TRUE
-                case (_, Falsity()):
-                    return _step(Not(a), una)
-                case _ if a == b:
-                    return TRUE
-                case _:
-                    return f if a is lhs and b is rhs else Implies(a, b)
+        case Implies():
+            # a right-nested chain a1 -> a2 -> ... -> b is walked along its
+            # spine: the links below f that have no memo yet are rewritten
+            # and memoized innermost first, as _step would
+            slot = _memo_slot(una)
+            links = [f]
+            while type(links[-1].rhs) is Implies and getattr(links[-1].rhs, slot, None) is None:
+                links.append(links[-1].rhs)
+            out = _step(links[-1].rhs, una)
+            for link in reversed(links):
+                out = _implication(link, _step(link.lhs, una), out, una)
+                if link is not f:
+                    object.__setattr__(link, slot, _NORMAL if out is link else out)
+            return out
         case Iff(lhs, rhs):
             a, b = _step(lhs, una), _step(rhs, una)
             match (a, b):
@@ -879,6 +892,24 @@ def _rewrite(f: Formula, una: bool) -> Formula:
             return f if b is body else Exists(v, b)
         case _:
             raise SitcalcError(f"not a formula: {f!r}")
+
+
+def _implication(f: Implies, a: Formula, b: Formula, una: bool) -> Formula:
+    """One rewriting pass over f, given the passes a over its antecedent and
+    b over its consequent."""
+    match (a, b):
+        case (Truth(), _):
+            return b
+        case (Falsity(), _):
+            return TRUE
+        case (_, Truth()):
+            return TRUE
+        case (_, Falsity()):
+            return _step(Not(a), una)
+        case _ if a == b:
+            return TRUE
+        case _:
+            return f if a is f.lhs and b is f.rhs else Implies(a, b)
 
 
 def simplify(f: Formula, una: bool = True) -> Formula:

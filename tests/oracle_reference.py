@@ -106,7 +106,7 @@ def ground(g, f, env, neg):
             ap, an = ground(g, a, env, False), ground(g, a, env, True)
             bp, bn = ground(g, b, env, False), ground(g, b, env, True)
             if neg:
-                return _por([_pand([ap, bn]), _pand([an, bp])])
+                return _por([_pand([ap, bn]), _pand([bp, an])])
             return _pand([_por([an, bp]), _por([bn, ap])])
         case Forall(v, body):
             parts = [ground(g, body, {**env, v.name: d}, neg) for d in range(g.size)]

@@ -470,6 +470,22 @@ class TestDeepInput:
         assert "satisfiable:" in out
         assert "P = true" in out
 
+    @pytest.mark.parametrize(
+        "declarations, axiom, symbol, expected",
+        [
+            ("static Z/0, Q/0;", " -> ".join(["Z", "Q"] * 500), "Z", "true;\n"),
+            ("static P/0, Z/0;", "!" * 1_000 + "P & Z", "Z", "P;\n"),
+            ("static P/0;", "!" * 3_000 + "P", "P", "true;\n"),
+        ],
+        ids=["implication-chain", "negations-before-a-conjunction", "negations-before-an-atom"],
+    )
+    def test_a_symbol_is_forgotten_from_a_deep_axiom(self, capsys, tmp_path, declarations, axiom, symbol, expected):
+        f = tmp_path / "deep.bat"
+        f.write_text(f"{declarations}\n\ntheory {{\n  {axiom};\n}}\n")
+        code, out, err = run(capsys, "forget", str(f), "--symbol", symbol)
+        assert code == 0, err
+        assert out == expected
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -5,11 +5,12 @@ closure tree must give the same ground tree as tests/oracle_reference.py's
 ground, and must number the atoms in the same order: the CNF, the solver's
 search and so every reported model depend on both.  The formulas are
 compiled into one program once and instantiated on every spec, as the
-oracle does with a theory.
+oracle does with a theory; the negative polarity is the dual (_negate) of
+the tree grounded.
 
-The oracle grounds a theory's negation as the disjunction of its compiled
-axioms instantiated negated; that must be the tree, and the atom order, of
-grounding Not(conj(axioms)), the formula it stands for.
+The oracle takes a theory's negation as the dual of the conjunction of its
+ground axioms; that must be the tree, and the atom order, of grounding
+Not(conj(axioms)), the formula it stands for.
 """
 
 import random
@@ -20,7 +21,7 @@ from oracle_reference import ground
 from test_property_suites import CONSTS, SEEDS, SMALL_CONSTS, random_formula, random_theory
 
 from sitcalc import corpus_path, parse_bat, parse_theory
-from sitcalc.oracle import OracleConfig, _compile, _domain_specs, _Grounder, _por
+from sitcalc.oracle import OracleConfig, _compile, _domain_specs, _Grounder, _negate, _pand
 from sitcalc.progression import progress, progress_sequence
 from sitcalc.surface import parse_formula, parse_ground_action
 from sitcalc.syntax import (
@@ -62,14 +63,16 @@ def assert_same_grounding(formulas, specs):
         for neg in (False, True):
             want_g, got_g = _Grounder(n, consts), _Grounder(n, consts)
             want = [ground(want_g, f, {}, neg) for f in formulas]
-            got = program.ground(got_g, neg)
+            got = program.ground(got_g)
+            got = [_negate(t) for t in got] if neg else got
             assert got == want, (n, consts, neg)
+            assert [_negate(_negate(t)) for t in got] == got
             assert list(got_g.atom_vars.items()) == list(want_g.atom_vars.items()), (n, consts, neg)
             assert got_g.nvars == want_g.nvars
 
 
 def assert_negation_grounds_as_negated_conjunction(axioms, specs):
-    """_por of the axioms instantiated negated against Not(conj(axioms)),
+    """The dual of the axioms' conjoined trees against Not(conj(axioms)),
     on a fresh grounder and after the axioms were grounded positively, as
     the equivalence question over a theory and itself does."""
     program = _compile(axioms)
@@ -79,9 +82,9 @@ def assert_negation_grounds_as_negated_conjunction(axioms, specs):
             want_g, got_g = _Grounder(n, consts), _Grounder(n, consts)
             for g in (want_g, got_g):
                 for p in first:
-                    p.ground(g, False)
-            want = whole.ground(want_g, False)[0]
-            got = _por(program.ground(got_g, True))
+                    p.ground(g)
+            want = whole.ground(want_g)[0]
+            got = _negate(_pand(program.ground(got_g)))
             assert got == want, (n, consts, len(first))
             assert list(got_g.atom_vars.items()) == list(want_g.atom_vars.items()), (n, consts, len(first))
 
@@ -167,14 +170,14 @@ def test_wide_spines_and_negation_chains_ground_without_recursion():
     consts = tuple((f"c{i}", i % 3) for i in range(10_000))
     for f, kind in ((conj(atoms), "A"), (disj(atoms), "O")):
         g = _Grounder(3, consts)
-        assert _compile((f,)).ground(g, False)[0] == (kind, [1, 2, 3] * 3333 + [1])
-        assert _compile((f,)).ground(g, True)[0] == ("O" if kind == "A" else "A", [-1, -2, -3] * 3333 + [-1])
+        assert _compile((f,)).ground(g)[0] == (kind, [1, 2, 3] * 3333 + [1])
+        assert _compile((Not(f),)).ground(g)[0] == ("O" if kind == "A" else "A", [-1, -2, -3] * 3333 + [-1])
     deep = P(a)
     for _ in range(3_000):
         deep = Not(deep)
     g = _Grounder(1, (("a", 0),))
-    assert _compile((deep,)).ground(g, False)[0] == 1
-    assert _compile((Not(deep),)).ground(g, False)[0] == -1
+    assert _compile((deep,)).ground(g)[0] == 1
+    assert _compile((Not(deep),)).ground(g)[0] == -1
 
 
 class TestNegatedTheory:

@@ -36,7 +36,7 @@ from sitcalc.oracle import (
     verify_forgetting,
 )
 from sitcalc.surface import parse_formula, render
-from sitcalc.syntax import TRUE, ActionTerm, And, Formula, Not, Signature, StaticAtom, Theory, signature_of
+from sitcalc.syntax import TRUE, ActionTerm, And, Formula, Iff, Not, Signature, StaticAtom, Theory, signature_of
 
 SIG = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1), ("R", 2)}))
 CFG = OracleConfig(max_extra=1)
@@ -176,7 +176,7 @@ class TestGroundingErrors:
     def test_errors_are_raised_by_grounding_not_by_compiling(self, bad, message):
         ground = _compile((Not(bad),)).ground
         with pytest.raises(SitcalcError) as e:
-            ground(_Grounder(1, (("c", 0),)), False)
+            ground(_Grounder(1, (("c", 0),)))
         assert str(e.value) == message
 
 
@@ -474,3 +474,49 @@ class TestOneSearchPerCall:
         check_expansion(one, two, OracleConfig(max_extra=1, max_models=total))
         with pytest.raises(BudgetExceeded, match="reduct enumeration"):
             check_expansion(one, two, OracleConfig(max_extra=1, max_models=total - 1))
+
+
+class TestGroundOnce:
+    """A negation is the dual of the tree already grounded, never a second
+    grounding, and the time budget covers grounding and encoding."""
+
+    def test_forgetting_verification_grounds_each_theory_once_per_spec(self, monkeypatch, insep_pair, cfg1):
+        (_, one), _ = insep_pair
+        g = GroundAtom("R", ("c", "c"), None)
+        r = forget_atom(one, g)
+        calls = []
+        ground = oracle._Program.ground
+        monkeypatch.setattr(oracle._Program, "ground", lambda p, gr: calls.append((gr, p.theory)) or ground(p, gr))
+        assert isinstance(verify_forgetting(one, g, r, cfg1), oracle.VerifiedFinite)
+        grounders = list(dict.fromkeys(gr for gr, _ in calls))
+        vocab = signature_of(one) | signature_of(r) | g.signature()
+        assert len(grounders) == len(_domain_specs(vocab, cfg1, canonical=True)) > 1
+        assert calls == [(gr, theory) for gr in grounders for theory in (one, r)]
+
+    def test_a_biconditional_looks_up_each_atom_occurrence_once(self):
+        looked = []
+
+        class Lookups(dict):
+            def get(self, key, default=None):
+                looked.append(key)
+                return super().get(key, default)
+
+        g = _Grounder(1, (("c", 0),))
+        g.atom_vars = Lookups()
+        _compile((f("P(c) <-> !(R(c, c) <-> P(c))"),)).ground(g)
+        assert looked == [(("P", ""), (0,)), (("R", ""), (0, 0)), (("P", ""), (0,))]
+
+    def test_the_time_limit_bounds_grounding(self):
+        # each <-> of the chain doubles the tree: 2^16 connectives to build
+        atoms = [StaticAtom(f"A{i}") for i in range(16)]
+        chain = atoms[-1]
+        for a in reversed(atoms[:-1]):
+            chain = Iff(a, chain)
+        with pytest.raises(BudgetExceeded, match="^(grounding|encoding) exceeded the time budget$"):
+            satisfiable(Theory((chain,)), OracleConfig(time_limit=1e-9))
+
+    def test_the_time_limit_bounds_encoding(self):
+        s = oracle._Search(OracleConfig(time_limit=1e-9), Signature(), frozenset())
+        cnf = oracle._CNF(2, s.check_time)
+        with pytest.raises(BudgetExceeded, match="^encoding exceeded the time budget$"):
+            cnf.assert_root(("O", [("A", [1, 2])] * 1_000))
