@@ -14,6 +14,7 @@ blocks, which argument sets and the characteristic set then read.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -114,14 +115,16 @@ class BAT:
     """A basic action theory over the declared signature.
 
     Unique names for constants and for distinct action functions are part of
-    the semantics, not stored as axioms.
+    the semantics, not stored as axioms.  spans maps keys such as "ssa:On"
+    or "init:3" to source positions; a parsed BAT computes them when first
+    read.
     """
 
     sig: Signature
     init: Theory
     preconditions: tuple[Precondition, ...] = ()
     ssas: tuple[SSA, ...] = ()
-    spans: tuple[tuple[str, SourceSpan], ...] = field(default=(), compare=False)
+    spans: Sequence[tuple[str, SourceSpan]] = field(default=(), compare=False)
     # (id(ssa), action) -> (ssa, transform_ssa(ssa, action)); see _transformed
     _transformed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

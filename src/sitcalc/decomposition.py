@@ -21,7 +21,7 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence
 from .bat import BAT, SSA, GroundAction, Violation
 from .errors import SitcalcError
 from .oracle import DEFAULT_CONFIG, OracleConfig, equivalent, is_positive
-from .syntax import Signature, Stage, Theory, signature_of, stages_of
+from .syntax import Signature, Stage, Theory, signature_of, symbols_and_stages
 
 # ---------------------------------------------------------------------------
 # types
@@ -111,10 +111,14 @@ def _clashes(sigs: Sequence[Signature], delta: Signature) -> Iterator[tuple[int,
 
 
 def _union(sigs: Iterable[Signature]) -> Signature:
-    out = Signature()
-    for s in sigs:
-        out = out | s
-    return out
+    """The union of the signatures, built and checked once."""
+    sigs = list(sigs)
+    return Signature(
+        frozenset().union(*(s.objects for s in sigs)),
+        frozenset().union(*(s.statics for s in sigs)),
+        frozenset().union(*(s.fluents for s in sigs)),
+        frozenset().union(*(s.actions for s in sigs)),
+    )
 
 
 def syntactic_decompose(t: Theory, delta: Signature) -> Optional[Decomposition]:
@@ -172,10 +176,10 @@ def verify_decomposition(
 
 
 def _ssa_signature(s: SSA) -> Signature:
-    sig = Signature(fluents=frozenset({(s.fluent, len(s.head_vars))}))
-    for d in s.pos + s.neg:
-        sig = sig | signature_of(d.action) | signature_of(d.context)
-    return sig
+    ds = s.pos + s.neg
+    own = Signature(fluents=frozenset({(s.fluent, len(s.head_vars))}))
+    contexts = signature_of(Theory(tuple(d.context for d in ds)))
+    return _union([own, contexts, *(signature_of(d.action) for d in ds)])
 
 
 def group_ssas(b: BAT, delta1: Signature = Signature()) -> tuple[tuple[str, ...], ...]:
@@ -232,23 +236,25 @@ def check_local_effect_preservation(
     if uncovered:
         bad(f"the partition misses the axioms for {', '.join(uncovered)}")
 
-    gsigs = [_union(_ssa_signature(s) for s in grp) for grp in groups]
+    ssa_sigs = {s.fluent: _ssa_signature(s) for s in b.ssas}
+    gsigs = [_union(ssa_sigs[s.fluent] for s in grp) for grp in groups]
     for i, j, shared in _clashes(gsigs, delta1):
         names = ", ".join(shared.sorted_names())
         bad(f"axiom groups {i} and {j} share symbols {names} outside delta1")
 
-    csigs = [signature_of(c) for c in init_decomp.components]
+    found = [symbols_and_stages(c) for c in init_decomp.components]
+    csigs = [sig for sig, _ in found]
     for i, j, shared in _clashes(csigs, delta2):
         names = ", ".join(shared.sorted_names())
         bad(f"initial components {i} and {j} share non-delta symbols {names}")
-    for j, comp in enumerate(init_decomp.components):
-        if not stages_of(comp) <= frozenset({Stage.NOW}):
+    for j, (sig, stages) in enumerate(found):
+        if not stages <= frozenset({Stage.NOW}):
             bad(f"initial component {j} is not uniform in the current stage")
-        residual = csigs[j] - delta1 - delta2
+        residual = sig - delta1 - delta2
         if not (residual.statics or residual.fluents):
             bad(f"initial component {j} has no predicate symbols outside delta1 and delta2")
 
-    ssa_fluents = _union(_ssa_signature(s) for s in b.ssas)
+    ssa_fluents = _union(ssa_sigs.values())
     init_sig = _union(csigs)
     missing = {n for n, _ in ssa_fluents.fluents} - {n for n, _ in init_sig.fluents}
     if missing:

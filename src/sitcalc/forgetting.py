@@ -17,16 +17,19 @@ FALSE, so the relativized form never mentions g and resolution would have
 kept the axiom verbatim anyway.
 
 forget_atoms and forget_atom share one loop, which files each axiom once
-per call in a denotation index: under the ground atoms it mentions and,
-for atoms with a variable argument (any atom, without unique names),
-under the atom's predicate, stage and arity with its argument pattern.
+per call in a denotation index, under those of its atoms that can denote an
+atom to forget: under unique names a ground atom that is one of them, and
+an atom with a variable argument (any atom, without unique names) of the
+predicate, stage and arity of one of them, with its argument pattern.
 Each step looks up the axioms that can denote its atom instead of scanning
-the theory, and files the disjunction it adds.
+the theory, and files the disjunction it adds.  An axiom that no step
+takes comes out as the same object.
 
 A step keeps shared structure shared, so that simplify, which memoizes per
 node, reduces each shared subtree once: the axioms it relativizes share one
 split table, which gives each occurrence pattern of g's predicate one split
-node, and replace_ground maps them all in one map_atoms call.
+node, and one map_atoms_twice walk over them all builds the g:=TRUE and
+g:=FALSE images of each.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .syntax import (
     atoms_of,
     conj,
     map_atoms,
+    map_atoms_twice,
     simplify,
 )
 
@@ -170,34 +174,46 @@ def forget_atoms(t: Theory, atoms: Iterable[GroundAtom], una: bool = True) -> Th
 
 def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
     """forget_atom for each atom in turn, through the denotation index
-    described in the module docstring."""
-    axioms: dict[int, Formula] = {}  # by id; ids grow, so the dict keeps theory order
+    described in the module docstring.  The axioms that pass through keep
+    their order, and the disjunctions added follow them."""
+    atoms = tuple(atoms)
     # A key is (predicate, stage or None for a static, arity); an argument
     # pattern has a constant's name or None for a variable at each position.
-    ground: dict[tuple, list[int]] = {}  # (key, constant names) -> ids
+    # Only the atoms that can denote an atom to forget are filed.
+    keys = {(g.pred, g.stage, len(g.args)) for g in atoms}
+    ground: dict[tuple, list[int]] = {((g.pred, g.stage, len(g.args)), g.args): [] for g in atoms}
     open_: dict[tuple, list[tuple[int, tuple]]] = {}  # key -> (id, argument pattern)
+    # the live axioms that are filed in the index or were added, by id
+    axioms: dict[int, Formula] = {}
 
     def add(i: int, ax: Formula) -> None:
-        axioms[i] = ax
         for a in atoms_of(ax):
-            if isinstance(a, FluentAtom):
-                key = (a.fluent, a.stage, len(a.args))
-            elif isinstance(a, StaticAtom):
-                key = (a.pred, None, len(a.args))
+            node = type(a)
+            if node is FluentAtom:
+                pred, stage = a.fluent, a.stage
+            elif node is StaticAtom:
+                pred, stage = a.pred, None
             else:
                 continue
-            names = tuple(x.name if isinstance(x, Const) else None for x in a.args)
+            key = (pred, stage, len(a.args))
+            if key not in keys:
+                continue
+            names = tuple([x.name if type(x) is Const else None for x in a.args])
             if una and None not in names:
-                ground.setdefault((key, names), []).append(i)
+                ids = ground.get((key, names))  # under unique names it denotes only itself
+                if ids is None:
+                    continue
+                ids.append(i)
             else:
                 open_.setdefault(key, []).append((i, names))
+            axioms[i] = ax
 
     def may_denote(g: GroundAtom) -> list[int]:
         """Ids of the live axioms with an atom that can denote g, in theory order.
         Under unique names an atom with a constant other than g's at some
         position cannot."""
         key = (g.pred, g.stage, len(g.args))
-        found = set(ground.get((key, g.args), ()))
+        found = set(ground[key, g.args])
         for i, names in open_.get(key, ()):
             if not una or all(n is None or n == c for n, c in zip(names, g.args)):
                 found.add(i)
@@ -205,16 +221,17 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
 
     for i, ax in enumerate(t.axioms):
         add(i, ax)
+    gone: set[int] = set()  # the ids of the axioms taken into a disjunction
     next_id = len(t.axioms)
     for g in atoms:
+        gatom = g.to_formula()
         pos_parts: list[Formula] = []
         neg_parts: list[Formula] = []
         used: list[int] = []
         ids = may_denote(g)
         splits: dict[tuple, Formula] = {}  # one split per occurrence pattern for the whole step
         rels = Theory(tuple(relativize(axioms[i], g, una, splits) for i in ids))
-        pos_t = replace_ground(rels, g, TRUE)
-        neg_t = replace_ground(rels, g, FALSE)
+        pos_t, neg_t = map_atoms_twice(rels, lambda a: (TRUE, FALSE) if a == gatom else (a, a))
         for i, pos, neg in zip(ids, pos_t.axioms, neg_t.axioms):
             if pos is not neg:  # the same object exactly when g does not occur in rel
                 pos_parts.append(pos)
@@ -223,9 +240,15 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
         if used:
             for i in used:
                 del axioms[i]
-            add(next_id, simplify(Or(conj(pos_parts), conj(neg_parts)), una))
+            gone.update(used)
+            axioms[next_id] = simplify(Or(conj(pos_parts), conj(neg_parts)), una)
+            add(next_id, axioms[next_id])
             next_id += 1
-    return t if next_id == len(t.axioms) else Theory(tuple(axioms.values()))
+    if not gone:
+        return t
+    n = len(t.axioms)
+    passed = (ax for i, ax in enumerate(t.axioms) if i not in gone)
+    return Theory((*passed, *(ax for i, ax in axioms.items() if i >= n)))
 
 
 def occurring_ground_atoms(t: Theory, pred: str) -> tuple[GroundAtom, ...]:

@@ -34,6 +34,7 @@ from .syntax import (
     signature_of,
     simplify_theory,
     split_conjunctions,
+    stages_of,
     substitute,
 )
 
@@ -62,13 +63,22 @@ class ExecutabilityReport:
         return all(is_positive(s.verdict) for s in self.steps)
 
 
-def _finalize(t: Theory) -> Theory:
+def _finalize(t: Theory, init: Theory) -> Theory:
     """Stage bookkeeping after forgetting: the next stage becomes current.
 
-    One simplification suffices: the conjuncts of a simplified axiom are
-    simplified already, and splitting drops TRUE.
+    The axioms of the initial theory that forgetting passed through, the
+    same objects, are at the current stage already and are not renamed;
+    an initial theory that mentions the next stage, which validate rejects,
+    has every axiom renamed.  One simplification suffices: the conjuncts of
+    a simplified axiom are simplified already, and splitting drops TRUE.
+    It costs little on the axioms passed through, which are simplified
+    already from the second step on.
     """
-    return split_conjunctions(simplify_theory(rename_stage(t, Stage.NEXT, Stage.NOW)))
+    passed = set() if Stage.NEXT in stages_of(init) else {id(ax) for ax in init.axioms}
+    moved = Theory(tuple(ax for ax in t.axioms if id(ax) not in passed))
+    renamed = iter(rename_stage(moved, Stage.NEXT, Stage.NOW).axioms)
+    t = Theory(tuple(ax if id(ax) in passed else next(renamed) for ax in t.axioms))
+    return split_conjunctions(simplify_theory(t))
 
 
 def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:
@@ -82,7 +92,7 @@ def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:
     combined = Theory(tuple(inst.axioms) + tuple(b.init.axioms))
     forgotten = forget_atoms(combined, omega)
     return ProgressionResult(
-        theory=_finalize(forgotten),
+        theory=_finalize(forgotten, b.init),
         omega=omega,
         touched_fluents=frozenset(g.pred for g in omega),
     )
@@ -125,7 +135,7 @@ def progress_componentwise(
             continue
         inst = instantiate_ssas(b, alpha, omega_j)
         combined = Theory(tuple(inst.axioms) + tuple(comp.axioms))
-        components.append(_finalize(forget_atoms(combined, omega_j)))
+        components.append(_finalize(forget_atoms(combined, omega_j), comp))
     return Decomposition(init_decomp.delta, tuple(components))
 
 

@@ -34,10 +34,11 @@ a structurally equal object, and rendering is deterministic.
 The parser keeps tokens as plain strings: one regex split yields each
 token's text together with the blanks before it, and a token's kind is read
 off its text.  A token is an index into the list of texts, and positions
-are not kept per token: the line and column of the tokens that a span or an
-error names are computed from the cumulative lengths of the text before
-them and an index of the newlines.  A bad character anywhere in the text is reported
-before any syntax error.  Within one parse each name yields one Const or
+are not kept per token: the line and column of the tokens that an error
+names are computed from the cumulative lengths of the text before them and
+an index of the newlines, and a BAT computes those of its spans the same
+way the first time they are read.  A bad character anywhere in the text is
+reported before any syntax error.  Within one parse each name yields one Const or
 Var object, shared by all its occurrences.
 """
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import accumulate
 from typing import Callable, NoReturn, Optional, TypeVar, Union
 
@@ -87,9 +89,9 @@ from .syntax import (
 # triple holds the trailing blanks and the empty match at the end of the
 # text, whose token is _EOF.  Punctuation is tried first, as most tokens are
 # punctuation; "." takes a bad character.  A token is its index into toks.
-# Positions are computed only for the tokens that a span or an error names:
-# the first one asked for builds the cumulative lengths of the parts and a
-# newline index, and a token's offset then turns into a line and column.
+# Positions are computed only for the tokens that an error or a span that is
+# read names (_positions): the cumulative lengths of the parts and a newline
+# index turn a token's offset into a line and column.
 
 _SCAN = re.compile(
     r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)"
@@ -145,8 +147,6 @@ class _Parser:
         self.toks = toks
         toks[-1] = _EOF
         self.i = 0  # the next token
-        self.ends: list[int] = []  # offsets where the parts end, once a span asks
-        self.line_starts: list[int] = []
         self.idents: set[str] = set()
         bad: list[int] = []
         for t in set(toks[:-1]):
@@ -165,25 +165,17 @@ class _Parser:
                 self.decls.update((n, (kw, ar)) for n, ar in pool)
         self.terms: dict[str, ObjTerm] = {}  # name -> its one Const or Var
         self.saw_var = False  # _term_at handed out a Var since the flag was cleared
-        # (key, token index) of each declared name, block and sentence; a BAT
-        # turns them into positions, a theory file never needs them
-        self.spans: list[tuple[str, int]] = []
+        # (keyword, name or sentence number, token index) of each declared
+        # name, block and sentence: a BAT's spans, positioned when read
+        self.marks: list[tuple[str, object, int]] = []
         self.allow_next = True  # primed atoms are allowed; toggled per block
 
     # --- token plumbing
 
-    def _span(self, k: int) -> SourceSpan:
-        """The position of token k."""
-        if not self.ends:
-            self.ends = list(accumulate(map(len, self.parts)))
-            self.line_starts = [0, *accumulate(len(s) + 1 for s in self.text.split("\n"))]
-        off = self.ends[3 * k + 1]  # the end of the blanks before token k
-        line = bisect_right(self.line_starts, off)
-        return SourceSpan(self.path, line, off - self.line_starts[line - 1] + 1)
-
     def _err(self, msg: str, k: Optional[int] = None) -> NoReturn:
         """Raise at token k, by default the next one."""
-        raise ParseError(msg, self._span(self.i if k is None else k))
+        at = self.i if k is None else k
+        raise ParseError(msg, _positions(self.text, self.path, self.parts, [at])[0])
 
     def _accept(self, text: str) -> bool:
         if self.toks[self.i] == text:
@@ -254,7 +246,7 @@ class _Parser:
                 self.i += 1
                 ar = int(n)
             self.decls[name] = (kind, ar)
-            self.spans.append((f"{kind}:{name}", k))
+            self.marks.append((kind, name, k))
             if not self._accept(","):
                 break
         self._expect(";")
@@ -440,7 +432,7 @@ class _Parser:
         if name in seen:
             self._err(f"duplicate {kw} block for {name}", k)
         seen.add(name)
-        self.spans.append((f"{kw}:{name}", k))
+        self.marks.append((kw, name, k))
         return k, name, ar
 
     def _ssa_block(self, seen: set[str]) -> SSA:
@@ -514,7 +506,7 @@ class _Parser:
             start = self.i
             out.append(self._block_formula(kw == "theory", frozenset(), where))
             self._expect(";")
-            self.spans.append((f"{kw}:{len(out) - 1}", start))
+            self.marks.append((kw, len(out) - 1, start))
         self.i += 1  # the "}"
 
     def _signature(self) -> Signature:
@@ -527,6 +519,54 @@ class _Parser:
             fluents=frozenset(by_kind["fluent"]),
             actions=frozenset(by_kind["action"]),
         )
+
+
+def _positions(text: str, path: str, parts: list[str], ks: list[int]) -> list[SourceSpan]:
+    """The positions of the tokens ks of text, which _SCAN splits into parts."""
+    ends = list(accumulate(map(len, parts)))
+    line_starts = [0, *accumulate(len(s) + 1 for s in text.split("\n"))]
+    out = []
+    for k in ks:
+        off = ends[3 * k + 1]  # the end of the blanks before token k
+        line = bisect_right(line_starts, off)
+        out.append(SourceSpan(path, line, off - line_starts[line - 1] + 1))
+    return out
+
+
+class _Spans(Sequence):
+    """A BAT's (key, SourceSpan) pairs, positioned the first time they are read.
+
+    Parsing records each key's token; reading splits the text again and
+    computes every position at once.  Compares equal to the tuple of pairs.
+    """
+
+    __slots__ = ("_text", "_path", "_marks", "_pairs")
+
+    def __init__(self, text: str, path: str, marks: list[tuple[str, object, int]]) -> None:
+        self._text = text
+        self._path = path
+        self._marks = marks
+        self._pairs: Optional[tuple[tuple[str, SourceSpan], ...]] = None
+
+    def _read(self) -> tuple[tuple[str, SourceSpan], ...]:
+        if self._pairs is None:
+            ks = [k for _, _, k in self._marks]
+            at = _positions(self._text, self._path, _SCAN.split(self._text), ks)
+            self._pairs = tuple((f"{kw}:{what}", span) for (kw, what, _), span in zip(self._marks, at))
+            self._text = self._marks = None
+        return self._pairs
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __eq__(self, other: object) -> bool:
+        return self._read() == (other._read() if isinstance(other, _Spans) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._read())
 
 
 def _read_file(
@@ -573,8 +613,7 @@ def _read_file(
     sig, theory = p._signature(), Theory(tuple(sentences))
     if theory_file:
         return sig, theory, None
-    spans = tuple((key, p._span(k)) for key, k in p.spans)
-    return sig, theory, BAT(sig, theory, tuple(pres), tuple(ssas), spans)
+    return sig, theory, BAT(sig, theory, tuple(pres), tuple(ssas), _Spans(text, path, p.marks))
 
 
 def parse_bat(text: str, path: str = "<input>") -> BAT:
@@ -699,7 +738,13 @@ def _fmt1(f: Formula) -> tuple[str, int]:
             node = type(f)
             sep, prec, right = _INFIX[node]
             if right:
-                return f"{_fmt(f.lhs, prec + 1)}{sep}{_fmt(f.rhs, prec)}", prec
+                # the right spine in a loop, so a long chain costs no recursion
+                lefts = []
+                while isinstance(f, node):
+                    lefts.append(_fmt(f.lhs, prec + 1))
+                    f = f.rhs
+                lefts.append(_fmt(f, prec))
+                return sep.join(lefts), prec
             # the left spine in a loop, so a wide chain costs no recursion
             rights = []
             while isinstance(f, node):

@@ -17,11 +17,13 @@ or wide formula costs memory, not interpreter recursion:
   every subtree that fn left unchanged, and keeps shared structure
   shared: each distinct node object is mapped once per call, across all
   the axioms of a theory, so a subtree in several places comes back as
-  one object in all of them.
+  one object in all of them.  map_atoms_twice, the walk map_atoms makes,
+  builds two such images of x at once, as forgetting needs x[g:=TRUE]
+  and x[g:=FALSE].
 
 New code that folds over atoms or rewrites atoms uses them.  signature_of,
-stages_of, rename_stage and forgetting's relativize, replace_ground and
-occurring_ground_atoms do.
+stages_of, symbols_and_stages, rename_stage and forgetting's relativize,
+replace_ground, denotation index and occurring_ground_atoms do.
 flatten_and/flatten_or walk a connective spine and free_vars carries the
 bound variables on its stack; neither recurses.
 
@@ -33,7 +35,8 @@ and the oracle's evaluate and grounding compiler oracle._compile (semantics
 per connective).  Their depth is the nesting depth of the formula, not its
 width: simplify flattens And/Or spines, folds a Not chain into one
 polarity bit, walks a right-nested -> chain along its spine and tests its
-fixed point by identity, _fmt1 prints an And/Or spine with a loop,
+fixed point by identity, _fmt1 prints an And/Or spine and a right-nested
+-> or <-> chain with a loop,
 evaluate walks a left-nested And/Or spine and a right-nested -> chain
 with a loop and folds a Not chain into one polarity bit, and _compile
 makes each And/Or spine and each -> chain one n-ary node and folds Not
@@ -47,8 +50,10 @@ simplify and free_vars memoize their results on the nodes themselves, in
 slots that Formula declares: a node is immutable, so what was computed for
 it once holds for as long as it lives, and a subtree shared between an
 input and a result (map_atoms shares every unchanged one), or between
-places in one formula or theory, is not simplified again.  The memo lives
-in slots rather than in an instance __dict__ because a dict would cost
+places in one formula or theory, is not simplified again.  simplify also
+writes the memo of the nodes its rules build when it can tell they are
+normal, so the pass that confirms a fixed point stops at them.  The memo
+lives in slots rather than in an instance __dict__ because a dict would cost
 every node, memoized or not, a few hundred bytes (on CPython 3.11 a
 slotted And is 72 bytes, a plain dataclass And with its dict 352), and a
 progressed theory holds tens of thousands of nodes.
@@ -356,9 +361,12 @@ SyntaxLike = Var | Const | ActionTerm | Formula | Theory
 # ---------------------------------------------------------------------------
 # traversal
 
-_ATOMIC = (Truth, Falsity, FluentAtom, StaticAtom, ObjEq)
-_BINARY = (And, Or, Implies, Iff)
-_UNARY = (Not, Forall, Exists)  # one subformula, in .body
+# Node kinds, tested as type(f) in KIND: the nodes are final classes.
+_PREDICATIONS = frozenset({FluentAtom, StaticAtom})
+_LITERAL_ATOMS = _PREDICATIONS | {ObjEq}
+_ATOMIC = _LITERAL_ATOMS | {Truth, Falsity}
+_BINARY = frozenset({And, Or, Implies, Iff})
+_UNARY = frozenset({Not, Forall, Exists})  # one subformula, in .body
 _REBUILD = object()  # map_atoms stack marker: the node below it gets its children back
 
 
@@ -367,15 +375,16 @@ def atoms_of(x: Union[Formula, Theory]) -> Iterator[Formula]:
 
     Atomic means fluent and static atoms, object equalities, TRUE and FALSE.
     """
-    stack = list(reversed(x.axioms)) if isinstance(x, Theory) else [x]
+    stack = list(reversed(x.axioms)) if type(x) is Theory else [x]
     while stack:
         f = stack.pop()
-        if isinstance(f, _ATOMIC):
+        node = type(f)
+        if node in _ATOMIC:
             yield f
-        elif isinstance(f, _BINARY):
+        elif node in _BINARY:
             stack.append(f.rhs)
             stack.append(f.lhs)
-        elif isinstance(f, _UNARY):
+        elif node in _UNARY:
             stack.append(f.body)
         else:
             raise SitcalcError(f"not a formula: {f!r}")
@@ -391,37 +400,58 @@ def map_atoms(x: Union[Formula, Theory], fn: Callable[[Formula], Formula]):
     several places comes back as one object in all of them, and fn runs
     once per distinct atom object, so fn must be pure.
     """
+    return map_atoms_twice(x, lambda a: (b := fn(a), b))[0]
+
+
+def _with_parts(f: Formula, lhs: Formula, rhs: Formula) -> Formula:
+    """The binary node f with the given operands; f itself if they are its own."""
+    return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
+
+
+def _with_body(f: Formula, body: Formula) -> Formula:
+    """The negation or quantifier f with the given body; f itself if it is its own."""
+    if body is f.body:
+        return f
+    return Not(body) if isinstance(f, Not) else type(f)(f.var, body)
+
+
+def map_atoms_twice(x: Union[Formula, Theory], fn: Callable[[Formula], tuple[Formula, Formula]]):
+    """Two map_atoms calls in one walk: fn(a) is the pair of images of an
+    atomic subformula a, and the result is the pair of rebuilt formulas or
+    theories.  A subtree that is the same in both images is one object, the
+    input's own where fn changed nothing in it.
+    """
     roots = x.axioms if isinstance(x, Theory) else (x,)
-    memo: dict[int, Formula] = {}  # id of an input node -> its image; the input keeps the ids alive
-    out: list[Formula] = []
+    memo: dict[int, tuple[Formula, Formula]] = {}
+    out: list[tuple[Formula, Formula]] = []
     for root in roots:
         todo: list = [root]
-        done: list[Formula] = []
+        done: list[tuple[Formula, Formula]] = []
         while todo:
             f = todo.pop()
             if f is _REBUILD:
                 f = todo.pop()
-                if isinstance(f, _BINARY):
-                    rhs = done.pop()
-                    lhs = done.pop()
-                    new = f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
+                if type(f) in _BINARY:
+                    (r1, r2), (l1, l2) = done.pop(), done.pop()
+                    one = _with_parts(f, l1, r1)
+                    two = one if l2 is l1 and r2 is r1 else _with_parts(f, l2, r2)
                 else:
-                    body = done.pop()
-                    if body is f.body:
-                        new = f
-                    else:
-                        new = Not(body) if isinstance(f, Not) else type(f)(f.var, body)
+                    b1, b2 = done.pop()
+                    one = _with_body(f, b1)
+                    two = one if b2 is b1 else _with_body(f, b2)
+                new = (one, two)
             else:
                 new = memo.get(id(f))
                 if new is not None:
                     done.append(new)
                     continue
-                if isinstance(f, _ATOMIC):
+                node = type(f)
+                if node in _ATOMIC:
                     new = fn(f)
-                elif isinstance(f, _BINARY):
+                elif node in _BINARY:
                     todo += (f, _REBUILD, f.rhs, f.lhs)
                     continue
-                elif isinstance(f, _UNARY):
+                elif node in _UNARY:
                     todo += (f, _REBUILD, f.body)
                     continue
                 else:
@@ -430,7 +460,10 @@ def map_atoms(x: Union[Formula, Theory], fn: Callable[[Formula], Formula]):
             done.append(new)
         out.append(done[0])
     if isinstance(x, Theory):
-        return x if all(new is old for new, old in zip(out, x.axioms)) else Theory(tuple(out))
+        return tuple(
+            x if all(new is old for new, old in zip(images, x.axioms)) else Theory(images)
+            for images in zip(*out)
+        ) if out else (x, x)
     return out[0]
 
 
@@ -465,27 +498,36 @@ def _atom_terms(a: Formula) -> tuple[ObjTerm, ...]:
 
 def signature_of(x: SyntaxLike) -> Signature:
     """Symbols occurring in a term, formula or theory.  Variables contribute nothing."""
+    match x:
+        case Theory() | Formula():
+            return symbols_and_stages(x)[0]
+        case Var() | Const() | ActionTerm():
+            objects: set[str] = set()
+            actions: set[tuple[str, int]] = set()
+            _sig_of_term(x, objects, actions)
+            return Signature(objects=frozenset(objects), actions=frozenset(actions))
+        case _:
+            raise SitcalcError(f"cannot take the signature of {x!r}")
+
+
+def symbols_and_stages(x: Union[Formula, Theory]) -> tuple[Signature, frozenset[Stage]]:
+    """signature_of(x) and stages_of(x) from one walk over x."""
     objects: set[str] = set()
     statics: set[tuple[str, int]] = set()
     fluents: set[tuple[str, int]] = set()
     actions: set[tuple[str, int]] = set()
-
-    match x:
-        case Theory() | Formula():
-            for a in atoms_of(x):
-                match a:
-                    case FluentAtom(name, args, _):
-                        fluents.add((name, len(args)))
-                    case StaticAtom(name, args):
-                        statics.add((name, len(args)))
-                for t in _atom_terms(a):
-                    _sig_of_term(t, objects, actions)
-        case Var() | Const() | ActionTerm():
-            _sig_of_term(x, objects, actions)
-        case _:
-            raise SitcalcError(f"cannot take the signature of {x!r}")
-
-    return Signature(frozenset(objects), frozenset(statics), frozenset(fluents), frozenset(actions))
+    stages: set[Stage] = set()
+    for a in atoms_of(x):
+        match a:
+            case FluentAtom(name, args, stage):
+                fluents.add((name, len(args)))
+                stages.add(stage)
+            case StaticAtom(name, args):
+                statics.add((name, len(args)))
+        for t in _atom_terms(a):
+            _sig_of_term(t, objects, actions)
+    sig = Signature(frozenset(objects), frozenset(statics), frozenset(fluents), frozenset(actions))
+    return sig, frozenset(stages)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -619,7 +661,6 @@ def _complement_in(p: Formula, kept: list[Formula], negs: list[Formula]) -> bool
     return (type(p) is Not and p.body in kept) or p in negs
 
 
-_LITERAL_ATOMS = (FluentAtom, StaticAtom, ObjEq)
 _WIDE = 16  # formulas from which a membership test hashes atoms rather than scanning
 
 
@@ -675,7 +716,7 @@ def _simp_eq(f: ObjEq, una: bool) -> Formula:
         return FALSE if una else f
     # keep variables on the left so transformed effect conditions read x = c
     if isinstance(lhs, Const) and isinstance(rhs, Var):
-        return ObjEq(rhs, lhs)
+        return _mark_normal(ObjEq(rhs, lhs), una)
     return f
 
 
@@ -691,7 +732,8 @@ def _is_chain(f: Formula, node: type, parts: list[Formula]) -> bool:
 def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     """Rebuild the conjunction f: drop TRUE, dedupe, detect local contradictions.
 
-    f itself is returned if the rebuilt chain would equal it.
+    f itself is returned if the rebuilt chain would equal it.  A rebuilt
+    chain of normal parts is normal: a second pass would keep the same parts.
     """
     out = _kept(len(parts))
     negs = _kept(len(parts))
@@ -713,40 +755,102 @@ def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
         out.append(p)
         if type(p) is Not:
             negs.append(p.body)
-    return f if _is_chain(f, And, out) else conj(out)
+    if _is_chain(f, And, out):
+        return f
+    g = conj(out)
+    if len(out) > 1 and _all_normal(out, And, una):
+        _mark_normal(g, una)
+    return g
+
+
+def _is_literal(p: Formula) -> bool:
+    return type(p) in _LITERAL_ATOMS or (type(p) is Not and type(p.body) in _LITERAL_ATOMS)
+
+
+def _subsumes(si: list[Formula], sj: list[Formula]) -> bool:
+    """Does the conjunct set sj hold every conjunct of si?"""
+    return all(c in sj for c in si)
 
 
 def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     """Rebuild the disjunction f: drop FALSE, dedupe, absorb subsumed disjuncts.
 
-    f itself is returned if the rebuilt chain would equal it.
+    f itself is returned if the rebuilt chain would equal it.  A rebuilt
+    chain of normal parts is marked normal when a second pass would keep
+    it: at once if nothing was stripped, as the survivors of absorption
+    subsume one another nowhere, and else by trying that pass on them.
     """
+    flat = _disjuncts(parts)
+    if flat is None:
+        return TRUE
+    survivors, sets, changed = _absorb(flat)
+    rebuilt = [
+        _conjunction_of(sets[i], una, flat[i]) if (changed or len(sets[i]) != 1) else flat[i]
+        for i in survivors
+    ]
+    if _is_chain(f, Or, rebuilt):
+        return f
+    g = disj(rebuilt)
+    if changed:
+        normal = _all_normal(rebuilt, Or, una) and _settled(rebuilt)
+    else:  # normal survivors are rebuilt as they are
+        normal = _all_normal([flat[i] for i in survivors], Or, una)
+    if normal and len(rebuilt) > 1:
+        _mark_normal(g, una)
+    return g
+
+
+def _disjuncts(parts: list[Formula]) -> Optional[list[Formula]]:
+    """The parts without FALSE and repeats; None if one is TRUE or the
+    complement of another."""
     flat = _kept(len(parts))
     negs = _kept(len(parts))
     for p in parts:
         if isinstance(p, Truth):
-            return TRUE
+            return None
         if isinstance(p, Falsity) or p in flat:
             continue
         if _complement_in(p, flat, negs):
-            return TRUE
+            return None
         flat.append(p)
         if type(p) is Not:
             negs.append(p.body)
-    # drop a disjunct whose conjunct set contains some other whole disjunct set,
-    # and strip conjuncts refuted by another disjunct: d | (!d & e)  ==  d | e
+    return flat
+
+
+def _absorb(flat: list[Formula]) -> tuple[list[int], list[list[Formula]], bool]:
+    """Absorption and stripping over the disjuncts flat.
+
+    Drops a disjunct whose conjunct set contains some other whole disjunct
+    set, and strips conjuncts refuted by another disjunct: d | (!d & e) ==
+    d | e.  Returns the indices of the survivors, the conjunct set of each
+    disjunct after stripping, and whether anything was stripped.
+    """
     sets = [flatten_and(p) for p in flat]
     members = [_kept(len(s), s) for s in sets]
     keep = [True] * len(flat)
+    # A set is tested only against the disjuncts that hold its first literal
+    # conjunct, found in an index of literal conjuncts; a set without one is
+    # tested against them all.
+    holders: dict[Formula, list[int]] = {}
+    firsts: list[Optional[Formula]] = []
+    for j, s in enumerate(sets):
+        first = None
+        for c in s:
+            if _is_literal(c):
+                holders.setdefault(c, []).append(j)
+                if first is None:
+                    first = c
+        firsts.append(first)
+    everyone = range(len(flat))
     for i, si in enumerate(sets):
         if not keep[i]:
             continue
-        for j, sj in enumerate(members):
-            if i == j or not keep[j]:
-                continue
-            if all(c in sj for c in si):
+        first = firsts[i]
+        for j in everyone if first is None else holders[first]:
+            if i != j and keep[j] and _subsumes(si, members[j]):
                 keep[j] = False
-    survivors = [i for i in range(len(flat)) if keep[i]]
+    survivors = [i for i in everyone if keep[i]]
     # No disjunct is the complement of one of its own conjuncts, so testing
     # against all the survivors is testing against the others.
     others = _kept(len(survivors))
@@ -761,11 +865,17 @@ def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
         if len(stripped) != len(sets[i]):
             sets[i] = stripped
             changed = True
-    rebuilt = [
-        _conjunction_of(sets[i], una, flat[i]) if (changed or len(sets[i]) != 1) else flat[i]
-        for i in survivors
-    ]
-    return f if _is_chain(f, Or, rebuilt) else disj(rebuilt)
+    return survivors, sets, changed
+
+
+def _settled(parts: list[Formula]) -> bool:
+    """Would a pass over the disjunction of these normal parts keep them all,
+    absorbing and stripping nothing?"""
+    flat = _disjuncts(parts)
+    if flat is None or len(flat) != len(parts):
+        return False
+    survivors, _, changed = _absorb(flat)
+    return len(survivors) == len(flat) and not changed
 
 
 def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm, list[Formula]]]:
@@ -782,10 +892,30 @@ def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm
 
 
 _NORMAL = object()  # simplify memo: no rule rewrites the node
+_SLOT = ("_simp_no_una", "_simp_una")  # the memo slot, indexed by una
+_INERT = _ATOMIC - {ObjEq}
 
 
-def _memo_slot(una: bool) -> str:
-    return "_simp_una" if una else "_simp_no_una"
+def _inert(f: Formula) -> bool:
+    """Is f a node that no rule rewrites, needing no memo: TRUE, FALSE, a
+    fluent or static atom, or the negation of one of those atoms?"""
+    node = type(f)
+    return node in _INERT or (node is Not and type(f.body) in _PREDICATIONS)
+
+
+def _all_normal(parts: Iterable[Formula], node: Optional[type], una: bool) -> bool:
+    """Are the parts normal, and none of them a `node` whose spine a pass
+    over the chain rebuilt from them would flatten into it?"""
+    slot = _SLOT[una]
+    return all(
+        type(p) is not node and (_inert(p) or getattr(p, slot, None) is _NORMAL)
+        for p in parts
+    )
+
+
+def _mark_normal(f: Formula, una: bool) -> Formula:
+    object.__setattr__(f, _SLOT[una], _NORMAL)
+    return f
 
 
 def _step(f: Formula, una: bool) -> Formula:
@@ -794,8 +924,11 @@ def _step(f: Formula, una: bool) -> Formula:
     Returns f itself when no rule fires anywhere in it, so a caller can
     tell a fixed point by identity.  A normal node stores _NORMAL rather
     than a reference to itself, which would make it a reference cycle.
+    Inert nodes keep no memo.
     """
-    slot = _memo_slot(una)
+    if _inert(f):
+        return f
+    slot = _SLOT[una]
     memo = getattr(f, slot, None)
     if memo is not None:
         return f if memo is _NORMAL else memo
@@ -805,8 +938,10 @@ def _step(f: Formula, una: bool) -> Formula:
 
 
 def _rewrite(f: Formula, una: bool) -> Formula:
+    """One rewriting pass over f.  A node that a rule builds from normal
+    parts, and that no rule could rewrite again, is marked normal."""
     match f:
-        case Truth() | Falsity() | FluentAtom() | StaticAtom():
+        case _ if _inert(f):
             return f
         case ObjEq():
             return _simp_eq(f, una)
@@ -826,8 +961,10 @@ def _rewrite(f: Formula, una: bool) -> Formula:
                     return TRUE
                 case Not(inner):
                     return inner
+                case _ if g is f.body:
+                    return f
                 case _:
-                    return f if g is f.body else Not(g)
+                    return _normal_if(Not(g), (g,), una)
         case And():
             parts = [_step(p, una) for p in flatten_and(f)]
             return _conjunction_of(parts, una, f)
@@ -838,7 +975,7 @@ def _rewrite(f: Formula, una: bool) -> Formula:
             # a right-nested chain a1 -> a2 -> ... -> b is walked along its
             # spine: the links below f that have no memo yet are rewritten
             # and memoized innermost first, as _step would
-            slot = _memo_slot(una)
+            slot = _SLOT[una]
             links = [f]
             while type(links[-1].rhs) is Implies and getattr(links[-1].rhs, slot, None) is None:
                 links.append(links[-1].rhs)
@@ -861,8 +998,10 @@ def _rewrite(f: Formula, una: bool) -> Formula:
                     return _step(Not(a), una)
                 case _ if a == b:
                     return TRUE
+                case _ if a is lhs and b is rhs:
+                    return f
                 case _:
-                    return f if a is lhs and b is rhs else Iff(a, b)
+                    return _normal_if(Iff(a, b), (a, b), una)
         case Forall(v, body):
             b = _step(body, una)
             if isinstance(b, (Truth, Falsity)):
@@ -878,7 +1017,7 @@ def _rewrite(f: Formula, una: bool) -> Formula:
                         return _step(inst, una)
                 case _:
                     pass
-            return f if b is body else Forall(v, b)
+            return f if b is body else _normal_if(Forall(v, b), (b,), una)
         case Exists(v, body):
             b = _step(body, una)
             if isinstance(b, (Truth, Falsity)):
@@ -889,9 +1028,17 @@ def _rewrite(f: Formula, una: bool) -> Formula:
             if found is not None:
                 t, rest = found
                 return _step(substitute(conj(rest), {v.name: t}), una)
-            return f if b is body else Exists(v, b)
+            return f if b is body else _normal_if(Exists(v, b), (b,), una)
         case _:
             raise SitcalcError(f"not a formula: {f!r}")
+
+
+def _normal_if(f: Formula, parts: tuple[Formula, ...], una: bool) -> Formula:
+    """f, built by a rule that cannot fire on it again, marked normal if its
+    parts are."""
+    if _all_normal(parts, None, una):
+        _mark_normal(f, una)
+    return f
 
 
 def _implication(f: Implies, a: Formula, b: Formula, una: bool) -> Formula:
@@ -908,8 +1055,10 @@ def _implication(f: Implies, a: Formula, b: Formula, una: bool) -> Formula:
             return _step(Not(a), una)
         case _ if a == b:
             return TRUE
+        case _ if a is f.lhs and b is f.rhs:
+            return f
         case _:
-            return f if a is f.lhs and b is f.rhs else Implies(a, b)
+            return _normal_if(Implies(a, b), (a, b), una)
 
 
 def simplify(f: Formula, una: bool = True) -> Formula:
@@ -921,6 +1070,14 @@ def simplify(f: Formula, una: bool = True) -> Formula:
     one-point rule for exists z (z = t & phi) and forall z (z = t -> phi).
     Nonempty object domains are assumed.  The result of a simplify call is
     its own simplification, as the very same object.
+
+    Each pass rewrites what it has not met before, and a pass that rewrites
+    nothing ends the loop.  A node that a rule builds from normal parts, and
+    that no rule could rewrite again, is marked normal as it is built, and
+    so is a disjunction that stripping changed once one more pass over it is
+    seen to change nothing; the last pass stops at such a node instead of
+    walking it again.  Atoms other than equalities, and their negations,
+    keep no memo.
     """
     prev = f
     for _ in range(200):  # each rule shrinks the tree; the bound is a safety net
@@ -939,5 +1096,8 @@ def split_conjunctions(t: Theory) -> Theory:
     """Split each top-level conjunction into separate axioms, dropping TRUE."""
     out: list[Formula] = []
     for ax in t.axioms:
-        out.extend(flatten_and(ax))
+        if type(ax) is And or type(ax) is Truth:
+            out.extend(flatten_and(ax))
+        else:
+            out.append(ax)
     return Theory(tuple(out))

@@ -486,6 +486,25 @@ class TestDeepInput:
         assert code == 0, err
         assert out == expected
 
+    def test_a_kept_implication_chain_is_printed(self, capsys, tmp_path):
+        # forgetting a symbol that does not occur keeps the chain, which
+        # the printer then walks along its spine
+        chain = " -> ".join(["Z", "Q"] * 500)
+        f = tmp_path / "chain.bat"
+        f.write_text(f"static Z/0, Q/0, X/0;\n\ntheory {{\n  {chain};\n}}\n")
+        code, out, err = run(capsys, "forget", str(f), "--symbol", "X")
+        assert code == 0, err
+        assert out == chain + ";\n"
+        sig, t = surface.parse_theory(f.read_text())
+        text = surface.render_theory_file(sig, t)
+        sig2, t2 = surface.parse_theory(text)
+        assert sig2 == sig and surface.render_theory_file(sig2, t2) == text
+        a, b = t.axioms[0], t2.axioms[0]
+        for _ in range(999):
+            assert a.lhs == b.lhs
+            a, b = a.rhs, b.rhs
+        assert a == b
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

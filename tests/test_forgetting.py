@@ -148,6 +148,29 @@ class TestSharing:
         for out, _ in on_ab:
             assert any(node is split for node in _bottom_up(out))
 
+    def test_each_relativized_axiom_is_walked_once_for_both_images(self, monkeypatch):
+        b = parse_bat(Path(corpus_path("blocks_stacks.bat")).read_text())
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        omega = characteristic_set(b, alpha)
+        combined = Theory(instantiate_ssas(b, alpha, omega).axioms + b.init.axioms)
+        relativized, walked = [], []
+        real_relativize, real_walk = forgetting.relativize, forgetting.map_atoms_twice
+
+        def relativizing(*args):
+            relativized.append(args[0])
+            return real_relativize(*args)
+
+        def walking(x, fn):
+            walked.append(len(x))
+            return real_walk(x, fn)
+
+        monkeypatch.setattr(forgetting, "relativize", relativizing)
+        monkeypatch.setattr(forgetting, "map_atoms_twice", walking)
+        monkeypatch.setattr(forgetting, "replace_ground", lambda *args: walked.append(None))
+        forget_atoms(combined, omega)
+        assert len(walked) == len(omega)  # one walk per step
+        assert sum(walked) == len(relativized) > len(omega)
+
 
 class TestSemanticCheck:
     def test_correct_results_verify(self):

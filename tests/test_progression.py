@@ -5,8 +5,10 @@ import dataclasses
 import pytest
 
 from sitcalc import bat
+from sitcalc.bat import characteristic_set, instantiate_ssas
 from sitcalc.decomposition import Decomposition, group_ssas, syntactic_decompose
 from sitcalc.errors import MissingAxiom, SitcalcError
+from sitcalc.forgetting import forget_atoms
 from sitcalc.oracle import Countermodel, EquivalentFinite, equivalent, is_positive
 from sitcalc.progression import (
     executable,
@@ -16,7 +18,18 @@ from sitcalc.progression import (
     project,
 )
 from sitcalc.surface import parse_formula, parse_ground_action, render
-from sitcalc.syntax import Signature, Theory
+from sitcalc.syntax import (
+    And,
+    Const,
+    FluentAtom,
+    Signature,
+    Stage,
+    StaticAtom,
+    Theory,
+    rename_stage,
+    simplify_theory,
+    split_conjunctions,
+)
 
 DELTA_BLOCK = Signature(statics=frozenset({("Block", 1)}))
 
@@ -74,6 +87,50 @@ class TestProgress:
         r = progress(blocks_stacks, alpha)
         for ax in blocks_stacks.init.axioms[3:]:
             assert ax in r.theory.axioms
+
+
+def renamed_whole(b, alpha) -> Theory:
+    """progress(b, alpha).theory as it was computed before the axioms that
+    forgetting passes through skipped renaming: every axiom renamed,
+    simplified and split."""
+    omega = characteristic_set(b, alpha)
+    inst = instantiate_ssas(b, alpha, omega)
+    forgotten = forget_atoms(Theory(inst.axioms + b.init.axioms), omega)
+    return split_conjunctions(simplify_theory(rename_stage(forgotten, Stage.NEXT, Stage.NOW)))
+
+
+class TestUntouchedAxioms:
+    A = Const("A")
+
+    @pytest.mark.parametrize(
+        "name, action",
+        [("blocks_stacks.bat", "move(A, B, C)"), ("blocks_stacks.bat", "push(C, B)"),
+         ("blocks_world.bat", "move(A, B, C)"), ("decomp_lost.bat", "A(c)")],
+    )
+    def test_the_result_is_that_of_renaming_every_axiom(self, request, name, action):
+        b = request.getfixturevalue(name.removesuffix(".bat"))
+        alpha = parse_ground_action(action, b.sig)
+        assert progress(b, alpha).theory == renamed_whole(b, alpha)
+
+    def test_an_unsimplified_untouched_axiom_is_simplified_and_split(self, blocks_stacks):
+        block = StaticAtom("Block", (self.A,))
+        extra = And(block, And(block, StaticAtom("Block", (Const("B"),))))
+        b = dataclasses.replace(blocks_stacks, init=Theory(blocks_stacks.init.axioms + (extra,)))
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        r = progress(b, alpha).theory
+        assert r == renamed_whole(b, alpha)
+        assert extra not in r.axioms and block in r.axioms
+
+    def test_a_next_stage_atom_in_an_initial_theory_built_in_code_is_renamed(self, blocks_stacks):
+        # validate rejects it and the parser cannot read it; progression
+        # renames it with the rest, as before, though forgetting passes its
+        # axiom through
+        top_next = FluentAtom("Top", (self.A,), Stage.NEXT)
+        b = dataclasses.replace(blocks_stacks, init=Theory(blocks_stacks.init.axioms + (top_next,)))
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        r = progress(b, alpha).theory
+        assert r == renamed_whole(b, alpha)
+        assert FluentAtom("Top", (self.A,), Stage.NOW) in r.axioms and top_next not in r.axioms
 
 
 class TestComponentwise:

@@ -1,5 +1,7 @@
 """Surface language: parsing, printing, round trips, error locations."""
 
+import dataclasses
+
 import pytest
 
 from sitcalc import corpus_path, surface
@@ -23,6 +25,7 @@ from sitcalc.syntax import (
     Signature,
     Stage,
     StaticAtom,
+    Theory,
     atoms_of,
 )
 
@@ -251,15 +254,21 @@ class TestFileRoundTrips:
 
     def test_only_an_action_theory_computes_source_positions(self, monkeypatch):
         # positions are for a BAT's spans and for errors; a valid theory
-        # file needs none
+        # file needs none, and a BAT computes its spans when they are read
         calls = []
-        span = surface._Parser._span
-        monkeypatch.setattr(surface._Parser, "_span", lambda p, k: calls.append(k) or span(p, k))
+        span = surface.SourceSpan
+        monkeypatch.setattr(surface, "SourceSpan", lambda *a: calls.append(a) or span(*a))
         for name in ("insep_forgetting_t1.bat", "insep_forgetting_t2.bat", "propositional_chain.bat"):
             parse_theory(corpus_path(name).read_text(), name)
         assert calls == []
         b = parse_bat(corpus_path("blocks_stacks.bat").read_text(), "blocks_stacks.bat")
-        assert len(calls) == len(b.spans)
+        assert calls == []
+        moved = dataclasses.replace(b, init=Theory(()))
+        assert calls == []
+        assert moved.span_of("ssa:Top") == b.span_of("ssa:Top")
+        assert len(calls) == len(b.spans) > 0
+        assert b.span_of("init:0") is not None and len(calls) == len(b.spans)
+        assert dataclasses.replace(b, spans=()).spans == ()
 
     def test_declarations_recorded_with_spans(self):
         b = parse_bat(corpus_path("blocks_stacks.bat").read_text(), "blocks_stacks.bat")

@@ -35,12 +35,14 @@ from sitcalc.syntax import (
     flatten_or,
     free_vars,
     map_atoms,
+    map_atoms_twice,
     rename_stage,
     signature_of,
     simplify,
     split_conjunctions,
     stages_of,
     substitute,
+    symbols_and_stages,
 )
 from test_property_suites import SEEDS, random_theory
 
@@ -102,6 +104,11 @@ class TestFreeVarsAndSubstitution:
 
 
 class TestStages:
+    def test_symbols_and_stages_in_one_walk(self):
+        f = And(F(a, Stage.NEXT), Or(P(b), Forall(x, F(x))))
+        assert symbols_and_stages(f) == (signature_of(f), stages_of(f))
+        assert symbols_and_stages(Theory(())) == (Signature(), frozenset())
+
     def test_rename_stage_moves_next_to_now(self):
         f = And(F(c, Stage.NEXT), F(c, Stage.NOW))
         g = rename_stage(f, Stage.NEXT, Stage.NOW)
@@ -246,6 +253,19 @@ class TestSimplifyMemo:
         for f, want in zip(source(), hashed, strict=True):
             assert simplify(f, una) == want, f
 
+    def test_absorption_tests_only_disjuncts_that_share_a_literal(self, monkeypatch):
+        # P(ci) | (P(ci) & F(ci)) | ... : each conjunction is absorbed by its
+        # atom, and no other pair holds a common literal
+        calls = []
+        subsumes = syntax._subsumes
+        monkeypatch.setattr(syntax, "_subsumes", lambda si, sj: calls.append(1) or subsumes(si, sj))
+        for n in (40, 80):
+            calls.clear()
+            ps = [P(Const(f"c{i}")) for i in range(n)]
+            f = disj(q for p in ps for q in (p, And(p, F(p.args[0]))))
+            assert simplify(f) == disj(ps)
+            assert len(calls) == n
+
     def test_memo_under_one_una_value_leaves_the_other(self):
         f = And(ObjEq(a, b), P(c))
         assert simplify(f) == FALSE
@@ -317,6 +337,26 @@ class TestTraversal:
         assert [id(at) for at in seen] == [id(once), id(twin)]
         assert g.lhs.lhs is g.lhs.rhs is g.rhs.rhs.body
         assert g.rhs.lhs is not g.lhs.lhs and g.rhs.lhs == F(a)
+
+    def test_map_atoms_twice_gives_both_images_from_one_walk(self):
+        shared = Forall(x, Implies(F(x), P(a)))
+        t = Theory((And(shared, P(a)), Or(P(b), shared), P(c)))
+        seen = []
+
+        def images(at):
+            seen.append(at)
+            return (TRUE, FALSE) if at == P(a) else (at, at)
+
+        one, two = map_atoms_twice(t, images)
+        # F(x) and P(a) in shared, the other P(a), P(b), P(c): once each
+        assert len(seen) == len({id(at) for at in seen}) == 5
+        assert one == map_atoms(t, lambda at: images(at)[0])
+        assert two == map_atoms(t, lambda at: images(at)[1])
+        assert one.axioms[0].lhs is one.axioms[1].rhs
+        assert two.axioms[0].lhs is two.axioms[1].rhs
+        assert one.axioms[1].lhs is two.axioms[1].lhs is t.axioms[1].lhs
+        assert one.axioms[2] is two.axioms[2] is t.axioms[2]
+        assert map_atoms_twice(t, lambda at: (at, at)) == (t, t)
 
     def test_map_atoms_on_a_theory_shares_across_axioms(self):
         shared = Forall(x, Implies(F(x, Stage.NEXT), P(x)))
