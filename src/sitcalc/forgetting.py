@@ -21,9 +21,10 @@ per call in a denotation index, under those of its atoms that can denote an
 atom to forget: under unique names a ground atom that is one of them, and
 an atom with a variable argument (any atom, without unique names) of the
 predicate, stage and arity of one of them, with its argument pattern.
-Each step looks up the axioms that can denote its atom instead of scanning
-the theory, and files the disjunction it adds.  An axiom that no step
-takes comes out as the same object.
+A literal axiom, an atom or a negated atom, is filed under its one atom
+without a walk.  Each step looks up the axioms that can denote its atom
+instead of scanning the theory, and files the disjunction it adds.  An
+axiom that no step takes comes out as the same object.
 
 A step keeps shared structure shared, so that simplify, which memoizes per
 node, reduces each shared subtree once: the axioms it relativizes share one
@@ -54,6 +55,7 @@ from .syntax import (
     Theory,
     atoms_of,
     conj,
+    literal_atom,
     map_atoms,
     map_atoms_twice,
     simplify,
@@ -172,30 +174,38 @@ def forget_atoms(t: Theory, atoms: Iterable[GroundAtom], una: bool = True) -> Th
     return _forget(t, sorted_atoms(atoms), una)
 
 
+def _key(g: GroundAtom) -> tuple[str, int, int]:
+    """The denotation index key of g, see _forget."""
+    return (g.pred, g.sort_key[2], len(g.args))
+
+
 def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
     """forget_atom for each atom in turn, through the denotation index
     described in the module docstring.  The axioms that pass through keep
     their order, and the disjunctions added follow them."""
     atoms = tuple(atoms)
-    # A key is (predicate, stage or None for a static, arity); an argument
-    # pattern has a constant's name or None for a variable at each position.
-    # Only the atoms that can denote an atom to forget are filed.
-    keys = {(g.pred, g.stage, len(g.args)) for g in atoms}
-    ground: dict[tuple, list[int]] = {((g.pred, g.stage, len(g.args)), g.args): [] for g in atoms}
+    # A key is (predicate, stage rank, arity), the rank that of sort_key: 0
+    # for a static, 1 for the current and 2 for the next stage.  An int
+    # hashes in C, a Stage by a Python-level call, and filing a theory hashes
+    # two keys per atom.  An argument pattern has a constant's name or None
+    # for a variable at each position.  Only the atoms that can denote an
+    # atom to forget are filed; a literal axiom is filed under its one atom.
+    keys = {_key(g) for g in atoms}
+    ground: dict[tuple, list[int]] = {(_key(g), g.args): [] for g in atoms}
     open_: dict[tuple, list[tuple[int, tuple]]] = {}  # key -> (id, argument pattern)
     # the live axioms that are filed in the index or were added, by id
     axioms: dict[int, Formula] = {}
 
     def add(i: int, ax: Formula) -> None:
-        for a in atoms_of(ax):
+        atom = literal_atom(ax)
+        for a in atoms_of(ax) if atom is None else (atom,):
             node = type(a)
             if node is FluentAtom:
-                pred, stage = a.fluent, a.stage
+                key = (a.fluent, 1 if a.stage is Stage.NOW else 2, len(a.args))
             elif node is StaticAtom:
-                pred, stage = a.pred, None
+                key = (a.pred, 0, len(a.args))
             else:
                 continue
-            key = (pred, stage, len(a.args))
             if key not in keys:
                 continue
             names = tuple([x.name if type(x) is Const else None for x in a.args])
@@ -212,7 +222,7 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
         """Ids of the live axioms with an atom that can denote g, in theory order.
         Under unique names an atom with a constant other than g's at some
         position cannot."""
-        key = (g.pred, g.stage, len(g.args))
+        key = _key(g)
         found = set(ground[key, g.args])
         for i, names in open_.get(key, ()):
             if not una or all(n is None or n == c for n, c in zip(names, g.args)):

@@ -26,13 +26,15 @@ from .oracle import (
     is_positive,
 )
 from .syntax import (
+    FluentAtom,
     Formula,
     Signature,
     Stage,
     Theory,
+    literal_atom,
     rename_stage,
     signature_of,
-    simplify_theory,
+    simplify,
     split_conjunctions,
     stages_of,
     substitute,
@@ -69,16 +71,28 @@ def _finalize(t: Theory, init: Theory) -> Theory:
     The axioms of the initial theory that forgetting passed through, the
     same objects, are at the current stage already and are not renamed;
     an initial theory that mentions the next stage, which validate rejects,
-    has every axiom renamed.  One simplification suffices: the conjuncts of
-    a simplified axiom are simplified already, and splitting drops TRUE.
-    It costs little on the axioms passed through, which are simplified
-    already from the second step on.
+    has every axiom renamed.  A literal's stage is read off its atom, so
+    only the other axioms of the initial theory are walked for theirs.
+    One simplification suffices: the conjuncts of a simplified axiom are
+    simplified already, and splitting drops TRUE.  A literal is simplified
+    already and is not passed to simplify; the other axioms passed through
+    are simplified already from the second step on, which costs little.
     """
-    passed = set() if Stage.NEXT in stages_of(init) else {id(ax) for ax in init.axioms}
+    passed = set() if any(map(_at_next, init.axioms)) else {id(ax) for ax in init.axioms}
     moved = Theory(tuple(ax for ax in t.axioms if id(ax) not in passed))
     renamed = iter(rename_stage(moved, Stage.NEXT, Stage.NOW).axioms)
     t = Theory(tuple(ax if id(ax) in passed else next(renamed) for ax in t.axioms))
-    return split_conjunctions(simplify_theory(t))
+    return split_conjunctions(
+        Theory(tuple(ax if literal_atom(ax) is not None else simplify(ax) for ax in t.axioms))
+    )
+
+
+def _at_next(ax: Formula) -> bool:
+    """Does the axiom mention the next stage?"""
+    atom = literal_atom(ax)
+    if atom is None:
+        return Stage.NEXT in stages_of(ax)
+    return type(atom) is FluentAtom and atom.stage is Stage.NEXT
 
 
 def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:

@@ -31,15 +31,24 @@ line.
 render is the inverse: for every parsed input the rendered text reparses to
 a structurally equal object, and rendering is deterministic.
 
-The parser keeps tokens as plain strings: one regex split yields each
-token's text together with the blanks before it, and a token's kind is read
-off its text.  A token is an index into the list of texts, and positions
-are not kept per token: the line and column of the tokens that an error
-names are computed from the cumulative lengths of the text before them and
-an index of the newlines, and a BAT computes those of its spans the same
-way the first time they are read.  A bad character anywhere in the text is
-reported before any syntax error.  Within one parse each name yields one Const or
-Var object, shared by all its occurrences.
+The parser keeps tokens as plain strings: one regex pass yields each
+token's text, and a token's kind is read off its text.  A token is an index
+into the list of texts, and positions are not kept per token: the line and
+column of the tokens that an error names are computed from the cumulative
+lengths of the text before them and an index of the newlines, and a BAT
+computes those of its spans the same way the first time they are read.  A
+bad character anywhere in the text is reported before any syntax error.
+Within one parse each name yields one Const or Var object, shared by all
+its occurrences.
+
+A complete ground world is hundreds of init sentences that are each a
+ground literal, [!][(]P(c1, ..., ck)[)];.  The sentence loop reads such a
+sentence straight into its node when P is a declared predicate of that
+arity and each ci a constant that an earlier sentence met; any other
+sentence, well-formed or not, goes to the formula parser, so every error
+message and position is the formula parser's.  The printer prints an atom
+or a negated atom without the dispatch over node kinds that the other
+formulas take.
 """
 
 from __future__ import annotations
@@ -78,26 +87,26 @@ from .syntax import (
     Truth,
     Var,
     free_vars,
+    literal_atom,
 )
 
 # ---------------------------------------------------------------------------
 # tokens
 #
-# One re.split pass cuts the text into triples: the text between two matches
-# (always empty, as the matches tile the text), the whitespace and comments
-# before a token, and the token, whose kind is read off its text.  The last
-# triple holds the trailing blanks and the empty match at the end of the
-# text, whose token is _EOF.  Punctuation is tried first, as most tokens are
-# punctuation; "." takes a bad character.  A token is its index into toks.
-# Positions are computed only for the tokens that an error or a span that is
-# read names (_positions): the cumulative lengths of the parts and a newline
-# index turn a token's offset into a line and column.
+# One re.findall pass yields the text of each token, skipping the whitespace
+# and comments before it; a token's kind is read off its text.  The last
+# match is the empty one at the end of the text, whose token is _EOF.
+# Punctuation is tried first, as most tokens are punctuation; "." takes a bad
+# character.  A token is its index into toks.  Positions are computed only
+# for the tokens that an error or a span that is read names (_positions):
+# re.split with the blanks captured too cuts the text into triples (the
+# empty text between two matches, the blanks, the token), whose cumulative
+# lengths and a newline index turn a token's offset into a line and column.
 
-_SCAN = re.compile(
-    r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)"
-    r"([&|(),;:{}/]|!=?|[A-Za-z_][A-Za-z0-9_]*'?|\d+|<->|->|==|.|\Z)",
-    re.DOTALL,
-)
+_BLANKS = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+_TOKEN = r"[&|(),;:{}/]|!=?|[A-Za-z_][A-Za-z0-9_]*'?|\d+|<->|->|==|.|\Z"
+_TOKENS = re.compile(f"{_BLANKS}({_TOKEN})", re.DOTALL)
+_SCAN = re.compile(f"({_BLANKS})({_TOKEN})", re.DOTALL)
 _OPS = frozenset({"<->", "->", "==", "!=", *"!&|(),;:{}/"})
 _IDENT_FIRST = frozenset(string.ascii_letters + "_")
 _EOF = "end of input"
@@ -139,11 +148,9 @@ class _Parser:
     def __init__(self, text: str, path: str, sig: Optional[Signature] = None) -> None:
         self.text = text
         self.path = path
-        parts = _SCAN.split(text)
-        toks = parts[2::3]
+        toks = _TOKENS.findall(text)
         if len(toks) > 1 and not toks[-2]:
-            toks.pop()  # after trailing blanks split also matches the bare end
-        self.parts = parts
+            toks.pop()  # after trailing blanks the bare end matches too
         self.toks = toks
         toks[-1] = _EOF
         self.i = 0  # the next token
@@ -175,7 +182,7 @@ class _Parser:
     def _err(self, msg: str, k: Optional[int] = None) -> NoReturn:
         """Raise at token k, by default the next one."""
         at = self.i if k is None else k
-        raise ParseError(msg, _positions(self.text, self.path, self.parts, [at])[0])
+        raise ParseError(msg, _positions(self.text, self.path, [at])[0])
 
     def _accept(self, text: str) -> bool:
         if self.toks[self.i] == text:
@@ -496,15 +503,71 @@ class _Parser:
         self._expect(";")
         return Precondition(name, tuple(params), f)
 
+    def _ground_literal(self, allow_next: bool) -> Optional[Formula]:
+        """The sentence at the next token if it is [!][(]P(c1, ..., ck)[)]
+        and ends at the next ";": P a predicate declared with arity k, each
+        ci a constant that an earlier sentence met.  Left at the ";".  Any
+        other sentence, well-formed or not, gives None and leaves the next
+        token where it was, so the formula parser reports its errors."""
+        toks = self.toks
+        i = self.i
+        neg = toks[i] == "!"
+        i += neg
+        paren = toks[i] == "("
+        i += paren
+        name = toks[i]
+        kind, ar = self.decls.get(name, _UNDECLARED)
+        stage = Stage.NOW
+        if not kind and allow_next and name[-1] == "'":
+            name = name[:-1]
+            kind, ar = self.decls.get(name, _UNDECLARED)
+            if kind != "fluent":
+                return None
+            stage = Stage.NEXT
+        elif kind != "fluent" and kind != "static":
+            return None
+        i += 1
+        args: tuple[ObjTerm, ...] = ()
+        if ar:
+            terms = self.terms
+            got = []
+            for k in range(ar):  # "(" before the first argument, "," before the others
+                if toks[i] != ("," if k else "("):
+                    return None
+                term = terms.get(toks[i + 1])
+                if type(term) is not Const:
+                    return None
+                got.append(term)
+                i += 2
+            if toks[i] != ")":
+                return None
+            args = tuple(got)
+            i += 1
+        if paren:
+            if toks[i] != ")":
+                return None
+            i += 1
+        if toks[i] != ";":
+            return None
+        self.i = i
+        atom = FluentAtom(name, args, stage) if kind == "fluent" else StaticAtom(name, args)
+        return Not(atom) if neg else atom
+
     def _sentence_block(self, out: list[Formula]) -> None:
-        """Append the sentences of an init or theory block to out."""
+        """Append the sentences of an init or theory block to out.  A ground
+        literal takes the short path of _ground_literal."""
         kw = self.toks[self.i]
         self.i += 1
         self._expect("{")
         where = f"a sentence of {kw}"
+        allow_next = kw == "theory"
+        closed = frozenset()
         while self.toks[self.i] != "}":
             start = self.i
-            out.append(self._block_formula(kw == "theory", frozenset(), where))
+            f = self._ground_literal(allow_next)
+            if f is None:
+                f = self._block_formula(allow_next, closed, where)
+            out.append(f)
             self._expect(";")
             self.marks.append((kw, len(out) - 1, start))
         self.i += 1  # the "}"
@@ -521,9 +584,9 @@ class _Parser:
         )
 
 
-def _positions(text: str, path: str, parts: list[str], ks: list[int]) -> list[SourceSpan]:
-    """The positions of the tokens ks of text, which _SCAN splits into parts."""
-    ends = list(accumulate(map(len, parts)))
+def _positions(text: str, path: str, ks: list[int]) -> list[SourceSpan]:
+    """The positions of the tokens ks of text."""
+    ends = list(accumulate(map(len, _SCAN.split(text))))
     line_starts = [0, *accumulate(len(s) + 1 for s in text.split("\n"))]
     out = []
     for k in ks:
@@ -551,7 +614,7 @@ class _Spans(Sequence):
     def _read(self) -> tuple[tuple[str, SourceSpan], ...]:
         if self._pairs is None:
             ks = [k for _, _, k in self._marks]
-            at = _positions(self._text, self._path, _SCAN.split(self._text), ks)
+            at = _positions(self._text, self._path, ks)
             self._pairs = tuple((f"{kw}:{what}", span) for (kw, what, _), span in zip(self._marks, at))
             self._text = self._marks = None
         return self._pairs
@@ -703,10 +766,17 @@ def _rt(t: ObjTerm) -> str:
 
 
 def _app(name: str, args: tuple[ObjTerm, ...]) -> str:
-    return name + (f"({', '.join(_rt(a) for a in args)})" if args else "")
+    return f"{name}({', '.join([a.name for a in args])})" if args else name
 
 
 def _fmt(f: Formula, min_prec: int) -> str:
+    atom = literal_atom(f)
+    if atom is not None:  # binds tighter than any operator: no parentheses
+        if type(atom) is FluentAtom:
+            s = _app((atom.fluent + "'") if atom.stage is Stage.NEXT else atom.fluent, atom.args)
+        else:
+            s = _app(atom.pred, atom.args)
+        return s if atom is f else "!" + s
     s, p = _fmt1(f)
     return f"({s})" if p < min_prec else s
 
@@ -718,22 +788,25 @@ def _qbody(f: Formula) -> str:
 
 
 def _fmt1(f: Formula) -> tuple[str, int]:
+    """The text of f, which is not a literal (_fmt prints those), and its
+    precedence."""
     match f:
         case Truth():
             return "true", _TIGHT
         case Falsity():
             return "false", _TIGHT
-        case FluentAtom(name, args, stage):
-            prime = "'" if stage == Stage.NEXT else ""
-            return _app(name + prime, args), _TIGHT
-        case StaticAtom(pred, args):
-            return _app(pred, args), _TIGHT
         case ObjEq(l, r):
             return f"{_rt(l)} == {_rt(r)}", _TIGHT
-        case Not(ObjEq(l, r)):
-            return f"{_rt(l)} != {_rt(r)}", _TIGHT
-        case Not(body):
-            return "!" + _fmt(body, _TIGHT), _TIGHT
+        case Not():
+            # a chain of negations in a loop, so 3,000 ! cost no recursion;
+            # the innermost one over an equality prints as !=
+            bangs = 0
+            while type(f) is Not:
+                f = f.body
+                bangs += 1
+            if type(f) is ObjEq:
+                return "!" * (bangs - 1) + f"{_rt(f.lhs)} != {_rt(f.rhs)}", _TIGHT
+            return "!" * bangs + _fmt(f, _TIGHT), _TIGHT
         case And() | Or() | Implies() | Iff():
             node = type(f)
             sep, prec, right = _INFIX[node]

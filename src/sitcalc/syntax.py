@@ -25,7 +25,9 @@ New code that folds over atoms or rewrites atoms uses them.  signature_of,
 stages_of, symbols_and_stages, rename_stage and forgetting's relativize,
 replace_ground, denotation index and occurring_ground_atoms do.
 flatten_and/flatten_or walk a connective spine and free_vars carries the
-bound variables on its stack; neither recurses.
+bound variables on its stack; neither recurses.  literal_atom says whether
+a formula is a literal, an atom or a negated atom, which the layers that
+take a short path for literals ask.
 
 These still recurse, because they compute something per connective rather
 than per atom: simplify (rewrite rules per connective), substitute
@@ -35,8 +37,8 @@ and the oracle's evaluate and grounding compiler oracle._compile (semantics
 per connective).  Their depth is the nesting depth of the formula, not its
 width: simplify flattens And/Or spines, folds a Not chain into one
 polarity bit, walks a right-nested -> chain along its spine and tests its
-fixed point by identity, _fmt1 prints an And/Or spine and a right-nested
--> or <-> chain with a loop,
+fixed point by identity, _fmt1 prints an And/Or spine, a right-nested
+-> or <-> chain and a ! chain with a loop,
 evaluate walks a left-nested And/Or spine and a right-nested -> chain
 with a loop and folds a Not chain into one polarity bit, and _compile
 makes each And/Or spine and each -> chain one n-ary node and folds Not
@@ -368,6 +370,22 @@ _ATOMIC = _LITERAL_ATOMS | {Truth, Falsity}
 _BINARY = frozenset({And, Or, Implies, Iff})
 _UNARY = frozenset({Not, Forall, Exists})  # one subformula, in .body
 _REBUILD = object()  # map_atoms stack marker: the node below it gets its children back
+
+
+def literal_atom(f: Formula) -> Optional[Formula]:
+    """The atom of f if f is a literal, a fluent or static atom or the
+    negation of one: f itself, or the negated atom; None for any other
+    formula.  A complete ground world is hundreds of such axioms, so the
+    parser, the printer, forgetting's index and progression's stage
+    bookkeeping each take a short path for them, which this states."""
+    node = type(f)
+    if node is FluentAtom or node is StaticAtom:
+        return f
+    if node is Not:
+        node = type(f.body)
+        if node is FluentAtom or node is StaticAtom:
+            return f.body
+    return None
 
 
 def atoms_of(x: Union[Formula, Theory]) -> Iterator[Formula]:
@@ -897,8 +915,8 @@ _INERT = _ATOMIC - {ObjEq}
 
 
 def _inert(f: Formula) -> bool:
-    """Is f a node that no rule rewrites, needing no memo: TRUE, FALSE, a
-    fluent or static atom, or the negation of one of those atoms?"""
+    """Is f a node that no rule rewrites, needing no memo: TRUE, FALSE or a
+    literal?  literal_atom inline, as simplify asks this of every node."""
     node = type(f)
     return node in _INERT or (node is Not and type(f.body) in _PREDICATIONS)
 

@@ -3,6 +3,7 @@
 ground_world: blocks B0..B(n-1) stand in random stacks on a table T that is
 always clear.  The initial theory lists every ground literal over Block, On
 and Clear, so it has (n + 1) * (n + 3) axioms and pins the world exactly.
+ground_world_text gives the same world as text, before it is parsed.
 
 stacks_world: blocks and a heap of items, with the quantified initial
 axioms of the bundled blocks_stacks.bat.
@@ -30,8 +31,8 @@ poss move(x, y, z): Block(x) & On(x, y) & Clear(x) & Clear(z) & x != z;
 """
 
 
-def ground_world(rng, n):
-    """A BAT over an n-block world and a legal ground move in it."""
+def ground_world_text(rng, n):
+    """The text of an n-block world's BAT and of a legal ground move in it."""
     blocks = [f"B{i}" for i in range(n)]
     order = blocks[:]
     rng.shuffle(order)
@@ -53,11 +54,17 @@ def ground_world(rng, n):
     lines += [f"  {literal((c, d) in on, f'On({c}, {d})')};" for c in consts for d in consts]
     lines += [f"  {literal(c in clear, f'Clear({c})')};" for c in consts]
     lines.append("}")
-    b = parse_bat("\n".join(lines) + "\n", f"<{n}-block world>")
     below = dict(on)
     x = rng.choice(sorted(s[-1] for s in stacks))
     z = rng.choice(sorted(c for c in clear if c not in (x, below[x])) or ["T"])
-    return b, parse_ground_action(f"move({x}, {below[x]}, {z})", b.sig)
+    return "\n".join(lines) + "\n", f"move({x}, {below[x]}, {z})"
+
+
+def ground_world(rng, n):
+    """A BAT over an n-block world and a legal ground move in it."""
+    text, move = ground_world_text(rng, n)
+    b = parse_bat(text, f"<{n}-block world>")
+    return b, parse_ground_action(move, b.sig)
 
 
 def stacks_world(rng, nb, nh):

@@ -486,6 +486,20 @@ class TestDeepInput:
         assert code == 0, err
         assert out == expected
 
+    @pytest.mark.parametrize(
+        "axiom, printed",
+        [("!" * 3_000 + "P", "!" * 3_000 + "P"), ("!" * 3_000 + "a == b", "!" * 2_999 + "a != b")],
+        ids=["atom", "equality"],
+    )
+    def test_a_kept_negation_chain_is_printed(self, capsys, tmp_path, axiom, printed):
+        # forgetting a symbol that does not occur keeps the chain, which the
+        # printer walks in a loop; the innermost ! over an equality is !=
+        f = tmp_path / "negations.bat"
+        f.write_text(f"object a, b;\nstatic P/0, Q/0;\n\ntheory {{\n  {axiom};\n}}\n")
+        code, out, err = run(capsys, "forget", str(f), "--symbol", "Q")
+        assert code == 0, err
+        assert out == printed + ";\n"
+
     def test_a_kept_implication_chain_is_printed(self, capsys, tmp_path):
         # forgetting a symbol that does not occur keeps the chain, which
         # the printer then walks along its spine

@@ -1,8 +1,10 @@
 """Progression of initial theories through ground actions."""
 
 import dataclasses
+import random
 
 import pytest
+from blocks_worlds import ground_world
 
 from sitcalc import bat
 from sitcalc.bat import characteristic_set, instantiate_ssas
@@ -22,10 +24,12 @@ from sitcalc.syntax import (
     And,
     Const,
     FluentAtom,
+    Not,
     Signature,
     Stage,
     StaticAtom,
     Theory,
+    literal_atom,
     rename_stage,
     simplify_theory,
     split_conjunctions,
@@ -131,6 +135,27 @@ class TestUntouchedAxioms:
         r = progress(b, alpha).theory
         assert r == renamed_whole(b, alpha)
         assert FluentAtom("Top", (self.A,), Stage.NOW) in r.axioms and top_next not in r.axioms
+
+    def test_a_negated_next_stage_literal_is_renamed(self, blocks_stacks):
+        # the only next-stage mention is a literal, whose stage is read off
+        # its atom rather than by walking the initial theory
+        top_next = FluentAtom("Top", (self.A,), Stage.NEXT)
+        b = dataclasses.replace(blocks_stacks, init=Theory(blocks_stacks.init.axioms + (Not(top_next),)))
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        r = progress(b, alpha).theory
+        assert r == renamed_whole(b, alpha)
+        assert Not(FluentAtom("Top", (self.A,), Stage.NOW)) in r.axioms and Not(top_next) not in r.axioms
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_a_complete_ground_world(self, n):
+        # every initial axiom is a literal, passed through without simplify;
+        # the second step starts from the progressed theory
+        b, alpha = ground_world(random.Random(n), n)
+        for _ in range(2):
+            r = progress(b, alpha).theory
+            assert r == renamed_whole(b, alpha)
+            assert all(literal_atom(ax) is not None for ax in r.axioms)
+            b = dataclasses.replace(b, init=r)
 
 
 class TestComponentwise:

@@ -5,9 +5,11 @@ per-token positions from a finditer tokenizer, and formulas read by a
 recursive-descent cascade.  Both parse the same texts: the corpus, rendered
 property-suite theories and formulas, hand-written texts that exercise the
 scanner (CRLF line ends, tabs, comments, bad characters, primes, numbers),
-and seeded one-edit mutations of all of them.  For each text and entry point
-they must return equal objects with equal spans, or raise the same exception
-type with the same message, source span included.
+complete ground blocks worlds and theory files of literals, which the
+parser reads by its short path for ground literals, and seeded one-edit
+mutations of all of them.  For each text and entry point they must return
+equal objects with equal spans, or raise the same exception type with the
+same message, source span included.
 """
 
 import random
@@ -15,6 +17,7 @@ import re
 
 import pytest
 import surface_reference
+from blocks_worlds import ground_world_text
 from test_property_suites import SEEDS, random_formula, random_theory
 
 from sitcalc import corpus_path, surface
@@ -54,6 +57,15 @@ EDGE_FILES = [
     "  \r\n\t// only a comment",
     # a name bound as a variable, then declared as a constant
     "object A;\nstatic P/1;\ninit {\n  forall x P(x);\n}\nobject x;\ninit {\n  P(x);\n}\n",
+    # literals that the short path leaves to the formula parser
+    "object A, B;\nfluent On/2;\ninit {\n  On(A, B);\n  !(On'(A, B));\n}\n",
+    "object A, B;\nfluent On/2;\nstatic P/0;\ntheory {\n  On(A, B);\n  On(A, B, A);\n  P();\n}\n",
+    "object A, B;\nfluent On/2;\ntheory {\n  On(A, B);\n  !!On(A, B);\n  (!On(A, B));\n  On(A, B) & On(B, A);\n"
+    "  On(A, B)) ;\n}\n",
+    "object A, B;\nfluent On/2;\naction go/0;\ntheory {\n  On(A, B);\n  go;\n  A;\n  On(A, x);\n}\n",
+    # variables that an ssa block bound are known names, but not constants
+    "object A;\nfluent On/2;\naction go/1;\nssa On(x, y) { pos: a == go(x); }\ninit {\n  On(A, A);\n  On(x, A);\n}\n",
+    "object A;\nfluent On/2;\naction go/1;\nssa On(x, y) { pos: a == go(x); }\ninit {\n  On(A, A);\n  !(On(A, y));\n}\n",
 ]
 EDGE_FORMULAS = [
     "P(c1)\t&\r\n  R(c1, c2) // a comment to the end",
@@ -69,6 +81,43 @@ SIG_ACTIONS = Signature(
 )
 GROUND = ["move(A, B, A)", "move(A,\tB,\r\nA) // c", "stop", "stop()", "move(A, B)",
           "On'(A, B)", "On(A, @)", "Block(B) x", "Block'(A)", "move(A, B, 3)", "On(A,\fB)"]
+
+
+# Complete ground worlds: every sentence of the init block is a ground
+# literal, written !On(B0, T) and, as the benchmark writes them, !(On(B0, T)).
+WORLD_SIZES = (1, 2, 3, 5, 8, 13, 24)
+WORLD_MUTATIONS = 480
+WORLD_CHUNKS = 4
+
+
+def _world(n, parenthesized):
+    text = ground_world_text(random.Random(9000 + n), n)[0]
+    return re.sub(r"!(\w+\([^)]*\))", r"!(\1)", text) if parenthesized else text
+
+
+def _literal_theory(seed):
+    """A theory file of literal sentences over constants: fluent atoms with
+    and without a prime, statics, nullary predicates, each with or without
+    ! and parentheses, and a declaration between two theory blocks, after
+    which the constants are met anew."""
+    rng = random.Random(9500 + seed)
+    preds = [("On", 2, True), ("Clear", 1, True), ("Lit", 0, True), ("Block", 1, False), ("Q", 0, False)]
+    consts = ["A", "B", "C"]
+
+    def sentence():
+        name, ar, fluent = rng.choice(preds)
+        atom = name + ("'" if fluent and rng.random() < 0.5 else "")
+        if ar:
+            atom += f"({', '.join(rng.choice(consts) for _ in range(ar))})"
+        return "  " + rng.choice(["{}", "!{}", "({})", "!({})"]).format(atom) + ";"
+
+    def block():
+        return ["theory {", *(sentence() for _ in range(rng.randint(1, 12))), "}"]
+
+    return "\n".join([
+        "object A, B, C;", "static Block/1, Q/0;", "fluent On/2, Clear/1, Lit/0;",
+        *block(), "object D;", *block(),
+    ]) + "\n"
 
 
 def _outcome(fn, *args, **kwargs):
@@ -191,3 +240,33 @@ def test_mutated_texts_parse_alike(chunk):
     assert diffs == []
     # most one-edit mutations are errors, but not all
     assert 0 < parsed < MUTATIONS // CHUNKS
+
+
+@pytest.mark.parametrize("n", WORLD_SIZES)
+def test_ground_worlds_parse_alike(n):
+    for parenthesized in (False, True):
+        ours, diff = _check(_file_outcomes, _world(n, parenthesized))
+        assert diff is None
+        assert ours[0][0] == "ok"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_literal_theory_files_parse_alike(seed):
+    ours, diff = _check(_file_outcomes, _literal_theory(seed))
+    assert diff is None
+    assert ours[1][0] == "ok"
+
+
+@pytest.mark.parametrize("chunk", range(WORLD_CHUNKS))
+def test_mutated_literal_texts_parse_alike(chunk):
+    worlds = [_world(n, p) for n in WORLD_SIZES for p in (False, True)]
+    theories = [_literal_theory(seed) for seed in range(8)]
+    diffs, parsed = [], 0
+    for k in range(chunk, WORLD_MUTATIONS, WORLD_CHUNKS):
+        rng = random.Random(50_000 + k)
+        ours, diff = _check(_file_outcomes, _mutate(rng, rng.choice(worlds if k % 2 else theories)))
+        if diff is not None:
+            diffs.append(diff)
+        parsed += ("ok",) in [o[:1] for o in ours]
+    assert diffs == []
+    assert 0 < parsed < WORLD_MUTATIONS // WORLD_CHUNKS
