@@ -7,9 +7,11 @@ a context condition at the current stage, read as
 are never formulas: for a ground action, unique names for actions settle
 a == A(ts) from the structure alone.  The local-effect check reads the
 action arguments off the structure.  The ground-action transform builds
-formulas: it settles each disjunct's action equality, builds the
+formulas: it settles each disjunct's action equality, binding the
+quantified action arguments to the action's constants, builds the
 disjunction of the surviving blocks, simplifies it and splits it back into
-blocks, which argument sets and the characteristic set then read.
+blocks, which argument sets, the characteristic set and the instantiation
+of the SSAs then read.
 """
 
 from __future__ import annotations
@@ -160,6 +162,15 @@ class TransformedSSA:
     head_vars: tuple[Var, ...]
     gamma_pos: Formula
     gamma_neg: Formula
+    # the blocks of gamma_pos and of gamma_neg, each a tuple of pairs of
+    # head constants and residual context, as _split_disjunct reads them
+    blocks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(
+            tuple(_split_disjunct(self.fluent, self.head_vars, b) for b in _disjuncts_of(g))
+            for g in (self.gamma_pos, self.gamma_neg)
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -382,43 +393,54 @@ def _split_disjunct(
     return tuple(eqs[v.name] for v in head_vars), residual
 
 
-def _same_action(alpha: GroundAction, action: ActionTerm) -> Formula:
-    """alpha == action by unique names for actions.
+def _effect_part(alpha: GroundAction, d: EffectDisjunct) -> Formula:
+    """The disjunct d for the action alpha, before simplification.
 
-    FALSE for another action function, else the argument-wise equalities,
-    variable first.
+    alpha == A(ts) is settled by unique names for actions: FALSE for
+    another action function, else argument by argument.  A constant of ts
+    is settled against alpha's constant at its place, by unique names for
+    constants.  A variable of ts that d quantifies is bound to that
+    constant, as the one-point rule would bind it, so its quantifier goes
+    and the constant is substituted into the context.  Any other variable
+    t gives the equality t == c.
     """
-    if action.fn != alpha.fn:
+    if d.action.fn != alpha.fn:
         return FALSE
-    return conj(ObjEq(t, Const(c)) for c, t in zip(alpha.args, action.args))
+    quantified = {v.name for v in d.exists_vars}
+    binding: dict[str, Const] = {}
+    eqs: list[Formula] = []
+    for t, c in zip(d.action.args, alpha.args):
+        if type(t) is Const:
+            if t.name != c:
+                return FALSE
+        elif t.name in quantified:
+            if binding.setdefault(t.name, Const(c)).name != c:
+                return FALSE
+        else:
+            eqs.append(ObjEq(t, Const(c)))
+    body = conj(eqs)
+    if d.context != TRUE:
+        ctx = d.context
+        if not binding.keys().isdisjoint(free_vars(ctx)):
+            ctx = substitute(ctx, binding)
+        body = And(body, ctx)
+    for v in reversed(d.exists_vars):
+        if v.name not in binding:
+            body = Exists(v, body)
+    return body
 
 
 def transform_ssa(s: SSA, alpha: GroundAction) -> TransformedSSA:
     """Substitute a ground action into an SSA and eliminate all action talk.
 
-    Each disjunct's a == A(ts) is settled by unique names for actions: FALSE
-    when A is not alpha's function, else the equalities of ts with alpha's
-    constants.  Simplification then removes the quantifiers over action
-    arguments by the one-point rule.  Raises MalformedTransform when some
-    surviving block fails to bind every head variable to a constant, i.e.
-    the SSA is not local-effect for alpha.
+    Each disjunct is built for alpha by _effect_part, which settles its
+    action equality and binds the quantified action arguments to alpha's
+    constants; simplification then does the rest.  Raises
+    MalformedTransform when some surviving block fails to bind every head
+    variable to a constant, i.e. the SSA is not local-effect for alpha.
     """
-
-    def gamma(disjuncts: tuple[EffectDisjunct, ...]) -> Formula:
-        parts = []
-        for d in disjuncts:
-            body = _same_action(alpha, d.action)
-            if d.context != TRUE:
-                body = And(body, d.context)
-            for v in reversed(d.exists_vars):
-                body = Exists(v, body)
-            parts.append(body)
-        return simplify(disj(parts))
-
-    gp, gn = gamma(s.pos), gamma(s.neg)
-    for g in (gp, gn):
-        for block in _disjuncts_of(g):
-            _split_disjunct(s.fluent, s.head_vars, block)
+    gp = simplify(disj(_effect_part(alpha, d) for d in s.pos))
+    gn = simplify(disj(_effect_part(alpha, d) for d in s.neg))
     return TransformedSSA(s.fluent, s.head_vars, gp, gn)
 
 
@@ -439,12 +461,7 @@ def _transformed(b: BAT, s: SSA, alpha: GroundAction) -> TransformedSSA:
 
 def argument_set(t: TransformedSSA) -> frozenset[tuple[str, ...]]:
     """Constant tuples on which the transformed SSA can change the fluent."""
-    out = set()
-    for g in (t.gamma_pos, t.gamma_neg):
-        for block in _disjuncts_of(g):
-            tup, _ = _split_disjunct(t.fluent, t.head_vars, block)
-            out.add(tup)
-    return frozenset(out)
+    return frozenset(tup for blocks in t.blocks for tup, _ in blocks)
 
 
 def characteristic_set(b: BAT, alpha: GroundAction) -> frozenset[GroundAtom]:
@@ -463,7 +480,9 @@ def instantiate_ssas(
 
     For each atom in omega the next-stage truth value is defined from the
     transformed effect conditions and the current value, simplified under
-    unique names.
+    unique names.  When the blocks' head constants settle both effect
+    conditions to TRUE or FALSE, the simplified axiom is built directly:
+    F'(c) if gamma+ holds, else !F'(c) if gamma- holds, else F'(c) <-> F(c).
     """
     transformed: dict[str, TransformedSSA] = {}
     axioms = []
@@ -476,11 +495,32 @@ def instantiate_ssas(
         t = transformed[g.pred]
         if len(t.head_vars) != len(g.args):
             raise MissingAxiom(f"{g.pred} instantiated with {len(g.args)} arguments")
-        binding = {v.name: Const(c) for v, c in zip(t.head_vars, g.args)}
+        consts = tuple(Const(c) for c in g.args)
+        nxt = FluentAtom(g.pred, consts, Stage.NEXT)
+        pos, neg = (_settled(blocks, g.args) for blocks in t.blocks)
+        if pos is TRUE:
+            axioms.append(nxt)
+            continue
+        now = FluentAtom(g.pred, consts, Stage.NOW)
+        if pos is FALSE and neg is not None:
+            axioms.append(Not(nxt) if neg is TRUE else Iff(nxt, now))
+            continue
+        binding = {v.name: c for v, c in zip(t.head_vars, consts)}
         pos = simplify(substitute(t.gamma_pos, binding))
         neg = simplify(substitute(t.gamma_neg, binding))
-        consts = tuple(Const(c) for c in g.args)
-        now = FluentAtom(g.pred, consts, Stage.NOW)
-        nxt = FluentAtom(g.pred, consts, Stage.NEXT)
         axioms.append(simplify(Iff(nxt, Or(pos, And(now, Not(neg))))))
     return Theory(tuple(axioms))
+
+
+def _settled(blocks: tuple, args: tuple[str, ...]) -> Optional[Formula]:
+    """The effect condition of these blocks with its head variables bound
+    to args, simplified under unique names, if the blocks' head constants
+    settle it: TRUE if a block binds them to args and has no residual,
+    FALSE if no block binds them to args, else None."""
+    out: Optional[Formula] = FALSE
+    for tup, residual in blocks:
+        if tup == args:
+            if type(residual) is Truth:
+                return TRUE
+            out = None
+    return out

@@ -236,7 +236,8 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 
 def _emit_theory(args, b: Optional[BAT], sig: Signature, t: Theory) -> list[str]:
-    """Write to -o as a reloadable file, or return printable lines."""
+    """Write to -o as a reloadable file, or return printable lines: none
+    under --json, whose report carries the axioms instead."""
     if getattr(args, "out", None):
         if b is not None:
             text = render(dataclasses.replace(b, init=t, spans=()))
@@ -244,7 +245,7 @@ def _emit_theory(args, b: Optional[BAT], sig: Signature, t: Theory) -> list[str]
             text = render_theory_file(sig, t)
         Path(args.out).write_text(text)
         return [f"wrote {args.out}"]
-    return [render(ax) + ";" for ax in t.axioms]
+    return [] if args.json else [render(ax) + ";" for ax in t.axioms]
 
 
 def _decomposed(args, b: BAT) -> tuple:
@@ -268,20 +269,24 @@ def _cmd_progress(args) -> tuple[int, dict, list[str]]:
         if decomp is None:
             return _no_decomposition(rep)
         result = progress_componentwise(b, decomp, partition, alpha, delta1)
-        union = Theory(tuple(ax for c in result.components for ax in c.axioms))
         rep["partition"] = [list(g) for g in partition]
-        rep["components"] = [[render(ax) for ax in c.axioms] for c in result.components]
+        if args.json:
+            rep["components"] = [[render(ax) for ax in c.axioms] for c in result.components]
+        if getattr(args, "out", None):
+            union = Theory(tuple(ax for c in result.components for ax in c.axioms))
+            return 0, rep, _emit_theory(args, b, b.sig, union)
+        if args.json:
+            return 0, rep, []
         lines = []
         for i, c in enumerate(result.components):
             lines.append(f"// component {i + 1}")
             lines.extend(render(ax) + ";" for ax in c.axioms)
-        if getattr(args, "out", None):
-            lines = _emit_theory(args, b, b.sig, union)
         return 0, rep, lines
     result = progress(b, alpha)
     rep["omega"] = sorted(str(g) for g in result.omega)
     rep["touched_fluents"] = sorted(result.touched_fluents)
-    rep["axioms"] = [render(ax) for ax in result.theory.axioms]
+    if args.json:
+        rep["axioms"] = [render(ax) for ax in result.theory.axioms]
     return 0, rep, _emit_theory(args, b, b.sig, result.theory)
 
 
@@ -297,7 +302,8 @@ def _cmd_forget(args) -> tuple[int, dict, list[str]]:
             raise SitcalcError(f"symbol {args.symbol!r} is not a declared static or fluent predicate")
         out = forget_ground_symbol(t, args.symbol, una=not args.no_una)
         rep["symbol"] = args.symbol
-    rep["axioms"] = [render(ax) for ax in out.axioms]
+    if args.json:
+        rep["axioms"] = [render(ax) for ax in out.axioms]
     return 0, rep, _emit_theory(args, b, sig, out)
 
 

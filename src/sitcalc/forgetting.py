@@ -22,9 +22,19 @@ atom to forget: under unique names a ground atom that is one of them, and
 an atom with a variable argument (any atom, without unique names) of the
 predicate, stage and arity of one of them, with its argument pattern.
 A literal axiom, an atom or a negated atom, is filed under its one atom
-without a walk.  Each step looks up the axioms that can denote its atom
-instead of scanning the theory, and files the disjunction it adds.  An
-axiom that no step takes comes out as the same object.
+without a walk, and under unique names one whose first argument is a
+constant is passed over at once unless some atom to forget has its
+predicate and that first argument.  Each step looks up the axioms that can
+denote its atom instead of scanning the theory, and files the disjunction
+it adds.  An axiom that no step takes comes out as the same object.
+
+A literal step is one where every axiom that can denote the atom g is g
+or !g, as on every step of a complete ground world under unique names.
+Relativizing g or !g gives it back, its images under g:=TRUE and g:=FALSE
+are constants, and the disjunction of their conjunctions simplifies to
+TRUE, or to FALSE if both g and !g occur.  Such a step adds that constant
+directly, without relativize, map_atoms_twice or simplify; _resolve takes
+every other step.
 
 A step keeps shared structure shared, so that simplify, which memoizes per
 node, reduces each shared subtree once: the axioms it relativizes share one
@@ -195,6 +205,11 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
     open_: dict[tuple, list[tuple[int, tuple]]] = {}  # key -> (id, argument pattern)
     # the live axioms that are filed in the index or were added, by id
     axioms: dict[int, Formula] = {}
+    # the argument names of each filed literal axiom over constants, by id
+    literals: dict[int, tuple[str, ...]] = {}
+    # Under unique names a literal whose first argument is a constant can
+    # denote only an atom with its predicate and that first argument.
+    firsts = {(g.pred, g.args[0]) for g in atoms if g.args} if una else None
 
     def add(i: int, ax: Formula) -> None:
         atom = literal_atom(ax)
@@ -209,7 +224,10 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
             if key not in keys:
                 continue
             names = tuple([x.name if type(x) is Const else None for x in a.args])
-            if una and None not in names:
+            is_ground = None not in names
+            if is_ground and atom is not None:
+                literals[i] = names
+            if una and is_ground:
                 ids = ground.get((key, names))  # under unique names it denotes only itself
                 if ids is None:
                     continue
@@ -230,35 +248,67 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
         return sorted(i for i in found if i in axioms)
 
     for i, ax in enumerate(t.axioms):
+        if firsts is not None:
+            a = ax.body if type(ax) is Not else ax
+            node = type(a)
+            if (node is FluentAtom or node is StaticAtom) and a.args:
+                first = a.args[0]
+                name = a.fluent if node is FluentAtom else a.pred
+                if type(first) is Const and (name, first.name) not in firsts:
+                    continue
         add(i, ax)
     gone: set[int] = set()  # the ids of the axioms taken into a disjunction
     next_id = len(t.axioms)
     for g in atoms:
-        gatom = g.to_formula()
-        pos_parts: list[Formula] = []
-        neg_parts: list[Formula] = []
-        used: list[int] = []
         ids = may_denote(g)
-        splits: dict[tuple, Formula] = {}  # one split per occurrence pattern for the whole step
-        rels = Theory(tuple(relativize(axioms[i], g, una, splits) for i in ids))
-        pos_t, neg_t = map_atoms_twice(rels, lambda a: (TRUE, FALSE) if a == gatom else (a, a))
-        for i, pos, neg in zip(ids, pos_t.axioms, neg_t.axioms):
-            if pos is not neg:  # the same object exactly when g does not occur in rel
-                pos_parts.append(pos)
-                neg_parts.append(neg)
-                used.append(i)
-        if used:
-            for i in used:
-                del axioms[i]
-            gone.update(used)
-            axioms[next_id] = simplify(Or(conj(pos_parts), conj(neg_parts)), una)
-            add(next_id, axioms[next_id])
-            next_id += 1
+        if not ids:
+            continue
+        if all(literals.get(i) == g.args for i in ids):
+            # a literal step: every axiom that can denote g is g or !g, and
+            # forgetting g leaves TRUE, or FALSE if both occur
+            signs = {type(axioms[i]) is Not for i in ids}
+            used, new = ids, FALSE if len(signs) == 2 else TRUE
+        else:
+            used, new = _resolve([axioms[i] for i in ids], ids, g, una)
+            if new is None:
+                continue
+        for i in used:
+            del axioms[i]
+        gone.update(used)
+        axioms[next_id] = new
+        add(next_id, new)
+        next_id += 1
     if not gone:
         return t
     n = len(t.axioms)
-    passed = (ax for i, ax in enumerate(t.axioms) if i not in gone)
-    return Theory((*passed, *(ax for i, ax in axioms.items() if i >= n)))
+    kept = list(t.axioms)
+    for i in sorted((i for i in gone if i < n), reverse=True):
+        del kept[i]
+    kept.extend(ax for i, ax in axioms.items() if i >= n)
+    return Theory(tuple(kept))
+
+
+def _resolve(
+    axs: list[Formula], ids: list[int], g: GroundAtom, una: bool
+) -> tuple[list[int], Optional[Formula]]:
+    """The ids of the axioms whose relativized form mentions g, and the
+    disjunction of their g:=TRUE and g:=FALSE images, simplified; None if
+    there are none."""
+    gatom = g.to_formula()
+    splits: dict[tuple, Formula] = {}  # one split per occurrence pattern for the whole step
+    rels = Theory(tuple(relativize(ax, g, una, splits) for ax in axs))
+    pos_t, neg_t = map_atoms_twice(rels, lambda a: (TRUE, FALSE) if a == gatom else (a, a))
+    pos_parts: list[Formula] = []
+    neg_parts: list[Formula] = []
+    used: list[int] = []
+    for i, pos, neg in zip(ids, pos_t.axioms, neg_t.axioms):
+        if pos is not neg:  # the same object exactly when g does not occur in rel
+            pos_parts.append(pos)
+            neg_parts.append(neg)
+            used.append(i)
+    if not used:
+        return used, None
+    return used, simplify(Or(conj(pos_parts), conj(neg_parts)), una)
 
 
 def occurring_ground_atoms(t: Theory, pred: str) -> tuple[GroundAtom, ...]:

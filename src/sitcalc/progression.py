@@ -6,6 +6,22 @@ those atoms, forgets the atoms' current values from the combined theory,
 and re-reads the next stage as the new current stage.  The result is again
 uniform in the current stage and serves as the initial theory for the next
 action.
+
+Each layer of a step takes work in what the action touches wherever its
+input lets it; the generic path stays for everything else.  On a complete
+ground world every layer does:
+- the transform binds the action's constants while it builds each effect
+  disjunct (bat.transform_ssa), so simplify has no one-point rule to run;
+- an atom whose effect conditions the head constants settle is
+  instantiated as F'(c), !F'(c) or F'(c) <-> F(c) directly
+  (bat.instantiate_ssas), here a next-stage literal;
+- forgetting passes over an untouched literal after one set lookup, and
+  each atom's step is a literal step, which adds TRUE without relativizing
+  (see forgetting);
+- _finalize keeps each untouched literal after a test of its id and stage,
+  and renames, simplifies and splits only the rest.
+What is left per untouched axiom is a constant number of Python steps in
+forgetting's filing loop and in _finalize.
 """
 
 from __future__ import annotations
@@ -28,14 +44,16 @@ from .oracle import (
 from .syntax import (
     FluentAtom,
     Formula,
+    Not,
     Signature,
     Stage,
+    StaticAtom,
     Theory,
+    flatten_and,
     literal_atom,
     rename_stage,
     signature_of,
     simplify,
-    split_conjunctions,
     stages_of,
     substitute,
 )
@@ -68,31 +86,57 @@ class ExecutabilityReport:
 def _finalize(t: Theory, init: Theory) -> Theory:
     """Stage bookkeeping after forgetting: the next stage becomes current.
 
-    The axioms of the initial theory that forgetting passed through, the
-    same objects, are at the current stage already and are not renamed;
-    an initial theory that mentions the next stage, which validate rejects,
-    has every axiom renamed.  A literal's stage is read off its atom, so
-    only the other axioms of the initial theory are walked for theirs.
-    One simplification suffices: the conjuncts of a simplified axiom are
-    simplified already, and splitting drops TRUE.  A literal is simplified
-    already and is not passed to simplify; the other axioms passed through
-    are simplified already from the second step on, which costs little.
+    One pass over t.  An axiom of the initial theory that forgetting passed
+    through, the same object, is at the current stage already and is kept
+    as it is, unless it mentions the next stage, which validate rejects;
+    the other axioms are renamed, in one rename_stage walk.  A literal's
+    stage is read off its atom, so only the other axioms of the initial
+    theory are walked for theirs.  The result is that of renaming every
+    axiom when the initial theory mentions the next stage, and every axiom
+    not its own otherwise, since renaming an axiom without a next-stage
+    atom gives it back.
+
+    Each axiom is split into its conjuncts by flatten_and, which drops
+    TRUE, as split_conjunctions would.  One simplification suffices: the
+    conjuncts of a simplified axiom are simplified already.  A literal is
+    simplified already and is not passed to simplify; the other axioms
+    passed through are simplified already from the second step on, which
+    costs little.
     """
-    passed = set() if any(map(_at_next, init.axioms)) else {id(ax) for ax in init.axioms}
-    moved = Theory(tuple(ax for ax in t.axioms if id(ax) not in passed))
-    renamed = iter(rename_stage(moved, Stage.NEXT, Stage.NOW).axioms)
-    t = Theory(tuple(ax if id(ax) in passed else next(renamed) for ax in t.axioms))
-    return split_conjunctions(
-        Theory(tuple(ax if literal_atom(ax) is not None else simplify(ax) for ax in t.axioms))
-    )
-
-
-def _at_next(ax: Formula) -> bool:
-    """Does the axiom mention the next stage?"""
-    atom = literal_atom(ax)
-    if atom is None:
-        return Stage.NEXT in stages_of(ax)
-    return type(atom) is FluentAtom and atom.stage is Stage.NEXT
+    passed = set(map(id, init.axioms))
+    out: list[Formula] = []
+    moved: list[Formula] = []
+    at: list[int] = []  # where in out each moved axiom goes
+    now = Stage.NOW
+    for ax in t.axioms:
+        if id(ax) in passed:
+            atom = ax.body if type(ax) is Not else ax
+            node = type(atom)
+            if node is FluentAtom:
+                if atom.stage is now:
+                    out.append(ax)
+                    continue
+            elif node is StaticAtom:
+                out.append(ax)
+                continue
+            elif Stage.NEXT not in stages_of(ax):
+                out.extend(flatten_and(simplify(ax)))
+                continue
+        at.append(len(out))
+        out.append(ax)
+        moved.append(ax)
+    if not moved:
+        return Theory(tuple(out))
+    # the renamed axioms, spliced in where their originals stand
+    renamed = rename_stage(Theory(tuple(moved)), Stage.NEXT, Stage.NOW).axioms
+    parts = []
+    start = 0
+    for j, ax in zip(at, renamed):
+        parts.extend(out[start:j])
+        parts.extend(flatten_and(ax if literal_atom(ax) is not None else simplify(ax)))
+        start = j + 1
+    parts.extend(out[start:])
+    return Theory(tuple(parts))
 
 
 def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:

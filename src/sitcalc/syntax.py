@@ -24,17 +24,18 @@ or wide formula costs memory, not interpreter recursion:
 New code that folds over atoms or rewrites atoms uses them.  signature_of,
 stages_of, symbols_and_stages, rename_stage and forgetting's relativize,
 replace_ground, denotation index and occurring_ground_atoms do.
-flatten_and/flatten_or walk a connective spine and free_vars carries the
-bound variables on its stack; neither recurses.  literal_atom says whether
-a formula is a literal, an atom or a negated atom, which the layers that
-take a short path for literals ask.
+flatten_and/flatten_or walk a connective spine, free_vars carries the
+bound variables on its stack and substitute the binding that holds under
+each binder on its; none of them recurses (substitute only to rename a
+bound variable away from a capture).  literal_atom says whether a formula
+is a literal, an atom or a negated atom, which the layers that take a
+short path for literals ask.
 
 These still recurse, because they compute something per connective rather
-than per atom: simplify (rewrite rules per connective), substitute
-(capture-avoiding renaming at each binder), the printer surface._fmt1
-(parentheses per connective, from the precedence table the parser reads)
-and the oracle's evaluate and grounding compiler oracle._compile (semantics
-per connective).  Their depth is the nesting depth of the formula, not its
+than per atom: simplify (rewrite rules per connective), the printer
+surface._fmt1 (parentheses per connective, from the precedence table the
+parser reads) and the oracle's evaluate and grounding compiler
+oracle._compile (semantics per connective).  Their depth is the nesting depth of the formula, not its
 width: simplify flattens And/Or spines, folds a Not chain into one
 polarity bit, walks a right-nested -> chain along its spine and tests its
 fixed point by identity, _fmt1 prints an And/Or spine, a right-nested
@@ -629,30 +630,40 @@ def substitute(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
 
 
 def _subst(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
-    """substitute's walk: a module-level function, not a closure that refers
-    to itself and so leaves a reference cycle behind each call."""
-    if not binding:
-        return f
-    match f:
-        case Truth() | Falsity():
-            return f
-        case FluentAtom(name, args, stage):
-            return FluentAtom(name, tuple(_subst_term(t, binding) for t in args), stage)
-        case StaticAtom(name, args):
-            return StaticAtom(name, tuple(_subst_term(t, binding) for t in args))
-        case ObjEq(lhs, rhs):
-            return ObjEq(_subst_term(lhs, binding), _subst_term(rhs, binding))
-        case Not(body):
-            return Not(_subst(body, binding))
-        case And(a, b):
-            return And(_subst(a, binding), _subst(b, binding))
-        case Or(a, b):
-            return Or(_subst(a, binding), _subst(b, binding))
-        case Implies(a, b):
-            return Implies(_subst(a, binding), _subst(b, binding))
-        case Iff(a, b):
-            return Iff(_subst(a, binding), _subst(b, binding))
-        case Forall(v, body) | Exists(v, body):
+    """substitute's walk, with its own stack: a module-level function, not
+    a closure that refers to itself and so leaves a reference cycle behind
+    each call.  Each pending node carries the binding that holds under its
+    binders; a subtree under an empty binding comes back as it is, and the
+    rest is rebuilt.  Renaming a bound variable away from a capture is a
+    walk of its own over the quantifier's body."""
+    todo: list = [(f, binding)]
+    done: list[Formula] = []
+    while todo:
+        f, binding = todo.pop()
+        if binding is _REBUILD:
+            if type(f) is tuple:  # (quantifier class, its variable)
+                done.append(f[0](f[1], done.pop()))
+            elif type(f) is Not:
+                done.append(Not(done.pop()))
+            else:
+                rhs = done.pop()
+                done.append(type(f)(done.pop(), rhs))
+            continue
+        node = type(f)
+        if not binding or node is Truth or node is Falsity:
+            done.append(f)
+        elif node is FluentAtom:
+            done.append(FluentAtom(f.fluent, tuple([_subst_term(t, binding) for t in f.args]), f.stage))
+        elif node is StaticAtom:
+            done.append(StaticAtom(f.pred, tuple([_subst_term(t, binding) for t in f.args])))
+        elif node is ObjEq:
+            done.append(ObjEq(_subst_term(f.lhs, binding), _subst_term(f.rhs, binding)))
+        elif node is Not:
+            todo += ((f, _REBUILD), (f.body, binding))
+        elif node in _BINARY:
+            todo += ((f, _REBUILD), (f.rhs, binding), (f.lhs, binding))
+        elif node is Forall or node is Exists:
+            v, body = f.var, f.body
             inner = {k: t for k, t in binding.items() if k != v.name}
             captured = {
                 t.name for t in inner.values() if isinstance(t, Var) and t.name == v.name
@@ -664,10 +675,10 @@ def _subst(f: Formula, binding: Mapping[str, ObjTerm]) -> Formula:
                 fresh = Var(_fresh_name(v.name, avoid))
                 body = _subst(body, {v.name: fresh})
                 v = fresh
-            new_body = _subst(body, inner)
-            return Forall(v, new_body) if isinstance(f, Forall) else Exists(v, new_body)
-        case _:
+            todo += (((node, v), _REBUILD), (body, inner))
+        else:
             raise SitcalcError(f"not a formula: {f!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import random
+
 import pytest
+from blocks_worlds import ground_world_text
 
 from sitcalc import cli, corpus_path, oracle, surface
 from sitcalc.cli import main
 from sitcalc.errors import BudgetExceeded
-from sitcalc.surface import parse_bat
+from sitcalc.surface import parse_bat, render
+from sitcalc.syntax import Const, substitute
 
 
 def run(capsys, *argv):
@@ -518,6 +522,47 @@ class TestDeepInput:
             assert a.lhs == b.lhs
             a, b = a.rhs, b.rhs
         assert a == b
+
+
+    @staticmethod
+    def _wide_one_point(tmp_path):
+        """forall x (x == d -> P(c0) & ... & P(c1999) & P(x)): the one-point
+        rule substitutes d for x in a 2,000-long conjunction."""
+        consts = [f"c{i}" for i in range(2_000)]
+        body = " & ".join(f"P({c})" for c in consts)
+        f = tmp_path / "wide.bat"
+        f.write_text(f"object {', '.join(consts)}, d;\nstatic P/1;\n\ntheory {{\n  forall x (x == d -> {body} & P(x));\n}}\n")
+        return f, consts
+
+    def test_an_atom_is_forgotten_through_a_wide_one_point_rule(self, capsys, tmp_path):
+        f, consts = self._wide_one_point(tmp_path)
+        code, out, err = run(capsys, "forget", str(f), "--atom", "P(c5)")
+        assert code == 0, err
+        kept = [c for c in consts if c != "c5"] + ["d"]
+        assert out == " & ".join(f"P({c})" for c in kept) + ";\n"
+
+    def test_a_wide_formula_is_substituted(self, tmp_path):
+        f, consts = self._wide_one_point(tmp_path)
+        _, t = surface.parse_theory(f.read_text())
+        rule = t.axioms[0].body
+        out = substitute(rule, {"x": Const("d")})
+        assert render(out) == render(rule).replace("x", "d")
+        assert substitute(rule.rhs, {}) is rule.rhs
+
+
+class TestRenderOnce:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["lines", "json"])
+    def test_progress_renders_each_axiom_once(self, capsys, monkeypatch, tmp_path, json_flag):
+        text, move = ground_world_text(random.Random(40), 40)
+        f = tmp_path / "world.bat"
+        f.write_text(text)
+        calls = []
+        monkeypatch.setattr(cli, "render", lambda x: calls.append(x) or render(x))
+        code, out, err = run(capsys, "progress", str(f), "--action", move, *json_flag)
+        assert code == 0, err
+        axioms = json.loads(out)["axioms"] if json_flag else out.splitlines()
+        assert len(axioms) == 41 * 43
+        assert len(calls) == len(axioms)
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from blocks_worlds import ground_world
+from forgetting_reference import forget_atom as reference
 from test_syntax import _bottom_up
 
 from sitcalc import corpus_path, forgetting
@@ -107,11 +108,20 @@ class TestLocality:
         out = forget_atom(b.init, g)
         (own,) = [ax for ax in b.init.axioms if g.to_formula() in atoms_of(ax)]
         assert len(b.init.axioms) == 675
-        assert len(relativized) == 1 and relativized[0] is own
+        # the one axiom that can denote g is a literal of g: a literal step,
+        # which relativizes nothing
+        assert relativized == []
         others = [ax for ax in b.init.axioms if ax is not own]
         assert len(out.axioms) == len(others) + 1
         assert all(got is ax for got, ax in zip(out.axioms, others))
         assert out.axioms[-1] == TRUE
+        # in its place an axiom that is not a literal is relativized, alone
+        wider = Or(own, StaticAtom("Block", (Const("B3"),)))
+        t2 = Theory(tuple(wider if ax is own else ax for ax in b.init.axioms))
+        out2 = forget_atom(t2, g)
+        assert len(relativized) == 1 and relativized[0] is wider
+        assert all(got is ax for got, ax in zip(out2.axioms, others))
+        assert out2 == reference(t2, g)
 
     def test_without_unique_names_other_constants_may_denote_the_atom(self, relativized):
         theory = t("P(b)", "R(b, c)")

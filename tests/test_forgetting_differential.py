@@ -1,5 +1,7 @@
 """forget_atom against the reference that relativizes every axiom, and
-forget_atoms against forget_atom folded over the canonical order.
+forget_atoms against forget_atom folded over the canonical order, and,
+where every axiom that can denote an atom is a literal of it, against the
+reference folded over that order.
 
 The local version skips the axioms that cannot denote the forgotten atom;
 the results must be equal to the reference's, node for node, with unique
@@ -18,10 +20,11 @@ from blocks_worlds import ground_world, stacks_world
 from forgetting_reference import forget_atom as reference
 from test_property_suites import CONSTS, SEEDS, random_target, random_theory
 
+from sitcalc import forgetting
 from sitcalc.bat import characteristic_set, instantiate_ssas
 from sitcalc.forgetting import GroundAtom, forget_atom, forget_atoms, sorted_atoms
 from sitcalc.progression import progress
-from sitcalc.syntax import Theory
+from sitcalc.syntax import Const, Not, StaticAtom, Theory, Var
 
 UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
 
@@ -78,3 +81,63 @@ def test_blocks_and_heap_progressions_match_the_reference(una, sizes):
                 combined = Theory(tuple(instantiate_ssas(b, alpha, omega).axioms) + tuple(b.init.axioms))
                 _forget_in_turn(combined, sorted_atoms(omega), una, f"seed {seed}, {nb}+{nh}, {alpha}")
                 b = replace(b, init=progress(b, alpha).theory)
+
+
+def _reference_folded(t, atoms, una):
+    for g in sorted_atoms(atoms):
+        t = reference(t, g, una)
+    return t
+
+
+def _literal_theories(rng):
+    """Theories of ground literals over P/1, R/2 and a nullary Q, with
+    repeats and both polarities of an atom, and the atoms to forget."""
+    atoms = [GroundAtom("Q", ())]
+    atoms += [GroundAtom("P", (c,)) for c in CONSTS]
+    atoms += [GroundAtom("R", (c, d)) for c in CONSTS for d in CONSTS]
+    for _ in range(60):
+        lits = [rng.choice(atoms).to_formula() for _ in range(rng.randrange(1, 9))]
+        t = Theory(tuple(Not(a) if rng.random() < 0.5 else a for a in lits))
+        yield t, rng.sample(atoms, rng.randrange(1, 4))
+
+
+def P(*args):
+    return StaticAtom("P", tuple(Const(a) if a in CONSTS else Var(a) for a in args))
+
+
+def R(*args):
+    return StaticAtom("R", tuple(Const(a) if a in CONSTS else Var(a) for a in args))
+
+
+@pytest.mark.parametrize("una", UNA)
+def test_literal_steps_match_the_reference(una):
+    # forget_atoms settles the step of an atom whose every axiom that can
+    # denote it is a literal of it without relativizing; the reference
+    # relativizes every axiom.  An open literal and literals that share only
+    # the first argument with an atom to forget go the other ways.
+    cases = list(_literal_theories(random.Random(23)))
+    Pc1, Rc12 = GroundAtom("P", ("c1",), None), GroundAtom("R", ("c1", "c2"), None)
+    cases += [
+        (Theory((P("c1"), P("c1"))), [Pc1]),
+        (Theory((P("c1"), Not(P("c1")), P("c2"))), [Pc1]),
+        (Theory((P("x"), P("c1"))), [Pc1]),
+        (Theory((R("c1", "x"), Not(R("c1", "c3")), R("c1", "c2"))), [Rc12]),
+        (Theory((Not(R("c2", "c1")), R("c1", "c2"))), [Rc12, GroundAtom("R", ("c2", "c1"), None)]),
+    ]
+    for i, (t, atoms) in enumerate(cases):
+        assert forget_atoms(t, atoms, una) == _reference_folded(t, atoms, una), f"case {i}"
+
+
+def test_ground_world_steps_are_literal_steps(monkeypatch):
+    calls = []
+    real = forgetting.relativize
+    monkeypatch.setattr(forgetting, "relativize", lambda *a: calls.append(a) or real(*a))
+    for seed in range(3):
+        for n in (4, 9, 16):
+            b, alpha = ground_world(random.Random(f"literal-{seed}-{n}"), n)
+            omega = characteristic_set(b, alpha)
+            combined = Theory(tuple(instantiate_ssas(b, alpha, omega).axioms) + tuple(b.init.axioms))
+            want = _reference_folded(combined, omega, True)
+            calls.clear()
+            assert forget_atoms(combined, omega) == want, f"seed {seed}, {n} blocks"
+            assert calls == []

@@ -1,16 +1,19 @@
 """Progression of initial theories through ground actions."""
 
+import collections
 import dataclasses
+import itertools
 import random
 
+import forgetting_reference
 import pytest
+import transform_reference
 from blocks_worlds import ground_world
 
-from sitcalc import bat
-from sitcalc.bat import characteristic_set, instantiate_ssas
+from sitcalc import bat, forgetting, progression, syntax
 from sitcalc.decomposition import Decomposition, group_ssas, syntactic_decompose
 from sitcalc.errors import MissingAxiom, SitcalcError
-from sitcalc.forgetting import forget_atoms
+from sitcalc.forgetting import sorted_atoms
 from sitcalc.oracle import Countermodel, EquivalentFinite, equivalent, is_positive
 from sitcalc.progression import (
     executable,
@@ -25,6 +28,7 @@ from sitcalc.syntax import (
     Const,
     FluentAtom,
     Not,
+    Or,
     Signature,
     Stage,
     StaticAtom,
@@ -94,13 +98,16 @@ class TestProgress:
 
 
 def renamed_whole(b, alpha) -> Theory:
-    """progress(b, alpha).theory as it was computed before the axioms that
-    forgetting passes through skipped renaming: every axiom renamed,
-    simplified and split."""
-    omega = characteristic_set(b, alpha)
-    inst = instantiate_ssas(b, alpha, omega)
-    forgotten = forget_atoms(Theory(inst.axioms + b.init.axioms), omega)
-    return split_conjunctions(simplify_theory(rename_stage(forgotten, Stage.NEXT, Stage.NOW)))
+    """progress(b, alpha).theory as the generic constructions compute it,
+    sharing none of progress's short paths: the reference transform and
+    instantiation (tests/transform_reference.py), the reference forgetting
+    (tests/forgetting_reference.py) folded over the canonical order, and
+    every axiom renamed, simplified and split."""
+    omega = transform_reference.characteristic_set(b, alpha)
+    t = Theory(transform_reference.instantiate_ssas(b, alpha, omega).axioms + b.init.axioms)
+    for g in sorted_atoms(omega):
+        t = forgetting_reference.forget_atom(t, g)
+    return split_conjunctions(simplify_theory(rename_stage(t, Stage.NEXT, Stage.NOW)))
 
 
 class TestUntouchedAxioms:
@@ -146,6 +153,16 @@ class TestUntouchedAxioms:
         assert r == renamed_whole(b, alpha)
         assert Not(FluentAtom("Top", (self.A,), Stage.NOW)) in r.axioms and Not(top_next) not in r.axioms
 
+    def test_an_axiom_that_renaming_makes_simplifiable_is_simplified(self, blocks_stacks):
+        # Top'(A) | !Top(A) passes forgetting and renames to a tautology
+        top = FluentAtom("Top", (self.A,), Stage.NOW)
+        mixed = Or(FluentAtom("Top", (self.A,), Stage.NEXT), Not(top))
+        b = dataclasses.replace(blocks_stacks, init=Theory(blocks_stacks.init.axioms + (mixed,)))
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        r = progress(b, alpha).theory
+        assert r == renamed_whole(b, alpha)
+        assert r == progress(blocks_stacks, alpha).theory
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_a_complete_ground_world(self, n):
         # every initial axiom is a literal, passed through without simplify;
@@ -156,6 +173,38 @@ class TestUntouchedAxioms:
             assert r == renamed_whole(b, alpha)
             assert all(literal_atom(ax) is not None for ax in r.axioms)
             b = dataclasses.replace(b, init=r)
+
+
+class TestStepCost:
+    def test_a_move_makes_as_many_simplify_and_relativize_calls_in_every_world(self, monkeypatch):
+        # complete worlds of 8, 16 and 32 blocks, each through a move of one
+        # shape: a block from another block onto a third
+        counts = collections.Counter()
+        for module in (syntax, bat, forgetting, progression):
+            for name in ("simplify", "relativize"):
+                real = getattr(module, name, None)
+                if real is not None:
+                    monkeypatch.setattr(module, name, _counting(counts, name, real))
+        seen = []
+        for n in (8, 16, 32):
+            for seed in itertools.count():
+                b, alpha = ground_world(random.Random(f"{n}-{seed}"), n)
+                if "T" not in alpha.args:
+                    break
+            counts.clear()
+            r = progress(b, alpha)
+            seen.append(dict(counts))
+            assert r.theory == renamed_whole(b, alpha)
+        assert seen[0] == seen[1] == seen[2]
+        # every step is a literal step, which relativizes nothing
+        assert "relativize" not in seen[0]
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
 
 
 class TestComponentwise:

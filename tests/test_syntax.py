@@ -387,6 +387,12 @@ class TestDeepAndWide:
         assert stages_of(g) == {Stage.NOW}
         assert sum(isinstance(at, FluentAtom) for at in atoms_of(g)) == copies
 
+    def test_substitute(self, deep):
+        f, copies = deep(self.LEAF)
+        g = substitute(f, {"x": a})
+        assert free_vars(g) == frozenset()
+        assert sum(at == ObjEq(a, c) for at in atoms_of(g)) == copies
+
     def test_flatten_walks_wide_spines(self):
         parts = [P(Const(f"c{i}")) for i in range(10_000)]
         assert flatten_and(conj(parts)) == parts
