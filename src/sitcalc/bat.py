@@ -506,8 +506,8 @@ def instantiate_ssas(
             axioms.append(Not(nxt) if neg is TRUE else Iff(nxt, now))
             continue
         binding = {v.name: c for v, c in zip(t.head_vars, consts)}
-        pos = simplify(substitute(t.gamma_pos, binding))
-        neg = simplify(substitute(t.gamma_neg, binding))
+        pos = substitute(t.gamma_pos, binding)
+        neg = substitute(t.gamma_neg, binding)
         axioms.append(simplify(Iff(nxt, Or(pos, And(now, Not(neg))))))
     return Theory(tuple(axioms))
 

@@ -18,8 +18,9 @@ ground world every layer does:
 - forgetting passes over an untouched literal after one set lookup, and
   each atom's step is a literal step, which adds TRUE without relativizing
   (see forgetting);
-- _finalize keeps each untouched literal after a test of its id and stage,
-  and renames, simplifies and splits only the rest.
+- _finalize decides by what each axiom is: it renames a next-stage literal
+  by building its atom at the current stage, keeps any other literal as it
+  is, drops TRUE, and renames, simplifies and splits only the rest.
 What is left per untouched axiom is a constant number of Python steps in
 forgetting's filing loop and in _finalize.
 """
@@ -42,19 +43,18 @@ from .oracle import (
     is_positive,
 )
 from .syntax import (
+    TRUE,
     FluentAtom,
     Formula,
     Not,
     Signature,
     Stage,
-    StaticAtom,
     Theory,
     flatten_and,
     literal_atom,
     rename_stage,
     signature_of,
     simplify,
-    stages_of,
     substitute,
 )
 
@@ -83,60 +83,32 @@ class ExecutabilityReport:
         return all(is_positive(s.verdict) for s in self.steps)
 
 
-def _finalize(t: Theory, init: Theory) -> Theory:
+def _finalize(t: Theory) -> Theory:
     """Stage bookkeeping after forgetting: the next stage becomes current.
 
-    One pass over t.  An axiom of the initial theory that forgetting passed
-    through, the same object, is at the current stage already and is kept
-    as it is, unless it mentions the next stage, which validate rejects;
-    the other axioms are renamed, in one rename_stage walk.  A literal's
-    stage is read off its atom, so only the other axioms of the initial
-    theory are walked for theirs.  The result is that of renaming every
-    axiom when the initial theory mentions the next stage, and every axiom
-    not its own otherwise, since renaming an axiom without a next-stage
-    atom gives it back.
-
-    Each axiom is split into its conjuncts by flatten_and, which drops
-    TRUE, as split_conjunctions would.  One simplification suffices: the
-    conjuncts of a simplified axiom are simplified already.  A literal is
-    simplified already and is not passed to simplify; the other axioms
-    passed through are simplified already from the second step on, which
-    costs little.
+    One pass over t that decides by what each axiom is.  A next-stage
+    literal is renamed by building its atom at the current stage; any other
+    literal is kept as the same object, which is simplified already; TRUE
+    is dropped.  Every other axiom is renamed, simplified and split into
+    its conjuncts by flatten_and, which drops TRUE, as split_conjunctions
+    would.  One simplification suffices: the conjuncts of a simplified
+    axiom are simplified already.  Renaming gives back an axiom without a
+    next-stage atom, and simplifying gives back one simplified already, as
+    the axioms forgetting passed through are from the second step on.
     """
-    passed = set(map(id, init.axioms))
     out: list[Formula] = []
-    moved: list[Formula] = []
-    at: list[int] = []  # where in out each moved axiom goes
-    now = Stage.NOW
+    nxt = Stage.NEXT
     for ax in t.axioms:
-        if id(ax) in passed:
-            atom = ax.body if type(ax) is Not else ax
-            node = type(atom)
-            if node is FluentAtom:
-                if atom.stage is now:
-                    out.append(ax)
-                    continue
-            elif node is StaticAtom:
-                out.append(ax)
-                continue
-            elif Stage.NEXT not in stages_of(ax):
-                out.extend(flatten_and(simplify(ax)))
-                continue
-        at.append(len(out))
-        out.append(ax)
-        moved.append(ax)
-    if not moved:
-        return Theory(tuple(out))
-    # the renamed axioms, spliced in where their originals stand
-    renamed = rename_stage(Theory(tuple(moved)), Stage.NEXT, Stage.NOW).axioms
-    parts = []
-    start = 0
-    for j, ax in zip(at, renamed):
-        parts.extend(out[start:j])
-        parts.extend(flatten_and(ax if literal_atom(ax) is not None else simplify(ax)))
-        start = j + 1
-    parts.extend(out[start:])
-    return Theory(tuple(parts))
+        atom = literal_atom(ax)
+        if atom is None:
+            if ax is not TRUE:
+                out.extend(flatten_and(simplify(rename_stage(ax, nxt, Stage.NOW))))
+        elif type(atom) is FluentAtom and atom.stage is nxt:
+            now = FluentAtom(atom.fluent, atom.args, Stage.NOW)
+            out.append(now if atom is ax else Not(now))
+        else:
+            out.append(ax)
+    return Theory(tuple(out))
 
 
 def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:
@@ -150,7 +122,7 @@ def progress(b: BAT, alpha: GroundAction) -> ProgressionResult:
     combined = Theory(tuple(inst.axioms) + tuple(b.init.axioms))
     forgotten = forget_atoms(combined, omega)
     return ProgressionResult(
-        theory=_finalize(forgotten, b.init),
+        theory=_finalize(forgotten),
         omega=omega,
         touched_fluents=frozenset(g.pred for g in omega),
     )
@@ -193,7 +165,7 @@ def progress_componentwise(
             continue
         inst = instantiate_ssas(b, alpha, omega_j)
         combined = Theory(tuple(inst.axioms) + tuple(comp.axioms))
-        components.append(_finalize(forget_atoms(combined, omega_j), comp))
+        components.append(_finalize(forget_atoms(combined, omega_j)))
     return Decomposition(init_decomp.delta, tuple(components))
 
 

@@ -35,10 +35,11 @@ These still recurse, because they compute something per connective rather
 than per atom: simplify (rewrite rules per connective), the printer
 surface._fmt1 (parentheses per connective, from the precedence table the
 parser reads) and the oracle's evaluate and grounding compiler
-oracle._compile (semantics per connective).  Their depth is the nesting depth of the formula, not its
-width: simplify flattens And/Or spines, folds a Not chain into one
-polarity bit, walks a right-nested -> chain along its spine and tests its
-fixed point by identity, _fmt1 prints an And/Or spine, a right-nested
+oracle._compile (semantics per connective).  Their depth is the nesting
+depth of the formula, not its width: simplify flattens And/Or spines,
+takes the rounds that stripping a disjunction needs in a loop, folds a
+Not chain into one polarity bit and walks a right-nested chain of -> and
+<-> along its spine, _fmt1 prints an And/Or spine, a right-nested
 -> or <-> chain and a ! chain with a loop,
 evaluate walks a left-nested And/Or spine and a right-nested -> chain
 with a loop and folds a Not chain into one polarity bit, and _compile
@@ -53,13 +54,14 @@ simplify and free_vars memoize their results on the nodes themselves, in
 slots that Formula declares: a node is immutable, so what was computed for
 it once holds for as long as it lives, and a subtree shared between an
 input and a result (map_atoms shares every unchanged one), or between
-places in one formula or theory, is not simplified again.  simplify also
-writes the memo of the nodes its rules build when it can tell they are
-normal, so the pass that confirms a fixed point stops at them.  The memo
-lives in slots rather than in an instance __dict__ because a dict would cost
-every node, memoized or not, a few hundred bytes (on CPython 3.11 a
-slotted And is 72 bytes, a plain dataclass And with its dict 352), and a
-progressed theory holds tens of thousands of nodes.
+places in one formula or theory, is not simplified again.  simplify's memo
+is a node's normal form, so one lookup answers for the whole subtree.  A
+node that a rule builds from normal parts, and that no rule could rewrite
+again, is marked normal as it is built, so a later call stops at it.  The
+memo lives in slots rather than in an instance __dict__ because a dict
+would cost every node, memoized or not, a few hundred bytes (on CPython
+3.11 a slotted And is 72 bytes, a plain dataclass And with its dict 352),
+and a progressed theory holds tens of thousands of nodes.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ class Formula:
 
     The slots declared here are per-node memos, not fields: they take no
     part in equality, hashing or repr.  _simp_una and _simp_no_una hold
-    simplify's one-step rewrite with and without unique names, _fv the
-    free variables.  An unset slot means not computed yet.
+    simplify's normal form with and without unique names, _fv the free
+    variables.  An unset slot means not computed yet.
     """
 
     __slots__ = ("_simp_una", "_simp_no_una", "_fv")
@@ -759,10 +761,12 @@ def _is_chain(f: Formula, node: type, parts: list[Formula]) -> bool:
 
 
 def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
-    """Rebuild the conjunction f: drop TRUE, dedupe, detect local contradictions.
+    """The normal form of the conjunction f of these normal parts: drop
+    TRUE, dedupe, detect local contradictions.
 
     f itself is returned if the rebuilt chain would equal it.  A rebuilt
-    chain of normal parts is normal: a second pass would keep the same parts.
+    chain with no And part is normal, as a rewrite would keep the same
+    parts; one with an And part is normalized again, which flattens it.
     """
     out = _kept(len(parts))
     negs = _kept(len(parts))
@@ -787,9 +791,11 @@ def _conjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
     if _is_chain(f, And, out):
         return f
     g = conj(out)
-    if len(out) > 1 and _all_normal(out, And, una):
-        _mark_normal(g, una)
-    return g
+    if len(out) < 2:
+        return g
+    if any(type(p) is And for p in out):
+        return _step(g, una)
+    return _mark_normal(g, una)
 
 
 def _is_literal(p: Formula) -> bool:
@@ -801,32 +807,35 @@ def _subsumes(si: list[Formula], sj: list[Formula]) -> bool:
     return all(c in sj for c in si)
 
 
-def _disjunction_of(parts: list[Formula], una: bool, f: Formula) -> Formula:
-    """Rebuild the disjunction f: drop FALSE, dedupe, absorb subsumed disjuncts.
+def _disjunction_of(parts: list[Formula], una: bool, f: Optional[Formula]) -> Formula:
+    """The normal form of the disjunction f of these normal parts: drop
+    FALSE, dedupe, absorb subsumed disjuncts.
 
-    f itself is returned if the rebuilt chain would equal it.  A rebuilt
-    chain of normal parts is marked normal when a second pass would keep
-    it: at once if nothing was stripped, as the survivors of absorption
-    subsume one another nowhere, and else by trying that pass on them.
+    f itself, if given, is returned if the rebuilt chain would equal it.
+    A rebuilt chain is normal if nothing was stripped and no part is an
+    Or, as the survivors of absorption subsume one another nowhere.
+    Otherwise the rebuilt parts, which are normal, are flattened and taken
+    round again, as simplify would take their disjunction: stripping may
+    expose more to absorb or strip.  The rounds are a loop, as a staircase
+    d1 | (!d1 & d2) | (!d2 & d3) | ... strips one conjunct a round.
     """
-    flat = _disjuncts(parts)
-    if flat is None:
-        return TRUE
-    survivors, sets, changed = _absorb(flat)
-    rebuilt = [
-        _conjunction_of(sets[i], una, flat[i]) if (changed or len(sets[i]) != 1) else flat[i]
-        for i in survivors
-    ]
-    if _is_chain(f, Or, rebuilt):
-        return f
-    g = disj(rebuilt)
-    if changed:
-        normal = _all_normal(rebuilt, Or, una) and _settled(rebuilt)
-    else:  # normal survivors are rebuilt as they are
-        normal = _all_normal([flat[i] for i in survivors], Or, una)
-    if normal and len(rebuilt) > 1:
-        _mark_normal(g, una)
-    return g
+    while True:
+        flat = _disjuncts(parts)
+        if flat is None:
+            return TRUE
+        survivors, sets, changed = _absorb(flat)
+        rebuilt = [
+            _conjunction_of(sets[i], una, flat[i]) if (changed or len(sets[i]) != 1) else flat[i]
+            for i in survivors
+        ]
+        if _is_chain(f, Or, rebuilt):
+            return f
+        if len(rebuilt) < 2:
+            return disj(rebuilt)
+        if not changed and not any(type(p) is Or for p in rebuilt):
+            return _mark_normal(disj(rebuilt), una)
+        parts = [q for p in rebuilt for q in flatten_or(p)]
+        f = None  # a later round has no node of its own to return
 
 
 def _disjuncts(parts: list[Formula]) -> Optional[list[Formula]]:
@@ -897,16 +906,6 @@ def _absorb(flat: list[Formula]) -> tuple[list[int], list[list[Formula]], bool]:
     return survivors, sets, changed
 
 
-def _settled(parts: list[Formula]) -> bool:
-    """Would a pass over the disjunction of these normal parts keep them all,
-    absorbing and stripping nothing?"""
-    flat = _disjuncts(parts)
-    if flat is None or len(flat) != len(parts):
-        return False
-    survivors, _, changed = _absorb(flat)
-    return len(survivors) == len(flat) and not changed
-
-
 def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm, list[Formula]]]:
     """Find v = t (t free of v) among conjuncts; return t and the remaining conjuncts."""
     for i, p in enumerate(parts):
@@ -923,6 +922,7 @@ def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm
 _NORMAL = object()  # simplify memo: no rule rewrites the node
 _SLOT = ("_simp_no_una", "_simp_una")  # the memo slot, indexed by una
 _INERT = _ATOMIC - {ObjEq}
+_ARROWS = frozenset({Implies, Iff})  # the links of a chain simplify walks along its spine
 
 
 def _inert(f: Formula) -> bool:
@@ -932,26 +932,15 @@ def _inert(f: Formula) -> bool:
     return node in _INERT or (node is Not and type(f.body) in _PREDICATIONS)
 
 
-def _all_normal(parts: Iterable[Formula], node: Optional[type], una: bool) -> bool:
-    """Are the parts normal, and none of them a `node` whose spine a pass
-    over the chain rebuilt from them would flatten into it?"""
-    slot = _SLOT[una]
-    return all(
-        type(p) is not node and (_inert(p) or getattr(p, slot, None) is _NORMAL)
-        for p in parts
-    )
-
-
 def _mark_normal(f: Formula, una: bool) -> Formula:
     object.__setattr__(f, _SLOT[una], _NORMAL)
     return f
 
 
 def _step(f: Formula, una: bool) -> Formula:
-    """One rewriting pass over f, memoized on the node per una value.
+    """The normal form of f, memoized on the node per una value.
 
-    Returns f itself when no rule fires anywhere in it, so a caller can
-    tell a fixed point by identity.  A normal node stores _NORMAL rather
+    Returns f itself when f is normal.  A normal node stores _NORMAL rather
     than a reference to itself, which would make it a reference cycle.
     Inert nodes keep no memo.
     """
@@ -967,11 +956,11 @@ def _step(f: Formula, una: bool) -> Formula:
 
 
 def _rewrite(f: Formula, una: bool) -> Formula:
-    """One rewriting pass over f.  A node that a rule builds from normal
-    parts, and that no rule could rewrite again, is marked normal."""
+    """The normal form of f, a node that is not inert, from the normal
+    forms of its parts.  A node that a rule builds from normal parts, and
+    that no rule could rewrite again, is marked normal; any other rule
+    result is normalized in turn."""
     match f:
-        case _ if _inert(f):
-            return f
         case ObjEq():
             return _simp_eq(f, una)
         case Not(body):
@@ -993,44 +982,28 @@ def _rewrite(f: Formula, una: bool) -> Formula:
                 case _ if g is f.body:
                     return f
                 case _:
-                    return _normal_if(Not(g), (g,), una)
+                    return _mark_normal(Not(g), una)
         case And():
             parts = [_step(p, una) for p in flatten_and(f)]
             return _conjunction_of(parts, una, f)
         case Or():
             parts = [_step(p, una) for p in flatten_or(f)]
             return _disjunction_of(parts, una, f)
-        case Implies():
-            # a right-nested chain a1 -> a2 -> ... -> b is walked along its
-            # spine: the links below f that have no memo yet are rewritten
+        case Implies() | Iff():
+            # a right-nested chain of -> and <-> links is walked along its
+            # spine: the links below f that have no memo yet are normalized
             # and memoized innermost first, as _step would
             slot = _SLOT[una]
             links = [f]
-            while type(links[-1].rhs) is Implies and getattr(links[-1].rhs, slot, None) is None:
+            while type(links[-1].rhs) in _ARROWS and getattr(links[-1].rhs, slot, None) is None:
                 links.append(links[-1].rhs)
             out = _step(links[-1].rhs, una)
             for link in reversed(links):
-                out = _implication(link, _step(link.lhs, una), out, una)
+                rule = _implication if type(link) is Implies else _biconditional
+                out = rule(link, _step(link.lhs, una), out, una)
                 if link is not f:
                     object.__setattr__(link, slot, _NORMAL if out is link else out)
             return out
-        case Iff(lhs, rhs):
-            a, b = _step(lhs, una), _step(rhs, una)
-            match (a, b):
-                case (Truth(), _):
-                    return b
-                case (_, Truth()):
-                    return a
-                case (Falsity(), _):
-                    return _step(Not(b), una)
-                case (_, Falsity()):
-                    return _step(Not(a), una)
-                case _ if a == b:
-                    return TRUE
-                case _ if a is lhs and b is rhs:
-                    return f
-                case _:
-                    return _normal_if(Iff(a, b), (a, b), una)
         case Forall(v, body):
             b = _step(body, una)
             if isinstance(b, (Truth, Falsity)):
@@ -1046,7 +1019,7 @@ def _rewrite(f: Formula, una: bool) -> Formula:
                         return _step(inst, una)
                 case _:
                     pass
-            return f if b is body else _normal_if(Forall(v, b), (b,), una)
+            return f if b is body else _mark_normal(Forall(v, b), una)
         case Exists(v, body):
             b = _step(body, una)
             if isinstance(b, (Truth, Falsity)):
@@ -1057,22 +1030,14 @@ def _rewrite(f: Formula, una: bool) -> Formula:
             if found is not None:
                 t, rest = found
                 return _step(substitute(conj(rest), {v.name: t}), una)
-            return f if b is body else _normal_if(Exists(v, b), (b,), una)
+            return f if b is body else _mark_normal(Exists(v, b), una)
         case _:
             raise SitcalcError(f"not a formula: {f!r}")
 
 
-def _normal_if(f: Formula, parts: tuple[Formula, ...], una: bool) -> Formula:
-    """f, built by a rule that cannot fire on it again, marked normal if its
-    parts are."""
-    if _all_normal(parts, None, una):
-        _mark_normal(f, una)
-    return f
-
-
 def _implication(f: Implies, a: Formula, b: Formula, una: bool) -> Formula:
-    """One rewriting pass over f, given the passes a over its antecedent and
-    b over its consequent."""
+    """The normal form of f, given the normal forms a of its antecedent and
+    b of its consequent."""
     match (a, b):
         case (Truth(), _):
             return b
@@ -1087,11 +1052,30 @@ def _implication(f: Implies, a: Formula, b: Formula, una: bool) -> Formula:
         case _ if a is f.lhs and b is f.rhs:
             return f
         case _:
-            return _normal_if(Implies(a, b), (a, b), una)
+            return _mark_normal(Implies(a, b), una)
+
+
+def _biconditional(f: Iff, a: Formula, b: Formula, una: bool) -> Formula:
+    """The normal form of f, given the normal forms a and b of its sides."""
+    match (a, b):
+        case (Truth(), _):
+            return b
+        case (_, Truth()):
+            return a
+        case (Falsity(), _):
+            return _step(Not(b), una)
+        case (_, Falsity()):
+            return _step(Not(a), una)
+        case _ if a == b:
+            return TRUE
+        case _ if a is f.lhs and b is f.rhs:
+            return f
+        case _:
+            return _mark_normal(Iff(a, b), una)
 
 
 def simplify(f: Formula, una: bool = True) -> Formula:
-    """Equivalence-preserving local rewriting to a fixed point.
+    """Equivalence-preserving local rewriting to a normal form.
 
     Covers boolean constant laws, double negation, idempotence, complement and
     subsumption inside flat conjunctions/disjunctions, reflexive equalities,
@@ -1100,21 +1084,14 @@ def simplify(f: Formula, una: bool = True) -> Formula:
     Nonempty object domains are assumed.  The result of a simplify call is
     its own simplification, as the very same object.
 
-    Each pass rewrites what it has not met before, and a pass that rewrites
-    nothing ends the loop.  A node that a rule builds from normal parts, and
-    that no rule could rewrite again, is marked normal as it is built, and
-    so is a disjunction that stripping changed once one more pass over it is
-    seen to change nothing; the last pass stops at such a node instead of
-    walking it again.  Atoms other than equalities, and their negations,
-    keep no memo.
+    Each node's normal form is memoized on it (_step), so a node shared
+    with an earlier call, or between places in one formula, is normalized
+    once.  A node that a rule builds from normal parts, and that no rule
+    could rewrite again, is marked normal as it is built; any other rule
+    result is normalized in turn.  Atoms other than equalities, and their
+    negations, keep no memo.
     """
-    prev = f
-    for _ in range(200):  # each rule shrinks the tree; the bound is a safety net
-        cur = _step(prev, una)
-        if cur is prev:
-            return cur
-        prev = cur
-    return prev
+    return _step(f, una)
 
 
 def simplify_theory(t: Theory, una: bool = True) -> Theory:

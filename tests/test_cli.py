@@ -478,10 +478,23 @@ class TestDeepInput:
         "declarations, axiom, symbol, expected",
         [
             ("static Z/0, Q/0;", " -> ".join(["Z", "Q"] * 500), "Z", "true;\n"),
+            ("static Z/0, Q/0;", " <-> ".join(["Z"] + ["Q"] * 999), "Z", "true;\n"),
             ("static P/0, Z/0;", "!" * 1_000 + "P & Z", "Z", "P;\n"),
             ("static P/0;", "!" * 3_000 + "P", "P", "true;\n"),
+            (
+                "static Z/0, " + ", ".join(f"D{i}/0" for i in range(350)) + ";",
+                "Z & (D0 | " + " | ".join(f"!D{i - 1} & D{i}" for i in range(1, 350)) + ")",
+                "Z",
+                " | ".join(f"D{i}" for i in range(350)) + ";\n",
+            ),
         ],
-        ids=["implication-chain", "negations-before-a-conjunction", "negations-before-an-atom"],
+        ids=[
+            "implication-chain",
+            "biconditional-chain",
+            "negations-before-a-conjunction",
+            "negations-before-an-atom",
+            "staircase",
+        ],
     )
     def test_a_symbol_is_forgotten_from_a_deep_axiom(self, capsys, tmp_path, declarations, axiom, symbol, expected):
         f = tmp_path / "deep.bat"

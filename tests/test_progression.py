@@ -24,6 +24,8 @@ from sitcalc.progression import (
 )
 from sitcalc.surface import parse_formula, parse_ground_action, render
 from sitcalc.syntax import (
+    FALSE,
+    TRUE,
     And,
     Const,
     FluentAtom,
@@ -162,6 +164,36 @@ class TestUntouchedAxioms:
         r = progress(b, alpha).theory
         assert r == renamed_whole(b, alpha)
         assert r == progress(blocks_stacks, alpha).theory
+
+    @pytest.mark.parametrize("extra", [TRUE, FALSE], ids=["true", "false"])
+    def test_an_initial_truth_value(self, blocks_stacks, extra):
+        # TRUE is dropped and FALSE kept, by what each axiom is
+        b = dataclasses.replace(blocks_stacks, init=Theory(blocks_stacks.init.axioms + (extra,)))
+        alpha = parse_ground_action("move(A, B, C)", b.sig)
+        r = progress(b, alpha).theory
+        assert r == renamed_whole(b, alpha)
+        assert (FALSE in r.axioms) == (extra is FALSE)
+
+    def test_a_world_holding_an_atom_of_omega_both_ways(self):
+        # the literal step of an atom held as g and as !g adds FALSE
+        b, alpha = ground_world(random.Random(3), 4)
+        g = sorted_atoms(progress(b, alpha).omega)[0].to_formula()
+        other = Not(g) if g in b.init.axioms else g
+        b = dataclasses.replace(b, init=Theory(b.init.axioms + (other,)))
+        r = progress(b, alpha).theory
+        assert r == renamed_whole(b, alpha)
+        assert FALSE in r.axioms
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_an_untouched_initial_literal_is_the_same_object(self, n):
+        # the next step's simplify calls find their memos on these objects
+        b, alpha = ground_world(random.Random(n), n)
+        r = progress(b, alpha)
+        assert r.theory == renamed_whole(b, alpha)
+        touched = {g.to_formula() for g in r.omega}
+        untouched = [ax for ax in b.init.axioms if literal_atom(ax) not in touched]
+        kept = {id(ax) for ax in r.theory.axioms}
+        assert untouched and all(id(ax) in kept for ax in untouched)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_a_complete_ground_world(self, n):

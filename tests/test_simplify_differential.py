@@ -1,9 +1,11 @@
 """simplify against the copy it replaced (tests/simplify_reference.py).
 
-simplify marks normal each node that a rule builds from normal parts and
-that no rule could rewrite again, so the pass that only confirmed a fixed
-point stops at that node.  On every input here it must return a result
-equal to the reference's and rendered alike, with and without unique names.
+The reference rewrites to a fixed point by repeating one-step passes.
+simplify instead memoizes each node's normal form on the node, marks normal
+each node that a rule builds from normal parts and that no rule could
+rewrite again, and normalizes any other rule result in turn.  On every
+input here it must return a result equal to the reference's and rendered
+alike, with and without unique names.
 Inputs are the formulas of the corpus, the property-suite formulas and
 theories, wide conjunctions and disjunctions of literals (test_syntax),
 disjunctions that stripping leaves unsettled, and every formula simplified
@@ -155,8 +157,9 @@ def test_property_formulas_simplify_alike(seed):
 def stripped_disjunctions():
     """Disjunctions where stripping a refuted conjunct leaves work for the
     next pass: d | (!d & e) | (e & f) absorbs e & f only then.  Hand-written
-    cases, then random disjunctions of short conjunctions of literals over
-    three atoms, where such chains are common."""
+    cases, staircases that take a round per step, then random disjunctions
+    of short conjunctions of literals over three atoms, where such chains
+    are common."""
     d, e, f, g = (StaticAtom(n, ()) for n in "DEFG")
     out = [
         disj([d, And(Not(d), e), And(e, f)]),  # then absorbed
@@ -165,6 +168,13 @@ def stripped_disjunctions():
         disj([d, e, And(Not(d), Not(e))]),  # then TRUE
         disj([d, And(Not(d), Or(e, f)), g]),  # then a nested disjunction
     ]
+    # staircases D0 | (!D0 & D1) | ... strip one conjunct a round, for as
+    # many rounds as they have steps, in either order; from 16 disjuncts on
+    # the parts are kept in an index
+    for n in (8, 20, 40):
+        s = [StaticAtom(f"D{i}", ()) for i in range(n)]
+        steps = [s[0]] + [And(Not(s[i - 1]), s[i]) for i in range(1, n)]
+        out += [disj(steps), disj(reversed(steps)), disj(steps + [And(Not(s[-1]), d)])]
     rng = random.Random(21)
     for _ in range(300):
         def literal():
@@ -199,10 +209,19 @@ def test_a_stacks_progression_rewrites_fewer_nodes(monkeypatch):
     # the simplifier before normal marks made 480 _rewrite calls here, and
     # 323 before the ground-action transform bound the quantified action
     # arguments itself and settled effect conditions were instantiated
-    # without simplify
-    calls = []
-    rewrite = syntax._rewrite
-    monkeypatch.setattr(syntax, "_rewrite", lambda f, una: calls.append(f) or rewrite(f, una))
+    # without simplify.  It made 263 while a disjunction that stripping
+    # changed was proved normal by a trial pass of _disjuncts and _absorb.
+    # Now the 7 such disjunctions take that pass as a further round of
+    # _disjunction_of's loop, and one conjunction with an And part is
+    # normalized again through _rewrite: 1 more call.  The disjunction
+    # work itself, counted by the _disjuncts and _absorb calls, stays at
+    # 54 and 53
+    calls = {"_rewrite": 0, "_disjuncts": 0, "_absorb": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(syntax, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(syntax, name, counted)
     b = parse_bat(corpus_path("blocks_stacks.bat").read_text())
     progress(b, parse_ground_action("move(A, B, C)", b.sig))
-    assert len(calls) == 263
+    assert calls == {"_rewrite": 264, "_disjuncts": 54, "_absorb": 53}

@@ -398,6 +398,47 @@ class TestDeepAndWide:
         assert flatten_and(conj(parts)) == parts
         assert flatten_or(disj(parts)) == parts
 
+    def test_simplify_strips_a_staircase_in_a_loop(self):
+        # D0 | (!D0 & D1) | ... | (!D148 & D149) strips one conjunct a round,
+        # 149 rounds in all; they run in a loop, not one inside the other,
+        # so 100 frames more than the caller's are plenty
+        d = [StaticAtom(f"D{i}") for i in range(150)]
+        f = disj([d[0]] + [conj([Not(d[i - 1]), d[i]]) for i in range(1, len(d))])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            results = [simplify(f, una) for una in (False, True)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [flatten_or(r) for r in results] == [d, d]
+
+    def test_simplify_walks_a_biconditional_chain(self):
+        # a right-nested <-> chain is simplified along its spine; results
+        # are compared link by link, as == on the whole chain recurses
+        atoms = [StaticAtom(f"P{i}") for i in range(1_000)]
+
+        def chain(links):
+            f = links[-1]
+            for p in reversed(links[:-1]):
+                f = Iff(p, f)
+            return f
+
+        def spine(f):
+            out = []
+            while type(f) is Iff:
+                out.append(f.lhs)
+                f = f.rhs
+            return out + [f]
+
+        f = chain(atoms)
+        for una in (False, True):
+            assert simplify(f, una) is f
+        padded = chain([x for p in atoms[:-1] for x in (p, TRUE)] + atoms[-1:])
+        assert spine(simplify(padded)) == atoms
+
 
 # Run in a child interpreter: re-importing the package here would give the
 # other tests' modules classes of a different identity.
