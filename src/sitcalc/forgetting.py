@@ -34,7 +34,11 @@ Relativizing g or !g gives it back, its images under g:=TRUE and g:=FALSE
 are constants, and the disjunction of their conjunctions simplifies to
 TRUE, or to FALSE if both g and !g occur.  Such a step adds that constant
 directly, without relativize, map_atoms_twice or simplify; _resolve takes
-every other step.
+every other step.  Of those, a unit step is one where g or !g is among the
+axioms that can denote g, beside axioms of other shapes: the image under
+the value that falsifies that literal is a conjunction with FALSE, so
+_resolve builds only the other image, with map_atoms, and simplifies its
+conjunction, which is what the disjunction of both simplifies to.
 
 A step keeps shared structure shared, so that simplify, which memoizes per
 node, reduces each shared subtree once: the axioms it relativizes share one
@@ -293,21 +297,30 @@ def _resolve(
 ) -> tuple[list[int], Optional[Formula]]:
     """The ids of the axioms whose relativized form mentions g, and the
     disjunction of their g:=TRUE and g:=FALSE images, simplified; None if
-    there are none."""
+    there are none.  On a unit step only the image that survives is built."""
     gatom = g.to_formula()
     splits: dict[tuple, Formula] = {}  # one split per occurrence pattern for the whole step
     rels = Theory(tuple(relativize(ax, g, una, splits) for ax in axs))
-    pos_t, neg_t = map_atoms_twice(rels, lambda a: (TRUE, FALSE) if a == gatom else (a, a))
+    units = [ax for ax in axs if literal_atom(ax) == gatom]
+    if units:
+        # g is an axiom, so the g:=FALSE image holds FALSE, or !g is, and
+        # the g:=TRUE image does; the disjunction is the other image alone
+        value = FALSE if all(type(ax) is Not for ax in units) else TRUE
+        pos_t = neg_t = map_atoms(rels, lambda a: value if a == gatom else a)
+    else:
+        pos_t, neg_t = map_atoms_twice(rels, lambda a: (TRUE, FALSE) if a == gatom else (a, a))
     pos_parts: list[Formula] = []
     neg_parts: list[Formula] = []
     used: list[int] = []
-    for i, pos, neg in zip(ids, pos_t.axioms, neg_t.axioms):
-        if pos is not neg:  # the same object exactly when g does not occur in rel
+    for i, rel, pos, neg in zip(ids, rels.axioms, pos_t.axioms, neg_t.axioms):
+        if pos is not rel:  # a new object exactly when g occurs in rel
             pos_parts.append(pos)
             neg_parts.append(neg)
             used.append(i)
     if not used:
         return used, None
+    if units:
+        return used, simplify(conj(pos_parts), una)
     return used, simplify(Or(conj(pos_parts), conj(neg_parts)), una)
 
 

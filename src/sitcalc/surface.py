@@ -31,15 +31,20 @@ line.
 render is the inverse: for every parsed input the rendered text reparses to
 a structurally equal object, and rendering is deterministic.
 
-The parser keeps tokens as plain strings: one regex pass yields each
-token's text, and a token's kind is read off its text.  A token is an index
-into the list of texts, and positions are not kept per token: the line and
-column of the tokens that an error names are computed from the cumulative
-lengths of the text before them and an index of the newlines, and a BAT
-computes those of its spans the same way the first time they are read.  A
-bad character anywhere in the text is reported before any syntax error.
-Within one parse each name yields one Const or Var object, shared by all
-its occurrences.
+The parser keeps tokens as plain strings, and a token's kind is read off
+its text.  The texts come from string methods, not from a regex pass over
+the whole text: each comment is cut, each punctuation character is spaced
+apart, and str.split cuts the text into chunks at its blanks.  Nearly
+every chunk is one token; a regex runs only inside a distinct chunk that
+is not, one that holds several tokens or a bad character (x!=y, !On).  The
+texts are exactly those that the whole-text regex would find.  A token is
+an index into the list of texts, and positions are not kept per token:
+the line and column of the tokens that an error names are computed from
+the cumulative lengths of the text before them and an index of the
+newlines, and a BAT computes those of its spans the same way the first
+time they are read.  A bad character anywhere in the text is reported
+before any syntax error.  Within one parse each name yields one Const or
+Var object, shared by all its occurrences.
 
 A complete ground world is hundreds of init sentences that are each a
 ground literal, [!][(]P(c1, ..., ck)[)];.  The sentence loop reads such a
@@ -48,7 +53,7 @@ arity and each ci a constant that an earlier sentence met; any other
 sentence, well-formed or not, goes to the formula parser, so every error
 message and position is the formula parser's.  The printer prints an atom
 or a negated atom without the dispatch over node kinds that the other
-formulas take.
+formulas take, and prints the last operand of every node in a loop.
 """
 
 from __future__ import annotations
@@ -93,20 +98,58 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # tokens
 #
-# One re.findall pass yields the text of each token, skipping the whitespace
-# and comments before it; a token's kind is read off its text.  The last
-# match is the empty one at the end of the text, whose token is _EOF.
-# Punctuation is tried first, as most tokens are punctuation; "." takes a bad
-# character.  A token is its index into toks.  Positions are computed only
-# for the tokens that an error or a span that is read names (_positions):
-# re.split with the blanks captured too cuts the text into triples (the
-# empty text between two matches, the blanks, the token), whose cumulative
-# lengths and a newline index turn a token's offset into a line and column.
+# _tokens gives the text of each token.  _SCAN, which matches the blanks
+# and comments before each token and then the token, places them; its last
+# match is the empty one at the end of the text, whose token is _EOF.  "."
+# takes a bad character.  A token is its index into toks.  Positions are
+# computed only for the tokens that an error or a span that is read names
+# (_positions): re.split with the blanks captured too cuts the text into
+# triples (the empty text between two matches, the blanks, the token),
+# whose cumulative lengths and a newline index turn a token's offset into a
+# line and column.
 
 _BLANKS = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-_TOKEN = r"[&|(),;:{}/]|!=?|[A-Za-z_][A-Za-z0-9_]*'?|\d+|<->|->|==|.|\Z"
-_TOKENS = re.compile(f"{_BLANKS}({_TOKEN})", re.DOTALL)
+_GOOD = r"[&|(),;:{}/]|!=?|[A-Za-z_][A-Za-z0-9_]*'?|\d+|<->|->|=="
+_TOKEN = _GOOD + r"|.|\Z"
 _SCAN = re.compile(f"({_BLANKS})({_TOKEN})", re.DOTALL)
+_ONE = re.compile(_GOOD)  # fullmatch: a chunk that is one good token
+_PIECES = re.compile(_GOOD + "|.", re.DOTALL)  # the tokens within a chunk
+_COMMENT = re.compile(r"//[^\n]*")
+_PUNCTUATION = [(c, f" {c} ") for c in "&|(),;:{}/"]
+# what str.split() takes for a blank besides the four blanks of _BLANKS, in
+# an ASCII text; the tokenizer reports each as a bad character
+_OTHER_BLANKS = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _tokens(text: str) -> tuple[list[str], set[str]]:
+    """The texts of the tokens of text, then _EOF, and the set of those texts
+    without _EOF.
+
+    These are the tokens that _SCAN finds.  A "//" always starts a comment,
+    as no token but "/" holds a "/", and the blanks before a token take a
+    comment first; so cutting every comment up to its newline and splitting
+    at blanks and around the punctuation leaves chunks whose tokens are the
+    text's.  A chunk that is one token is kept as it is.
+    """
+    if "//" in text:
+        text = _COMMENT.sub("", text)
+    for c, spaced in _PUNCTUATION:
+        text = text.replace(c, spaced)
+    if text.isascii() and not any(c in text for c in _OTHER_BLANKS):
+        chunks = text.split()
+    else:  # str.split() would take a bad character for a blank
+        for c in "\t\r\n":
+            text = text.replace(c, " ")
+        chunks = [c for c in text.split(" ") if c]
+    distinct = set(chunks)
+    pieces = {c: _PIECES.findall(c) for c in distinct if not _ONE.fullmatch(c)}
+    if pieces:
+        chunks = [t for c in chunks for t in pieces.get(c, (c,))]
+        distinct = set(chunks)
+    chunks.append(_EOF)
+    return chunks, distinct
+
+
 _OPS = frozenset({"<->", "->", "==", "!=", *"!&|(),;:{}/"})
 _IDENT_FIRST = frozenset(string.ascii_letters + "_")
 _EOF = "end of input"
@@ -148,15 +191,12 @@ class _Parser:
     def __init__(self, text: str, path: str, sig: Optional[Signature] = None) -> None:
         self.text = text
         self.path = path
-        toks = _TOKENS.findall(text)
-        if len(toks) > 1 and not toks[-2]:
-            toks.pop()  # after trailing blanks the bare end matches too
+        toks, distinct = _tokens(text)
         self.toks = toks
-        toks[-1] = _EOF
         self.i = 0  # the next token
         self.idents: set[str] = set()
         bad: list[int] = []
-        for t in set(toks[:-1]):
+        for t in distinct:
             if t[0] in _IDENT_FIRST:
                 self.idents.add(t)
             elif t not in _OPS and not t.isdecimal():  # isdecimal is \d
@@ -770,6 +810,13 @@ def _app(name: str, args: tuple[ObjTerm, ...]) -> str:
 
 
 def _fmt(f: Formula, min_prec: int) -> str:
+    """The text of f, in parentheses if it binds less tightly than min_prec.
+
+    The last operand of each node is printed by the loop rather than by a
+    call, so a formula that nests along last operands, such as a chain
+    that alternates ! and <->, or quantifiers of alternating kinds, costs
+    no recursion; the parentheses opened on the way close at the end.
+    """
     atom = literal_atom(f)
     if atom is not None:  # binds tighter than any operator: no parentheses
         if type(atom) is FluentAtom:
@@ -777,26 +824,36 @@ def _fmt(f: Formula, min_prec: int) -> str:
         else:
             s = _app(atom.pred, atom.args)
         return s if atom is f else "!" + s
-    s, p = _fmt1(f)
-    return f"({s})" if p < min_prec else s
+    pieces = []
+    close = 0
+    while True:
+        head, prec, last, last_prec = _fmt1(f)
+        if prec < min_prec:
+            pieces.append("(")
+            close += 1
+        pieces.append(head)
+        if last is None:
+            break
+        if literal_atom(last) is not None:
+            pieces.append(_fmt(last, last_prec))
+            break
+        f, min_prec = last, last_prec
+    pieces.append(")" * close)
+    return "".join(pieces)
 
 
-def _qbody(f: Formula) -> str:
-    if isinstance(f, ObjEq) or (isinstance(f, Not) and isinstance(f.body, ObjEq)):
-        return f"({_fmt(f, 0)})"
-    return _fmt(f, _TIGHT)
-
-
-def _fmt1(f: Formula) -> tuple[str, int]:
-    """The text of f, which is not a literal (_fmt prints those), and its
-    precedence."""
+def _fmt1(f: Formula) -> tuple[str, int, Optional[Formula], int]:
+    """The text of f, which is not a literal (_fmt prints those), up to its
+    last operand; its precedence; and that last operand, for _fmt to print
+    after the text, with the precedence it needs, or None if the text is
+    whole."""
     match f:
         case Truth():
-            return "true", _TIGHT
+            return "true", _TIGHT, None, 0
         case Falsity():
-            return "false", _TIGHT
+            return "false", _TIGHT, None, 0
         case ObjEq(l, r):
-            return f"{_rt(l)} == {_rt(r)}", _TIGHT
+            return f"{_rt(l)} == {_rt(r)}", _TIGHT, None, 0
         case Not():
             # a chain of negations in a loop, so 3,000 ! cost no recursion;
             # the innermost one over an equality prints as !=
@@ -805,8 +862,8 @@ def _fmt1(f: Formula) -> tuple[str, int]:
                 f = f.body
                 bangs += 1
             if type(f) is ObjEq:
-                return "!" * (bangs - 1) + f"{_rt(f.lhs)} != {_rt(f.rhs)}", _TIGHT
-            return "!" * bangs + _fmt(f, _TIGHT), _TIGHT
+                return "!" * (bangs - 1) + f"{_rt(f.lhs)} != {_rt(f.rhs)}", _TIGHT, None, 0
+            return "!" * bangs, _TIGHT, f, _TIGHT
         case And() | Or() | Implies() | Iff():
             node = type(f)
             sep, prec, right = _INFIX[node]
@@ -816,15 +873,16 @@ def _fmt1(f: Formula) -> tuple[str, int]:
                 while isinstance(f, node):
                     lefts.append(_fmt(f.lhs, prec + 1))
                     f = f.rhs
-                lefts.append(_fmt(f, prec))
-                return sep.join(lefts), prec
+                return sep.join(lefts) + sep, prec, f, prec
             # the left spine in a loop, so a wide chain costs no recursion
+            last = f.rhs
+            f = f.lhs
             rights = []
             while isinstance(f, node):
                 rights.append(_fmt(f.rhs, prec + 1))
                 f = f.lhs
             rights.append(_fmt(f, prec))
-            return sep.join(reversed(rights)), prec
+            return sep.join(reversed(rights)) + sep, prec, last, prec + 1
         case Forall(v, body) | Exists(v, body):
             ctor = type(f)
             kw = "forall" if ctor is Forall else "exists"
@@ -832,7 +890,10 @@ def _fmt1(f: Formula) -> tuple[str, int]:
             while isinstance(body, ctor):
                 vs.append(body.var.name)
                 body = body.body
-            return f"{kw} {', '.join(vs)} {_qbody(body)}", _TIGHT
+            head = f"{kw} {', '.join(vs)} "
+            if isinstance(body, ObjEq) or (isinstance(body, Not) and isinstance(body.body, ObjEq)):
+                return f"{head}({_fmt(body, 0)})", _TIGHT, None, 0
+            return head, _TIGHT, body, _TIGHT
     raise TypeError(f"cannot render {f!r}")
 
 

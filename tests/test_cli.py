@@ -536,6 +536,23 @@ class TestDeepInput:
             a, b = a.rhs, b.rhs
         assert a == b
 
+    def test_a_chain_that_alternates_negation_and_biconditional_is_printed(self, capsys, tmp_path):
+        # forgetting Z from P0 <-> Z <-> P1 <-> Z <-> ... keeps a chain of
+        # <-> links under !s, each the last operand of the one before, which
+        # the printer walks in a loop; the text reparses to itself
+        n = 500
+        chain = " <-> ".join(x for i in range(n) for x in (f"P{i}", "Z"))
+        f = tmp_path / "alt.bat"
+        f.write_text(f"static Z/0, {', '.join(f'P{i}/0' for i in range(n))};\n\ntheory {{\n  {chain};\n}}\n")
+        code, out, err = run(capsys, "forget", str(f), "--symbol", "Z")
+        assert code == 0, err
+        nested = f"P{n - 2} <-> P{n - 1}"
+        for i in reversed(range(n - 2)):
+            nested = f"P{i} <-> !({nested})"
+        assert out == "(" + " <-> ".join(f"P{i}" for i in range(n)) + f") | ({nested});\n"
+        sig, _ = surface.parse_theory(f.read_text())
+        assert render(surface.parse_formula(out[:-2], sig)) == out[:-2]
+
 
     @staticmethod
     def _wide_one_point(tmp_path):

@@ -9,7 +9,9 @@ names on and off.  Inputs are the property-suite theories and the theories
 progression forgets in: generated ground blocks worlds together with the
 successor state axioms instantiated for a legal move, and blocks-and-heap
 theories, whose quantified axioms mention the forgotten atoms' predicates
-several times each, progressed through a move and a push.
+several times each, progressed through a move and a push.  Unit steps,
+where g or !g stands beside axioms of other shapes that can denote g, are
+compared with the reference too, and must build one image only.
 """
 
 import random
@@ -24,7 +26,7 @@ from sitcalc import forgetting
 from sitcalc.bat import characteristic_set, instantiate_ssas
 from sitcalc.forgetting import GroundAtom, forget_atom, forget_atoms, sorted_atoms
 from sitcalc.progression import progress
-from sitcalc.syntax import Const, Not, StaticAtom, Theory, Var
+from sitcalc.syntax import And, Const, Exists, Forall, Iff, Implies, Not, Or, StaticAtom, Theory, Var
 
 UNA = [pytest.param(True, id="una"), pytest.param(False, id="no-una")]
 
@@ -141,3 +143,41 @@ def test_ground_world_steps_are_literal_steps(monkeypatch):
             calls.clear()
             assert forget_atoms(combined, omega) == want, f"seed {seed}, {n} blocks"
             assert calls == []
+
+
+@pytest.mark.parametrize("una", UNA)
+def test_unit_steps_match_the_reference(una, monkeypatch):
+    # On a unit step g or !g is among the axioms that can denote g, beside
+    # axioms of other shapes, so the image under the value that falsifies
+    # that literal holds FALSE: forgetting builds only the other image, and
+    # makes no map_atoms_twice walk.  The reference builds both.
+    walks = []
+    real = forgetting.map_atoms_twice
+    monkeypatch.setattr(forgetting, "map_atoms_twice", lambda *a: walks.append(a) or real(*a))
+    x = Var("x")
+    Pc1, Pc2 = GroundAtom("P", ("c1",), None), GroundAtom("P", ("c2",), None)
+    quantified = (
+        Forall(x, Implies(P("x"), R("x", "c2"))),
+        Exists(x, And(P("x"), Not(R("c1", "x")))),
+        Or(P("c1"), R("c2", "c2")),
+        Iff(P("c2"), Forall(x, Or(P("x"), R("x", "x")))),
+    )
+    units = {
+        "g": (P("c1"),),
+        "!g": (Not(P("c1")),),
+        "both": (P("c1"), Not(P("c1"))),
+        "g twice": (P("c1"), P("c1")),
+        "g and an open literal": (P("c1"), P("x")),
+    }
+    for label, lits in units.items():
+        for before in (False, True):
+            for atoms in ([Pc1], [Pc1, Pc2]):
+                t = Theory(lits + quantified if before else quantified + lits)
+                walks.clear()
+                assert forget_atom(t, Pc1, una) == reference(t, Pc1, una), label
+                assert walks == [], label
+                assert forget_atoms(t, atoms, una) == _reference_folded(t, atoms, una), (label, atoms)
+    # without a unit both images are built
+    walks.clear()
+    assert forget_atom(Theory(quantified), Pc1, una) == reference(Theory(quantified), Pc1, una)
+    assert len(walks) == 1

@@ -1,5 +1,6 @@
 """Formula AST: signatures, substitution, staging, simplification."""
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sitcalc
-from sitcalc import corpus_path, parse_bat, parse_theory, syntax
+from sitcalc import corpus_path, parse_bat, parse_formula, parse_theory, render, syntax
 from sitcalc.errors import SitcalcError
 from sitcalc.syntax import (
     FALSE,
@@ -56,6 +57,69 @@ def P(t):
 
 def F(t, stage=Stage.NOW):
     return FluentAtom("F", (t,), stage)
+
+
+NODES = [
+    (Var, {"name": "x"}),
+    (Const, {"name": "a"}),
+    (FluentAtom, {"fluent": "F", "args": (a, x), "stage": Stage.NEXT}),
+    (StaticAtom, {"pred": "P", "args": (a, b)}),
+    (ObjEq, {"lhs": x, "rhs": a}),
+    (Not, {"body": P(a)}),
+    (And, {"lhs": P(a), "rhs": P(b)}),
+    (Or, {"lhs": P(a), "rhs": P(b)}),
+    (Implies, {"lhs": P(a), "rhs": P(b)}),
+    (Iff, {"lhs": P(a), "rhs": P(b)}),
+    (Forall, {"var": x, "body": P(x)}),
+    (Exists, {"var": x, "body": P(x)}),
+]
+
+
+def _matched(node):
+    match node:
+        case Var(n) | Const(n) | Not(n):
+            return (n,)
+        case FluentAtom(f, args, stage):
+            return (f, args, stage)
+        case StaticAtom(l, r) | ObjEq(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return (l, r)
+        case Forall(v, body) | Exists(v, body):
+            return (v, body)
+
+
+class TestNodes:
+    # the nodes store their fields through their slot descriptors, not
+    # through dataclass's __init__; everything else is dataclass's
+    @pytest.mark.parametrize("cls, fields", NODES, ids=[cls.__name__ for cls, _ in NODES])
+    def test_construction_replace_matching_and_freezing(self, cls, fields):
+        node = cls(**fields)
+        assert all(getattr(node, k) is v for k, v in fields.items())
+        assert cls(*fields.values()) == node
+        assert hash(cls(*fields.values())) == hash(node)
+        assert cls.__match_args__ == tuple(fields)
+        assert _matched(node) == tuple(fields.values())
+        first = next(iter(fields))
+        other = Var("y") if isinstance(fields[first], Var) else P(c) if isinstance(fields[first], syntax.Formula) else "Q"
+        changed = dataclasses.replace(node, **{first: other})
+        assert type(changed) is cls and getattr(changed, first) is other
+        assert all(getattr(changed, k) is v for k, v in fields.items() if k != first)
+        assert dataclasses.replace(node) == node
+        scope = {**{k.__name__: k for k, _ in NODES}, "NOW": Stage.NOW, "NEXT": Stage.NEXT}
+        assert eval(repr(node), scope) == node
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, first, other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, first)
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(**fields, extra=1)
+
+    def test_defaults(self):
+        assert FluentAtom("F", (a,)) == FluentAtom(fluent="F", args=(a,), stage=Stage.NOW)
+        assert StaticAtom("P") == StaticAtom("P", ())
+        assert StaticAtom(pred="P").args == ()
 
 
 class TestSignature:
@@ -438,6 +502,28 @@ class TestDeepAndWide:
             assert simplify(f, una) is f
         padded = chain([x for p in atoms[:-1] for x in (p, TRUE)] + atoms[-1:])
         assert spine(simplify(padded)) == atoms
+
+    def test_render_walks_a_chain_that_alternates_negation_and_biconditional(self):
+        # P0 <-> !(P1 <-> !(P2 <-> ...)): each link is the last operand of
+        # the one before, which the printer prints in a loop
+        atoms = [StaticAtom(f"P{i}") for i in range(1_000)]
+        f = Iff(atoms[-2], atoms[-1])
+        for p in reversed(atoms[:-2]):
+            f = Iff(p, Not(f))
+        text = render(f)
+        assert text == " <-> !(".join(f"P{i}" for i in range(999)) + " <-> P999" + ")" * 998
+        sig = Signature(statics=frozenset((p.pred, 0) for p in atoms))
+        g = parse_formula(text, sig)
+        for _ in range(998):
+            assert g.lhs == f.lhs
+            f, g = f.rhs.body, g.rhs.body
+        assert g == f
+
+    def test_render_reparses(self, deep):
+        f, _ = deep(self.LEAF)
+        text = render(f)
+        sig = Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)}))
+        assert render(parse_formula(text, sig, allow_free=True)) == text
 
 
 # Run in a child interpreter: re-importing the package here would give the
