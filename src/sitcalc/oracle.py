@@ -22,6 +22,14 @@ re-validated by direct evaluation.  The walkers are module-level functions,
 or closures that free themselves when they return, so a question leaves
 no reference cycle for the garbage collector.
 
+A complete ground world is hundreds of literals over constants, and each
+costs what a literal costs: the compiler gives it one atom node without
+dispatching on its shape, and evaluate answers it by one table lookup
+without building its walker.  The solver propagates the unit clauses
+before it ranks the variables, and ranks them only if one is left to
+decide: none is when the literals pin every atom the question grounds,
+since propagation then settles each Tseitin variable too.
+
 Each compiled node grounds in the one polarity the compiler fixed for it,
 and a negation is never grounded: it is the dual of the tree already
 built, with conjunction and disjunction, TRUE and FALSE and each literal
@@ -71,6 +79,7 @@ from .syntax import (
     flatten_and,
     flatten_or,
     free_vars,
+    literal_atom,
     signature_of,
 )
 
@@ -173,7 +182,21 @@ def _atom_rel_key(g: GroundAtom) -> RelKey:
 
 
 def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None) -> bool:
-    """Truth of a formula in a model under an environment for free variables."""
+    """Truth of a formula in a model under an environment for free variables.
+
+    A literal over constants is answered by one table lookup, without the
+    walker; its errors are the walker's, raised by m.const and m.holds.
+    """
+    atom = literal_atom(f)
+    if atom is not None:
+        tup = []
+        for t in atom.args:
+            if type(t) is not Const:
+                break
+            tup.append(m.const(t.name))
+        else:
+            key = (atom.fluent, atom.stage._value_) if type(atom) is FluentAtom else (atom.pred, "")
+            return m.holds(key, tuple(tup)) == (atom is f)
     scope = dict(env) if env else {}
 
     def term(t) -> int:
@@ -526,13 +549,45 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     from it.  Errors are deferred to instantiation: a constant missing
     from const_map is reported before anything is grounded, a free
     variable or an ungroundable node when it is reached.
+
+    An axiom that is a literal over constants, as each axiom of a complete
+    ground world is, skips _comp: its slots, symbol and stage are recorded
+    as _comp records them and its root is one _atom node.
     """
     p = _Program()
     p.theory = Theory(tuple(formulas))
-    p.consts = {}
+    consts = p.consts = {}
     p.nslots = 0
     p.objects, p.statics, p.fluents, p.actions, p.stages = set(), set(), set(), set(), set()
-    p.roots = [_comp(f, {}, False, p) for f in formulas]
+    roots = p.roots = []
+    staged: dict[str, Stage] = {}  # the stage of each tag a ground fluent literal has
+    for f in formulas:
+        atom = literal_atom(f)
+        if atom is not None:
+            # a ground literal: what _comp records and builds for it, by one
+            # slot per new constant and one _atom node
+            slots = []
+            for t in atom.args:
+                if type(t) is not Const:
+                    break
+                i = consts.get(t.name)
+                if i is None:
+                    i = consts[t.name] = p.nslots
+                    p.nslots += 1
+                slots.append(i)
+            else:
+                if type(atom) is FluentAtom:
+                    p.fluents.add((atom.fluent, len(slots)))
+                    tag = atom.stage._value_  # Stage.value and hash(Stage) are Python-level
+                    staged[tag] = atom.stage
+                    key = (atom.fluent, tag)
+                else:
+                    p.statics.add((atom.pred, len(slots)))
+                    key = (atom.pred, "")
+                roots.append(_atom(key, slots, atom is not f))
+                continue
+        roots.append(_comp(f, {}, False, p))
+    p.stages.update(staged.values())
     p.vocab = Signature(
         frozenset(p.objects | p.consts.keys()), frozenset(p.statics), frozenset(p.fluents), frozenset(p.actions)
     )
@@ -728,9 +783,12 @@ def _dpll_models(
 ) -> Iterator[list[Optional[bool]]]:
     """Deterministic DPLL with unit propagation, enumerating models.
 
-    The variables in project are decided before all others.  After each model
-    the search backtracks to the deepest decision on a projected variable as
-    if that decision had hit a conflict, so it yields exactly one model per
+    Variables are decided in a fixed order, each false first: the variables
+    in project before all others, then the more occurrences in the clauses
+    the earlier, then the smaller.  So the first model found is the least
+    one in that order, false before true.  After each model the search
+    backtracks to the deepest decision on a projected variable as if that
+    decision had hit a conflict, so it yields exactly one model per
     assignment of the projected variables that extends to a model; with
     project empty it yields at most one.  The yielded list is the solver's
     own assignment, indexed by literal: entry v is the value of variable v
@@ -749,7 +807,6 @@ def _dpll_models(
     projected = [False] * (nvars + 1)
     for v in project:
         projected[v] = True
-    order = sorted(range(1, nvars + 1), key=lambda v: (not projected[v], -len(occ[v]) - len(occ[-v]), v))
 
     trail: list[int] = []
     qhead = 0
@@ -801,6 +858,18 @@ def _dpll_models(
             return
     if not propagate():
         return
+
+    # The variables are ranked only if one is left to decide.  The order is
+    # (not projected, -occurrences, v): a stable sort of 1..nvars on one
+    # integer key per variable, which puts every projected variable first.
+    order: list[int] = []
+    if len(trail) < nvars:
+        rank = [-len(occ[v]) - len(occ[-v]) for v in range(nvars + 1)]
+        if project:
+            shift = 1 - min(rank)  # exceeds the difference of any two occurrence counts
+            for v in project:
+                rank[v] = -len(occ[v]) - len(occ[-v]) - shift
+        order = sorted(range(1, nvars + 1), key=rank.__getitem__)
 
     # decision stack entries: (trail mark before the decision, literal, flipped?)
     decisions: list[tuple[int, int, bool]] = []

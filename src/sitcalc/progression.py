@@ -193,18 +193,23 @@ def executable(
 ) -> ExecutabilityReport:
     """Check each action's precondition in the theory it would run in.
 
-    The theory is progressed after every step even when a precondition is
-    not entailed, so the report covers the whole sequence.
+    The theory is progressed through every action but the last, even when
+    a precondition is not entailed, so the report covers the whole
+    sequence.  Nothing reads the theory after the last action, so it is
+    not built, and a last action that is not local-effect is reported, not
+    raised as MalformedTransform.  The entailment question reads the
+    vocabulary of the current theory off its compiled program; b.sig adds
+    the declared symbols.
     """
     cur = b
     steps = []
-    for alpha in actions:
+    for i, alpha in enumerate(actions, 1):
         pre = cur.precondition(alpha.fn)
         if pre is None:
             raise MissingAxiom(f"no precondition axiom for {alpha.fn}")
         binding = {v.name: c for v, c in zip(pre.params, alpha.term().args)}
         inst = substitute(pre.formula, binding)
-        verdict = entails(cur.init, inst, cfg, sig=signature_of(cur.init) | b.sig)
-        steps.append(StepVerdict(alpha, verdict))
-        cur = replace(cur, init=progress(cur, alpha).theory)
+        steps.append(StepVerdict(alpha, entails(cur.init, inst, cfg, sig=b.sig)))
+        if i < len(actions):
+            cur = replace(cur, init=progress(cur, alpha).theory)
     return ExecutabilityReport(tuple(steps))

@@ -327,6 +327,19 @@ class TestProjectAndExecutable:
         assert code == 1
         assert "step 1: move(B, A, C): not executable" in out
 
+    def test_a_last_action_that_is_not_local_effect_is_reported(self, capsys):
+        # the theory after pop(A) is never built, so its transform's
+        # unbound head variable raises nothing
+        code, out, _ = run(
+            capsys, "executable", path("blocks_stacks.bat"),
+            "--actions", "move(A, B, C); pop(A)",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "step 1: move(A, B, C): executable",
+            "step 2: pop(A): not executable",
+        ]
+
 
 class TestOracle:
     def test_entails_positive(self, capsys):

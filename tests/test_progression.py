@@ -8,14 +8,17 @@ import random
 import forgetting_reference
 import pytest
 import transform_reference
-from blocks_worlds import ground_world
+from blocks_worlds import ground_world, stacks_world
+from conftest import load_bat
 
 from sitcalc import bat, forgetting, progression, syntax
 from sitcalc.decomposition import Decomposition, group_ssas, syntactic_decompose
-from sitcalc.errors import MissingAxiom, SitcalcError
+from sitcalc.errors import MalformedTransform, MissingAxiom, SitcalcError
 from sitcalc.forgetting import sorted_atoms
-from sitcalc.oracle import Countermodel, EquivalentFinite, equivalent, is_positive
+from sitcalc.oracle import Countermodel, EntailedFinite, EquivalentFinite, OracleConfig, entails, equivalent, is_positive
 from sitcalc.progression import (
+    ExecutabilityReport,
+    StepVerdict,
     executable,
     progress,
     progress_componentwise,
@@ -345,3 +348,65 @@ class TestExecutable:
         alpha = parse_ground_action("A(c)", stripped.sig)
         with pytest.raises(MissingAxiom):
             executable(stripped, [alpha], cfg1)
+
+    SEQUENCES = [
+        ("blocks_world.bat", ("move(A, B, C)", "move(A, C, B)", "move(B, A, C)")),
+        ("blocks_world.bat", ("move(B, A, C)", "move(A, B, C)")),
+        ("blocks_stacks.bat", ("move(A, B, C)", "move(A, C, B)", "move(C, A, B)")),
+        ("bw_pipeline.bat", ("move(C1, C2, C3)", "move(C1, C3, C2)")),
+        ("decomp_lost.bat", ("A(c)", "A(c)")),
+        ("insep_lost.bat", ("A(b)", "A(c)", "A(b)")),
+        ("split_lost.bat", ("A(c)",)),
+    ]
+
+    @pytest.mark.parametrize("name, actions", SEQUENCES, ids=[f"{n}-{len(a)}" for n, a in SEQUENCES])
+    def test_corpus_reports_are_those_of_progressing_after_every_step(self, name, actions, cfg1):
+        b = load_bat(name)
+        alphas = [parse_ground_action(a, b.sig) for a in actions]
+        assert executable(b, alphas, cfg1) == executable_reference(b, alphas, cfg1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_reports_are_those_of_progressing_after_every_step(self, seed):
+        rng = random.Random(600 + seed)
+        cfg = OracleConfig(max_extra=seed // 2)
+        b, move = ground_world(rng, rng.randrange(3, 9))
+        sb, stack_moves = stacks_world(rng, 4, 3)
+        for bat_, alphas in ((b, [move, move]), (b, [move]), (sb, stack_moves), (sb, stack_moves[::-1])):
+            assert executable(bat_, alphas, cfg) == executable_reference(bat_, alphas, cfg)
+        # without unique names on the ground worlds only: the heap world's
+        # seven constants make too many placements
+        no_una = OracleConfig(max_extra=seed // 2, una=False)
+        assert executable(b, [move, move], no_una) == executable_reference(b, [move, move], no_una)
+
+    def test_the_theory_after_the_last_action_is_not_built(self, blocks_world, cfg1, monkeypatch):
+        counts = collections.Counter()
+        monkeypatch.setattr(progression, "progress", _counting(counts, "progress", progression.progress))
+        for moves in ((), ("move(A, B, C)",), ("move(A, B, C)", "move(A, C, B)", "move(A, B, C)")):
+            counts.clear()
+            rep = executable(blocks_world, [parse_ground_action(m, blocks_world.sig) for m in moves], cfg1)
+            assert len(rep.steps) == len(moves)
+            assert counts["progress"] == max(0, len(moves) - 1)
+
+    def test_a_last_action_that_is_not_local_effect_is_reported(self, blocks_stacks, cfg1):
+        # pop(A) leaves the head variable of Top's effect unbound
+        pop = parse_ground_action("pop(A)", blocks_stacks.sig)
+        move = parse_ground_action("move(A, B, C)", blocks_stacks.sig)
+        with pytest.raises(MalformedTransform):
+            progress(blocks_stacks, pop)
+        rep = executable(blocks_stacks, [move, pop], cfg1)
+        assert [type(s.verdict) for s in rep.steps] == [EntailedFinite, Countermodel]
+        with pytest.raises(MalformedTransform):
+            executable(blocks_stacks, [pop, move], cfg1)
+
+
+def executable_reference(b, actions, cfg):
+    """executable as it was: it progressed after every action, the last one
+    included, and added the current theory's signature to the search."""
+    cur, steps = b, []
+    for alpha in actions:
+        pre = cur.precondition(alpha.fn)
+        inst = syntax.substitute(pre.formula, {v.name: c for v, c in zip(pre.params, alpha.term().args)})
+        verdict = entails(cur.init, inst, cfg, sig=syntax.signature_of(cur.init) | b.sig)
+        steps.append(StepVerdict(alpha, verdict))
+        cur = dataclasses.replace(cur, init=progress(cur, alpha).theory)
+    return ExecutabilityReport(tuple(steps))

@@ -144,3 +144,20 @@ def test_random_cnfs_with_repeated_and_unused_variables():
         ]
         project = rng.sample(range(1, nvars + 1), rng.randrange(0, nvars + 1))
         assert_same_models(nvars, clauses, project)
+
+
+def test_repeated_projected_variables_and_cnfs_that_units_settle():
+    # a variable listed twice in project is ranked once, among the projected
+    rng = random.Random(19)
+    for _ in range(200):
+        nvars = rng.randrange(1, 7)
+        clauses = [
+            [rng.choice((1, -1)) * rng.randrange(1, nvars + 1) for _ in range(rng.randrange(1, 4))]
+            for _ in range(rng.randrange(0, 3 * nvars))
+        ]
+        project = [rng.randrange(1, nvars + 1) for _ in range(rng.randrange(0, 2 * nvars))]
+        assert_same_models(nvars, clauses, project)
+    # units and propagation assign every variable before any decision
+    for project in ([], [3, 1], [2, 2]):
+        assert_same_models(3, [[1], [-1, 2], [-2, -3]], project)
+        assert_same_models(3, [[-3], [1, 3], [-1, 3, -2]], project)
