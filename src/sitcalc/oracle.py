@@ -9,8 +9,9 @@ returned.
 
 Every question is answered on one path.  One walk per theory per call
 compiles its axioms into a program: the grounding closures of the axioms,
-the env slot of each constant they mention, and the vocabulary and stages
-the walk met, so no theory is walked a second time to find them.  From
+or the data of a literal one, the env slot of each constant they mention,
+the vocabulary and stages the walk met, and whether it met a quantifier,
+so no theory is walked a second time to find them.  From
 these each public call builds one search, _Search, which fixes for the
 whole call the vocabulary, the stages, the relation keys and domain bound
 they give, and the one budget that every phase spends from, so time_limit
@@ -23,12 +24,26 @@ or closures that free themselves when they return, so a question leaves
 no reference cycle for the garbage collector.
 
 A complete ground world is hundreds of literals over constants, and each
-costs what a literal costs: the compiler gives it one atom node without
-dispatching on its shape, and evaluate answers it by one table lookup
-without building its walker.  The solver propagates the unit clauses
-before it ranks the variables, and ranks them only if one is left to
-decide: none is when the literals pin every atom the question grounds,
-since propagation then settles each Tseitin variable too.
+costs what a literal costs: the compiler records it as data, its relation
+key, argument slots and sign, without dispatching on its shape or building
+a closure, and the program's ground resolves that data to a literal
+inline; evaluate answers it by one table lookup without building its
+walker.  The solver sets the unit clauses, keeps them out of its
+occurrence lists, and propagates before it ranks the variables, and it
+ranks them only if one is left to decide: none is when the literals pin
+every atom the question grounds, since propagation then settles each
+Tseitin variable too.
+
+The domain specs are made lazily, as the search consumes them, so the
+time budget holds while they are made.  A question none of whose formulas
+has a quantifier, such as a quantifier-free query about a complete ground
+world, is searched once per identification of its constants, at the least
+size that holds it: its truth depends only on the elements the constants
+name, so over one placement of the constants every larger domain grounds
+the same atoms, in the same order, into the same CNF.  The first model
+found is the one the full search finds, and a positive verdict still
+holds up to the search bound.  models() and inseparability keep every
+spec, because the size of a model or reduct is part of what they report.
 
 Each compiled node grounds in the one polarity the compiler fixed for it,
 and a negation is never grounded: it is the dual of the tree already
@@ -320,9 +335,13 @@ def _growth_strings(m: int, n: int, prefix: tuple[int, ...] = (), top: int = -1)
 
 
 def _domain_specs(
-    vocab: Signature, cfg: OracleConfig, canonical: bool = False
-) -> list[tuple[int, tuple[tuple[str, int], ...]]]:
+    vocab: Signature, cfg: OracleConfig, canonical: bool = False, quantified: bool = True
+) -> Iterator[tuple[int, tuple[tuple[str, int], ...]]]:
     """Domain sizes and constant placements to search, smallest domains first.
+
+    The specs are made as the search consumes them, so the time budget
+    holds while they are made: without unique names there are
+    (m + max_extra)^m placements of m constants at the largest size alone.
 
     Without unique names every placement of the constants is a spec of its
     own.  canonical keeps only the restricted-growth placements, which is
@@ -330,24 +349,38 @@ def _domain_specs(
     placement's relabelling to restricted growth comes no later in this
     order and carries an isomorphic model, so the first spec with a model is
     always canonical and the model found is the same.
+
+    quantified=False is for such a question none of whose formulas has a
+    quantifier; it implies canonical.  Each placement is kept only at the
+    least size that holds it, one more than its largest element, and under
+    unique names only the least size, max(1, m), is kept.  A quantifier-free
+    formula grounds to atoms over the elements its constants name, so over
+    one placement every larger domain numbers the same atoms, gives the same
+    CNF and runs the same solver search: the first spec with a model is the
+    one the full order finds first, and a placement without a model at its
+    least size has none at any size.  A positive verdict still holds up to
+    search_bound.
     """
     names = sorted(vocab.objects)
     m = len(names)
-    specs: list[tuple[int, tuple[tuple[str, int], ...]]] = []
     if cfg.una:
         seen: set[int] = set()
-        for j in range(cfg.max_extra + 1):
+        for j in range(cfg.max_extra + 1 if quantified else 1):
             n = max(1, m + j)  # a first-order domain is never empty
             if n in seen:
                 continue
             seen.add(n)
-            specs.append((n, tuple((nm, i) for i, nm in enumerate(names))))
+            yield n, tuple((nm, i) for i, nm in enumerate(names))
+    elif not quantified:
+        for n in range(1, max(1, m) + 1):
+            for p in _growth_strings(m, n):
+                if max(p, default=0) == n - 1:
+                    yield n, tuple(zip(names, p))
     else:
-        top = max(1, m + cfg.max_extra)
-        for n in range(1, top + 1):
+        for n in range(1, max(1, m + cfg.max_extra) + 1):
             placements = _growth_strings(m, n) if canonical else itertools.product(range(n), repeat=m)
-            specs.extend((n, tuple(zip(names, p))) for p in placements)
-    return specs
+            for p in placements:
+                yield n, tuple(zip(names, p))
 
 
 def search_bound(vocab: Signature, cfg: OracleConfig) -> int:
@@ -472,7 +505,7 @@ def _negate(p, check_time: Callable[[str], None] = _untimed) -> object:
         return _PTRUE
     check_time("grounding")
     kind, children = p
-    return ("O" if kind == "A" else "A", [_negate(c, check_time) for c in children])
+    return ("O" if kind == "A" else "A", [-c if type(c) is int else _negate(c, check_time) for c in children])
 
 
 class _Grounder:
@@ -506,23 +539,31 @@ if TYPE_CHECKING:  # typing caches subscripted aliases, which would keep this mo
 
 class _Program:
     """A sequence of formulas compiled by _compile: the theory of those
-    formulas, which re-validation evaluates, one root node per formula, the
-    env slot of each constant they mention, the number of env slots, and
-    the symbols and stages the walk met.
+    formulas, which re-validation evaluates, one root per formula, the env
+    slot of each constant they mention, the number of env slots, the
+    symbols and stages the walk met, and whether it met a quantifier.
+
+    A root is a node, or for a literal over constants the data of one: its
+    relation key, the env slots of its arguments and whether it is negated.
 
     vocab and stages are what signature_of and stages_of give for the
     formulas, so an oracle question reads them here instead of walking its
     theories again.
     """
 
-    __slots__ = ("theory", "roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab")
+    __slots__ = (
+        "theory", "roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab",
+        "quantified",
+    )
 
     def ground(self, g: _Grounder) -> list:
-        """The ground tree of each formula over g.
+        """The ground tree of each formula over g, in formula order, which
+        is the order the atoms are numbered in.
 
         The constants are placed once into one env that all the roots share:
         each binder has a slot of its own, which its quantifier loop sets
-        before the body reads it.
+        before the body reads it.  A literal root is resolved here, as its
+        _atom node would resolve it.
         """
         env = [0] * self.nslots
         const_map = g.const_map
@@ -530,7 +571,22 @@ class _Program:
             if name not in const_map:
                 raise SitcalcError(f"constant {name} missing from oracle vocabulary")
             env[i] = const_map[name]
-        return [root(g, env) for root in self.roots]
+        atom_vars = g.atom_vars
+        trees = []
+        for root in self.roots:
+            if type(root) is not tuple:
+                trees.append(root(g, env))
+                continue
+            key, slots, flip = root
+            if len(slots) == 1:
+                k = (key, (env[slots[0]],))
+            elif len(slots) == 2:
+                k = (key, (env[slots[0]], env[slots[1]]))
+            else:
+                k = (key, tuple([env[i] for i in slots]))
+            v = atom_vars.get(k) or g._new_var(k)
+            trees.append(-v if flip else v)
+        return trees
 
 
 def _compile(formulas: Sequence[Formula]) -> _Program:
@@ -552,20 +608,22 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
 
     An axiom that is a literal over constants, as each axiom of a complete
     ground world is, skips _comp: its slots, symbol and stage are recorded
-    as _comp records them and its root is one _atom node.
+    as _comp records them and its root is the data of its _atom node, which
+    ground resolves without a call.
     """
     p = _Program()
     p.theory = Theory(tuple(formulas))
     consts = p.consts = {}
     p.nslots = 0
+    p.quantified = False
     p.objects, p.statics, p.fluents, p.actions, p.stages = set(), set(), set(), set(), set()
     roots = p.roots = []
     staged: dict[str, Stage] = {}  # the stage of each tag a ground fluent literal has
     for f in formulas:
         atom = literal_atom(f)
         if atom is not None:
-            # a ground literal: what _comp records and builds for it, by one
-            # slot per new constant and one _atom node
+            # a ground literal: what _comp records for it, by one slot per
+            # new constant, and the data of its _atom node
             slots = []
             for t in atom.args:
                 if type(t) is not Const:
@@ -584,7 +642,7 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
                 else:
                     p.statics.add((atom.pred, len(slots)))
                     key = (atom.pred, "")
-                roots.append(_atom(key, slots, atom is not f))
+                roots.append((key, slots, atom is not f))
                 continue
         roots.append(_comp(f, {}, False, p))
     p.stages.update(staged.values())
@@ -624,6 +682,7 @@ def _comp(f: Formula, scope: Mapping[str, int], flip: bool, p: _Program) -> _Nod
     if node is ObjEq:
         return _equality(_term_slot(f.lhs, scope, p), _term_slot(f.rhs, scope, p), flip)
     if node is Forall or node is Exists:
+        p.quantified = True
         i = p.nslots
         p.nslots += 1
         return _quantifier((node is Exists) != flip, i, _comp(f.body, {**scope, f.var.name: i}, flip, p))
@@ -797,8 +856,16 @@ def _dpll_models(
     # value[lit] and occ[lit], for -nvars <= lit <= nvars: a negative literal
     # indexes from the end of the list
     value: list[Optional[bool]] = [None] * (2 * nvars + 1)
-    occ: list[list[list[int]]] = [[] for _ in value]  # the clauses lit occurs in, once per occurrence
+    # the clauses lit occurs in, once per occurrence; a unit clause is left
+    # out: its literal is set below, before any decision, and never undone,
+    # so the unit can neither propagate nor conflict, and the rank of its
+    # variable is never read
+    occ: list[list[list[int]]] = [[] for _ in value]
+    units: list[int] = []
     for cl in clauses:
+        if len(cl) == 1:
+            units.append(cl[0])
+            continue
         if not cl:
             return
         for lit in cl:
@@ -853,8 +920,8 @@ def _dpll_models(
             value[lit] = value[-lit] = None
         qhead = mark
 
-    for cl in clauses:
-        if len(cl) == 1 and not set_lit(cl[0]):
+    for lit in units:
+        if not set_lit(lit):
             return
     if not propagate():
         return
@@ -866,7 +933,7 @@ def _dpll_models(
     if len(trail) < nvars:
         rank = [-len(occ[v]) - len(occ[-v]) for v in range(nvars + 1)]
         if project:
-            shift = 1 - min(rank)  # exceeds the difference of any two occurrence counts
+            shift = 1 - min(rank)  # exceeds the difference of any two unassigned variables' counts
             for v in project:
                 rank[v] = -len(occ[v]) - len(occ[-v]) - shift
         order = sorted(range(1, nvars + 1), key=rank.__getitem__)
@@ -1086,8 +1153,9 @@ def equivalent(
 def _countermodel(s: _Search, tp: _Program, up: _Program) -> Union[EntailedFinite, Countermodel]:
     """A bounded model of tp's theory t that falsifies up's theory u, over
     the search's vocabulary and stages, which cover both; not-u is the dual
-    of u's ground tree."""
-    for n, consts in _domain_specs(s.vocab, s.cfg, canonical=True):
+    of u's ground tree.  Without a quantifier in either, each placement is
+    searched only at its least size (see _domain_specs)."""
+    for n, consts in _domain_specs(s.vocab, s.cfg, canonical=True, quantified=tp.quantified or up.quantified):
         g = _Grounder(n, consts, s.check_time)
         props = tp.ground(g)
         props.append(_negate(_pand(up.ground(g)), s.check_time))
@@ -1129,7 +1197,7 @@ def verify_forgetting(
     if g.stage is not None:
         stages = stages | {g.stage}
     s = _Search(cfg, tp.vocab | rp.vocab | g.signature(), stages)
-    for n, consts in _domain_specs(s.vocab, cfg, canonical=True):
+    for n, consts in _domain_specs(s.vocab, cfg, canonical=True, quantified=tp.quantified or rp.quantified):
         gr = _Grounder(n, consts, s.check_time)
         gv = gr._var(_atom_rel_key(g), tuple(gr.const_map[c] for c in g.args))
         t_pos, r_pos = _pand(tp.ground(gr)), _pand(rp.ground(gr))

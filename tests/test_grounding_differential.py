@@ -52,7 +52,7 @@ def _specs(formulas, per_config=5):
     vocab = signature_of(conj(formulas))
     out = []
     for cfg in CONFIGS:
-        specs = _domain_specs(vocab, cfg)
+        specs = list(_domain_specs(vocab, cfg))
         out += specs[:: max(1, len(specs) // per_config)]
     return out
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -36,7 +37,20 @@ from sitcalc.oracle import (
     verify_forgetting,
 )
 from sitcalc.surface import parse_formula, render
-from sitcalc.syntax import TRUE, ActionTerm, And, Formula, Iff, Not, Signature, StaticAtom, Theory, signature_of
+from sitcalc.syntax import (
+    TRUE,
+    ActionTerm,
+    And,
+    Const,
+    Formula,
+    Iff,
+    Not,
+    Signature,
+    StaticAtom,
+    Theory,
+    disj,
+    signature_of,
+)
 
 SIG = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1), ("R", 2)}))
 CFG = OracleConfig(max_extra=1)
@@ -104,8 +118,8 @@ class TestDomainSpecs:
 
     def test_canonical_placements_are_one_per_identification(self):
         vocab = Signature(objects=frozenset({"a", "b", "c"}))
-        every = _domain_specs(vocab, self.NO_UNA)
-        canonical = _domain_specs(vocab, self.NO_UNA, canonical=True)
+        every = list(_domain_specs(vocab, self.NO_UNA))
+        canonical = list(_domain_specs(vocab, self.NO_UNA, canonical=True))
         assert (len(every), len(canonical)) == (100, 15)
         assert canonical == [
             (n, consts) for n, consts in every
@@ -118,7 +132,7 @@ class TestDomainSpecs:
     def test_unique_names_have_one_placement_per_size(self):
         vocab = Signature(objects=frozenset({"a", "b", "c"}))
         cfg = OracleConfig(max_extra=2)
-        assert _domain_specs(vocab, cfg, canonical=True) == _domain_specs(vocab, cfg)
+        assert list(_domain_specs(vocab, cfg, canonical=True)) == list(_domain_specs(vocab, cfg))
         assert [n for n, _ in _domain_specs(vocab, cfg)] == [3, 4, 5]
 
     def test_search_bound_is_the_largest_domain_searched(self):
@@ -126,6 +140,22 @@ class TestDomainSpecs:
             vocab = Signature(objects=frozenset(f"c{i}" for i in range(k)))
             cfg = OracleConfig(max_extra=extra, una=una)
             assert search_bound(vocab, cfg) == max(n for n, _ in _domain_specs(vocab, cfg))
+
+    def test_the_time_limit_holds_while_domain_specs_are_made(self):
+        # every placement of six constants in domains of up to eight
+        # elements is 446,964 specs, which took 208 MB to list up front
+        # before the first time check
+        wide = disj(StaticAtom("P", (Const(f"c{i}"),)) for i in range(6))
+        t = Theory((wide,))
+        delta = Signature(statics=frozenset({("P", 1)}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="exceeded the time budget$"):
+                check_inseparable(t, t, delta, OracleConfig(max_extra=2, una=False, time_limit=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestEntailment:
@@ -490,7 +520,7 @@ class TestGroundOnce:
         assert isinstance(verify_forgetting(one, g, r, cfg1), oracle.VerifiedFinite)
         grounders = list(dict.fromkeys(gr for gr, _ in calls))
         vocab = signature_of(one) | signature_of(r) | g.signature()
-        assert len(grounders) == len(_domain_specs(vocab, cfg1, canonical=True)) > 1
+        assert len(grounders) == len(list(_domain_specs(vocab, cfg1, canonical=True))) > 1
         assert calls == [(gr, theory) for gr in grounders for theory in (one, r)]
 
     def test_a_biconditional_looks_up_each_atom_occurrence_once(self):

@@ -122,7 +122,7 @@ def test_canonical_placements_give_the_verdicts_of_every_placement(monkeypatch):
 
     canonical = verdicts()
     every = oracle._domain_specs
-    monkeypatch.setattr(oracle, "_domain_specs", lambda vocab, cfg, canonical=False: every(vocab, cfg))
+    monkeypatch.setattr(oracle, "_domain_specs", lambda vocab, cfg, canonical=False, quantified=True: every(vocab, cfg))
     assert canonical == verdicts()
 
 
