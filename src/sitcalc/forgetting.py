@@ -188,9 +188,9 @@ def forget_atoms(t: Theory, atoms: Iterable[GroundAtom], una: bool = True) -> Th
     return _forget(t, sorted_atoms(atoms), una)
 
 
-def _key(g: GroundAtom) -> tuple[str, int, int]:
+def _key(g: GroundAtom) -> tuple[str, Optional[Stage], int]:
     """The denotation index key of g, see _forget."""
-    return (g.pred, g.sort_key[2], len(g.args))
+    return (g.pred, g.stage, len(g.args))
 
 
 def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
@@ -198,12 +198,10 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
     described in the module docstring.  The axioms that pass through keep
     their order, and the disjunctions added follow them."""
     atoms = tuple(atoms)
-    # A key is (predicate, stage rank, arity), the rank that of sort_key: 0
-    # for a static, 1 for the current and 2 for the next stage.  An int
-    # hashes in C, a Stage by a Python-level call, and filing a theory hashes
-    # two keys per atom.  An argument pattern has a constant's name or None
-    # for a variable at each position.  Only the atoms that can denote an
-    # atom to forget are filed; a literal axiom is filed under its one atom.
+    # A key is (predicate, stage or None for a static, arity).  An argument
+    # pattern has a constant's name or None for a variable at each position.
+    # Only the atoms that can denote an atom to forget are filed; a literal
+    # axiom is filed under its one atom.
     keys = {_key(g) for g in atoms}
     ground: dict[tuple, list[int]] = {(_key(g), g.args): [] for g in atoms}
     open_: dict[tuple, list[tuple[int, tuple]]] = {}  # key -> (id, argument pattern)
@@ -220,9 +218,9 @@ def _forget(t: Theory, atoms: Iterable[GroundAtom], una: bool) -> Theory:
         for a in atoms_of(ax) if atom is None else (atom,):
             node = type(a)
             if node is FluentAtom:
-                key = (a.fluent, 1 if a.stage is Stage.NOW else 2, len(a.args))
+                key = (a.fluent, a.stage, len(a.args))
             elif node is StaticAtom:
-                key = (a.pred, 0, len(a.args))
+                key = (a.pred, None, len(a.args))
             else:
                 continue
             if key not in keys:

@@ -19,31 +19,30 @@ and max_models hold for the call.  Over each candidate domain the program
 is instantiated on one grounder, its constants placed once into one env
 that all its axioms share; _solve Tseitin-encodes the ground trees and runs a
 small DPLL solver; the model is read off the solver's assignment and
-re-validated by direct evaluation.  The walkers are module-level functions,
-or closures that free themselves when they return, so a question leaves
-no reference cycle for the garbage collector.
+re-validated by direct evaluation.  Every walker is a module-level
+function, so a question leaves no reference cycle for the garbage collector.
 
 A complete ground world is hundreds of literals over constants, and each
 costs what a literal costs: the compiler records it as data, its relation
 key, argument slots and sign, without dispatching on its shape or building
 a closure, and the program's ground resolves that data to a literal
-inline; evaluate answers it by one table lookup without building its
-walker.  The solver sets the unit clauses, keeps them out of its
-occurrence lists, and propagates before it ranks the variables, and it
-ranks them only if one is left to decide: none is when the literals pin
-every atom the question grounds, since propagation then settles each
-Tseitin variable too.
+inline; evaluate answers it by one table lookup without its walker.  The
+solver sets the unit clauses, keeps them out of its occurrence lists, and
+propagates before it ranks the variables, and it ranks them only if one
+is left to decide: none is when the literals pin every atom the question
+grounds, since propagation then settles each Tseitin variable too.
 
-The domain specs are made lazily, as the search consumes them, so the
-time budget holds while they are made.  A question none of whose formulas
-has a quantifier, such as a quantifier-free query about a complete ground
-world, is searched once per identification of its constants, at the least
-size that holds it: its truth depends only on the elements the constants
-name, so over one placement of the constants every larger domain grounds
-the same atoms, in the same order, into the same CNF.  The first model
-found is the one the full search finds, and a positive verdict still
-holds up to the search bound.  models() and inseparability keep every
-spec, because the size of a model or reduct is part of what they report.
+The domain specs come from one loop over the domain sizes, made lazily,
+as the search consumes them, so the time budget holds while they are
+made.  A question none of whose formulas has a quantifier, such as a
+quantifier-free query about a complete ground world, is searched once per
+identification of its constants, at the least size that holds it: its
+truth depends only on the elements the constants name, so over one
+placement of the constants every larger domain grounds the same atoms, in
+the same order, into the same CNF.  The first model found is the one the
+full search finds, and a positive verdict still holds up to the search
+bound.  models() and inseparability keep every spec, because the size of
+a model or reduct is part of what they report.
 
 Each compiled node grounds in the one polarity the compiler fixed for it,
 and a negation is never grounded: it is the dual of the tree already
@@ -212,93 +211,77 @@ def evaluate(m: FiniteModel, f: Formula, env: Optional[Mapping[str, int]] = None
         else:
             key = (atom.fluent, atom.stage._value_) if type(atom) is FluentAtom else (atom.pred, "")
             return m.holds(key, tuple(tup)) == (atom is f)
-    scope = dict(env) if env else {}
+    return _holds(m, f, dict(env) if env else {})
 
-    def term(t) -> int:
-        match t:
-            case Const(name):
-                return m.const(name)
-            case Var(name):
-                try:
-                    return scope[name]
-                except KeyError:
-                    raise SitcalcError(f"free variable {name} in oracle formula") from None
-            case _:
-                raise SitcalcError(f"cannot evaluate term {t!r}")
 
-    def walk(f: Formula) -> bool:
-        match f:
-            case Truth():
-                return True
-            case Falsity():
-                return False
-            case FluentAtom(name, args, stage):
-                return m.holds((name, stage.value), tuple(term(t) for t in args))
-            case StaticAtom(name, args):
-                return m.holds((name, ""), tuple(term(t) for t in args))
-            case ObjEq(lhs, rhs):
-                return term(lhs) == term(rhs)
-            case Not(body):
-                # a chain of negations is one polarity bit, not one frame per !
-                neg = True
-                while type(body) is Not:
-                    body = body.body
-                    neg = not neg
-                return walk(body) != neg
-            case And(a, b):
-                # a wide conjunction is walked along its spine, not down it
-                if type(a) is And:
-                    return all(walk(c) for c in flatten_and(f))
-                return walk(a) and walk(b)
-            case Or(a, b):
-                if type(a) is Or:
-                    return any(walk(c) for c in flatten_or(f))
-                return walk(a) or walk(b)
-            case Implies():
-                # walk a right-nested chain a1 -> a2 -> ... -> b along its spine
-                while type(f) is Implies:
-                    if not walk(f.lhs):
-                        return True
-                    f = f.rhs
-                return walk(f)
-            case Iff(a, b):
-                return walk(a) == walk(b)
-            case Forall(v, body):
-                saved = scope.get(v.name)
-                try:
-                    for d in range(m.size):
-                        scope[v.name] = d
-                        if not walk(body):
-                            return False
+def _term(m: FiniteModel, t, scope: dict) -> int:
+    match t:
+        case Const(name):
+            return m.const(name)
+        case Var(name):
+            try:
+                return scope[name]
+            except KeyError:
+                raise SitcalcError(f"free variable {name} in oracle formula") from None
+        case _:
+            raise SitcalcError(f"cannot evaluate term {t!r}")
+
+
+def _holds(m: FiniteModel, f: Formula, scope: dict) -> bool:
+    """evaluate's walker: the truth of f in m with the free variables bound
+    in scope, which a quantifier rebinds while it runs and then restores."""
+    match f:
+        case Truth():
+            return True
+        case Falsity():
+            return False
+        case FluentAtom(name, args, stage):
+            return m.holds((name, stage.value), tuple(_term(m, t, scope) for t in args))
+        case StaticAtom(name, args):
+            return m.holds((name, ""), tuple(_term(m, t, scope) for t in args))
+        case ObjEq(lhs, rhs):
+            return _term(m, lhs, scope) == _term(m, rhs, scope)
+        case Not(body):
+            # a chain of negations is one polarity bit, not one frame per !
+            neg = True
+            while type(body) is Not:
+                body = body.body
+                neg = not neg
+            return _holds(m, body, scope) != neg
+        case And(a, b):
+            # a wide conjunction is walked along its spine, not down it
+            if type(a) is And:
+                return all(_holds(m, c, scope) for c in flatten_and(f))
+            return _holds(m, a, scope) and _holds(m, b, scope)
+        case Or(a, b):
+            if type(a) is Or:
+                return any(_holds(m, c, scope) for c in flatten_or(f))
+            return _holds(m, a, scope) or _holds(m, b, scope)
+        case Implies():
+            # walk a right-nested chain a1 -> a2 -> ... -> b along its spine
+            while type(f) is Implies:
+                if not _holds(m, f.lhs, scope):
                     return True
-                finally:
-                    _restore(scope, v.name, saved)
-            case Exists(v, body):
-                saved = scope.get(v.name)
-                try:
-                    for d in range(m.size):
-                        scope[v.name] = d
-                        if walk(body):
-                            return True
-                    return False
-                finally:
-                    _restore(scope, v.name, saved)
-            case _:
-                raise SitcalcError(f"cannot evaluate {f!r}")
-
-    try:
-        return walk(f)
-    finally:
-        # walk refers to itself: emptying its cell frees the closures by
-        # reference counting instead of leaving a cycle to the collector
-        walk = None  # noqa: F841
-
-
-def _restore(scope: dict, name: str, saved: Optional[int]) -> None:
-    if saved is None:
-        scope.pop(name, None)
-    else:
-        scope[name] = saved
+                f = f.rhs
+            return _holds(m, f, scope)
+        case Iff(a, b):
+            return _holds(m, a, scope) == _holds(m, b, scope)
+        case Forall(v, body) | Exists(v, body):
+            # a universal holds and an existential fails until an element
+            # decides otherwise, and the first one that does ends the loop
+            saved = scope.get(v.name)
+            out = type(f) is Forall
+            for scope[v.name] in range(m.size):
+                if _holds(m, body, scope) != out:
+                    out = not out
+                    break
+            if saved is None:
+                scope.pop(v.name, None)
+            else:
+                scope[v.name] = saved
+            return out
+        case _:
+            raise SitcalcError(f"cannot evaluate {f!r}")
 
 
 def theory_holds(m: FiniteModel, t: Theory) -> bool:
@@ -339,47 +322,41 @@ def _domain_specs(
 ) -> Iterator[tuple[int, tuple[tuple[str, int], ...]]]:
     """Domain sizes and constant placements to search, smallest domains first.
 
-    The specs are made as the search consumes them, so the time budget
-    holds while they are made: without unique names there are
-    (m + max_extra)^m placements of m constants at the largest size alone.
+    One loop over the sizes makes the specs as the search consumes them, so
+    the time budget holds while they are made: without unique names there
+    are (m + max_extra)^m placements of m constants at the largest size.
 
-    Without unique names every placement of the constants is a spec of its
-    own.  canonical keeps only the restricted-growth placements, which is
-    enough for a question that asks whether some bounded model exists: a
-    placement's relabelling to restricted growth comes no later in this
-    order and carries an isomorphic model, so the first spec with a model is
-    always canonical and the model found is the same.
+    Under unique names each size, from max(1, m) on, has the one placement
+    of the constants on distinct elements.  Without unique names the sizes
+    start at 1 and every placement is a spec of its own.  canonical keeps
+    only the restricted-growth placements, which is enough for a question
+    that asks whether some bounded model exists: a placement's relabelling
+    to restricted growth comes no later in this order and carries an
+    isomorphic model, so the first spec with a model is always canonical
+    and the model found is the same.
 
     quantified=False is for such a question none of whose formulas has a
-    quantifier; it implies canonical.  Each placement is kept only at the
-    least size that holds it, one more than its largest element, and under
-    unique names only the least size, max(1, m), is kept.  A quantifier-free
-    formula grounds to atoms over the elements its constants name, so over
-    one placement every larger domain numbers the same atoms, gives the same
-    CNF and runs the same solver search: the first spec with a model is the
-    one the full order finds first, and a placement without a model at its
-    least size has none at any size.  A positive verdict still holds up to
-    search_bound.
+    quantifier; it implies canonical.  The sizes stop at max(1, m), and each
+    placement is kept only at the least size that holds it, one more than
+    its largest element.  A quantifier-free formula grounds to atoms over
+    the elements its constants name, so over one placement every larger
+    domain numbers the same atoms, gives the same CNF and runs the same
+    solver search: the first spec with a model is the one the full order
+    finds first, and a placement without a model at its least size has none
+    at any size.  A positive verdict still holds up to search_bound.
     """
     names = sorted(vocab.objects)
     m = len(names)
-    if cfg.una:
-        seen: set[int] = set()
-        for j in range(cfg.max_extra + 1 if quantified else 1):
-            n = max(1, m + j)  # a first-order domain is never empty
-            if n in seen:
-                continue
-            seen.add(n)
-            yield n, tuple((nm, i) for i, nm in enumerate(names))
-    elif not quantified:
-        for n in range(1, max(1, m) + 1):
-            for p in _growth_strings(m, n):
-                if max(p, default=0) == n - 1:
-                    yield n, tuple(zip(names, p))
-    else:
-        for n in range(1, max(1, m + cfg.max_extra) + 1):
-            placements = _growth_strings(m, n) if canonical else itertools.product(range(n), repeat=m)
-            for p in placements:
+    top = max(1, m + cfg.max_extra) if quantified else max(1, m)
+    for n in range(max(1, m) if cfg.una else 1, top + 1):
+        if cfg.una:
+            placements = (range(m),)
+        elif canonical or not quantified:
+            placements = _growth_strings(m, n)
+        else:
+            placements = itertools.product(range(n), repeat=m)
+        for p in placements:
+            if quantified or max(p, default=0) == n - 1:
                 yield n, tuple(zip(names, p))
 
 
@@ -618,7 +595,6 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     p.quantified = False
     p.objects, p.statics, p.fluents, p.actions, p.stages = set(), set(), set(), set(), set()
     roots = p.roots = []
-    staged: dict[str, Stage] = {}  # the stage of each tag a ground fluent literal has
     for f in formulas:
         atom = literal_atom(f)
         if atom is not None:
@@ -636,16 +612,14 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
             else:
                 if type(atom) is FluentAtom:
                     p.fluents.add((atom.fluent, len(slots)))
-                    tag = atom.stage._value_  # Stage.value and hash(Stage) are Python-level
-                    staged[tag] = atom.stage
-                    key = (atom.fluent, tag)
+                    p.stages.add(atom.stage)
+                    key = (atom.fluent, atom.stage._value_)  # Stage.value is Python-level
                 else:
                     p.statics.add((atom.pred, len(slots)))
                     key = (atom.pred, "")
                 roots.append((key, slots, atom is not f))
                 continue
         roots.append(_comp(f, {}, False, p))
-    p.stages.update(staged.values())
     p.vocab = Signature(
         frozenset(p.objects | p.consts.keys()), frozenset(p.statics), frozenset(p.fluents), frozenset(p.actions)
     )
@@ -818,9 +792,9 @@ class _CNF:
         return v
 
     def assert_root(self, p) -> None:
-        if p == _PTRUE:
+        if p is _PTRUE:
             return
-        if p == _PFALSE:
+        if p is _PFALSE:
             self.trivially_false = True
             return
         if isinstance(p, int):
@@ -1224,7 +1198,7 @@ def _negate_var(p, var: int) -> object:
     """The ground tree p with every occurrence of variable var negated."""
     if isinstance(p, int):
         return -p if abs(p) == var else p
-    if p == _PTRUE or p == _PFALSE:
+    if p is _PTRUE or p is _PFALSE:
         return p
     kind, children = p
     return (kind, [_negate_var(c, var) for c in children])
@@ -1278,57 +1252,55 @@ def _delta_atoms(
     return atoms
 
 
-def _matrices(
-    memo: dict[tuple[int, int], list[Formula]],
-    q: int,
-    conn: int,
-    delta: Signature,
-    include_consts: bool,
-    stages: frozenset[Stage],
-) -> list[Formula]:
-    """Matrices over the variables v0 .. v{q-1} with conn connectives, built
-    from _delta_atoms and memoized in memo by (q, conn)."""
-    key = (q, conn)
-    if key in memo:
-        return memo[key]
-    if conn == 0:
-        out = list(_delta_atoms(delta, q, include_consts, stages))
-    else:
-        out = []
-        for f in _matrices(memo, q, conn - 1, delta, include_consts, stages):
-            if not isinstance(f, Not):
-                out.append(Not(f))
-        for i in range(conn):
-            j = conn - 1 - i
-            for a in _matrices(memo, q, i, delta, include_consts, stages):
-                if len(out) > _WITNESS_CANDIDATES:
-                    break
-                for b in _matrices(memo, q, j, delta, include_consts, stages):
-                    ra, rb = repr(a), repr(b)
-                    if ra < rb:
-                        out.append(And(a, b))
-                        out.append(Or(a, b))
-                    if ra != rb:
-                        out.append(Implies(a, b))
-        del out[_WITNESS_CANDIDATES + 1 :]
-    memo[key] = out
+def _combine(levels: list[list[Formula]]) -> list[Formula]:
+    """The matrices with one connective more than the last of levels, where
+    levels[c] holds the matrices with c connectives over the same variables:
+    the negation of each matrix of the level below that is not a negation,
+    then for each split of the other connectives the pairs a, b, joined by
+    & and | when a comes first in repr order and by -> when they differ."""
+    conn = len(levels)
+    out = [Not(f) for f in levels[-1] if not isinstance(f, Not)]
+    for i in range(conn):
+        for a in levels[i]:
+            if len(out) > _WITNESS_CANDIDATES:
+                break
+            for b in levels[conn - 1 - i]:
+                ra, rb = repr(a), repr(b)
+                if ra < rb:
+                    out.append(And(a, b))
+                    out.append(Or(a, b))
+                if ra != rb:
+                    out.append(Implies(a, b))
+    del out[_WITNESS_CANDIDATES + 1 :]
     return out
 
 
 def _delta_sentences(
     delta: Signature, depth: int, include_consts: bool, stages: frozenset[Stage]
 ) -> Iterator[Formula]:
-    """Prenex delta-sentences in a deterministic small-first order."""
-    matrices: dict[tuple[int, int], list[Formula]] = {}
+    """Prenex delta-sentences in a deterministic small-first order.
+
+    The matrices over v0 .. v{q-1} are built level by level, one more
+    connective a level, as the order reaches them.  With include_consts only
+    the sentences that mention a constant are yielded, since the others were
+    tried without constants, but all of them count towards the cap.
+    """
+    # levels[q][c]: the matrices over q variables with c connectives
+    levels = [[_delta_atoms(delta, q, include_consts, stages)] for q in range(depth + 1)]
     emitted = 0
     for total in range(2 * depth + 1):
-        for q in range(min(total, depth) + 1):
+        for q in range(max(0, total - depth), min(total, depth) + 1):
             conn = total - q
-            if conn > depth:
-                continue
+            while len(levels[q]) <= conn:
+                levels[q].append(_combine(levels[q]))
             names = frozenset(f"v{i}" for i in range(q))
-            for matrix in _matrices(matrices, q, conn, delta, include_consts, stages):
+            for matrix in levels[q][conn]:
                 if free_vars(matrix) != names:
+                    continue
+                if include_consts and not signature_of(matrix).objects:
+                    emitted += 2**q
+                    if emitted > _WITNESS_CANDIDATES:
+                        return
                     continue
                 for shape in itertools.product((Forall, Exists), repeat=q):
                     f: Formula = matrix
@@ -1444,8 +1416,6 @@ def check_inseparable(
     for use_consts in passes:
         for candidate in _delta_sentences(delta, cfg.witness_depth, use_consts, s.stages):
             s.check_time("witness search")
-            if use_consts and not signature_of(candidate).objects:
-                continue
             vec = tuple(evaluate(m, candidate) for m in all1 + all2)
             e1 = all(vec[: len(all1)])
             e2 = all(vec[len(all1) :])

@@ -79,6 +79,10 @@ class Stage(enum.Enum):
     NOW = "now"
     NEXT = "next"
 
+    # Enum hashes a member by a Python-level hash of its name; the members
+    # are singletons, which pickling and copying keep, so identity will do
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return self.name
 
@@ -1007,7 +1011,7 @@ def _one_point_conjuncts(v: Var, parts: list[Formula]) -> Optional[tuple[ObjTerm
 _NORMAL = object()  # simplify memo: no rule rewrites the node
 _SLOT = ("_simp_no_una", "_simp_una")  # the memo slot, indexed by una
 _INERT = _ATOMIC - {ObjEq}
-_ARROWS = frozenset({Implies, Iff})  # the links of a chain simplify walks along its spine
+_LINKS = frozenset({Not, Implies, Iff})  # the links of a chain simplify walks along its spine
 
 
 def _inert(f: Formula) -> bool:
@@ -1048,47 +1052,36 @@ def _rewrite(f: Formula, una: bool) -> Formula:
     match f:
         case ObjEq():
             return _simp_eq(f, una)
-        case Not(body):
-            # a chain of negations is one polarity bit, not one frame per !
-            neg = True
-            while type(body) is Not:
-                body = body.body
-                neg = not neg
-            g = _step(body, una)
-            if not neg:
-                return g
-            match g:
-                case Truth():
-                    return FALSE
-                case Falsity():
-                    return TRUE
-                case Not(inner):
-                    return inner
-                case _ if g is f.body:
-                    return f
-                case _:
-                    return _mark_normal(Not(g), una)
+        case Not() | Implies() | Iff():
+            # a right-nested chain of links, each a -> or <-> link or a run
+            # of !, is walked along its spine: the links below f that need a
+            # memo and have none yet are normalized and memoized innermost
+            # first, as _step would
+            slot = _SLOT[una]
+            links = []
+            link = f
+            while True:
+                below, neg = _below(link)
+                links.append((link, neg))
+                if type(below) not in _LINKS or _inert(below) or getattr(below, slot, None) is not None:
+                    break
+                link = below
+            out = _step(below, una)
+            for link, neg in reversed(links):
+                if type(link) is Not:
+                    out = _negation(link, out, neg, una)
+                else:
+                    rule = _implication if type(link) is Implies else _biconditional
+                    out = rule(link, _step(link.lhs, una), out, una)
+                if link is not f:
+                    object.__setattr__(link, slot, _NORMAL if out is link else out)
+            return out
         case And():
             parts = [_step(p, una) for p in flatten_and(f)]
             return _conjunction_of(parts, una, f)
         case Or():
             parts = [_step(p, una) for p in flatten_or(f)]
             return _disjunction_of(parts, una, f)
-        case Implies() | Iff():
-            # a right-nested chain of -> and <-> links is walked along its
-            # spine: the links below f that have no memo yet are normalized
-            # and memoized innermost first, as _step would
-            slot = _SLOT[una]
-            links = [f]
-            while type(links[-1].rhs) in _ARROWS and getattr(links[-1].rhs, slot, None) is None:
-                links.append(links[-1].rhs)
-            out = _step(links[-1].rhs, una)
-            for link in reversed(links):
-                rule = _implication if type(link) is Implies else _biconditional
-                out = rule(link, _step(link.lhs, una), out, una)
-                if link is not f:
-                    object.__setattr__(link, slot, _NORMAL if out is link else out)
-            return out
         case Forall(v, body):
             b = _step(body, una)
             if isinstance(b, (Truth, Falsity)):
@@ -1118,6 +1111,38 @@ def _rewrite(f: Formula, una: bool) -> Formula:
             return f if b is body else _mark_normal(Exists(v, b), una)
         case _:
             raise SitcalcError(f"not a formula: {f!r}")
+
+
+def _below(f: Formula) -> tuple[Formula, bool]:
+    """The node below the link f on a chain's spine, and whether f negates
+    it: the right side of a -> or <-> link, or the node under a run of !,
+    whose parity is one polarity bit rather than one link per !."""
+    if type(f) is not Not:
+        return f.rhs, False
+    neg = True
+    f = f.body
+    while type(f) is Not:
+        f = f.body
+        neg = not neg
+    return f, neg
+
+
+def _negation(f: Not, g: Formula, neg: bool, una: bool) -> Formula:
+    """The normal form of the run of ! that f heads, given the normal form g
+    of the node under the run and the run's parity neg."""
+    if not neg:
+        return g
+    match g:
+        case Truth():
+            return FALSE
+        case Falsity():
+            return TRUE
+        case Not(inner):
+            return inner
+        case _ if g is f.body:
+            return f
+        case _:
+            return _mark_normal(Not(g), una)
 
 
 def _implication(f: Implies, a: Formula, b: Formula, una: bool) -> Formula:

@@ -1,5 +1,7 @@
 """Action theory layer: validation, effect locality, per-action transforms."""
 
+from dataclasses import replace
+
 import pytest
 
 from sitcalc.bat import (
@@ -16,7 +18,7 @@ from sitcalc.bat import (
     transform_ssa,
     validate,
 )
-from sitcalc.errors import MalformedTransform, SourceSpan
+from sitcalc.errors import MalformedTransform, MissingAxiom, SitcalcError, SourceSpan
 from sitcalc.forgetting import GroundAtom
 from sitcalc.surface import parse_bat, parse_formula, parse_ground_action, render
 from sitcalc.syntax import (
@@ -268,16 +270,36 @@ class TestInstantiate:
         assert "!On'(C1, C2)" in texts
         assert "On'(C1, C3)" in texts
 
+    ONE_FLUENT = (
+        "object A;\nstatic P/1;\nfluent F/1;\naction m/1;\n"
+        "ssa F(x) { pos: a == m(x); }\n"
+        "poss m(x): P(x);\n"
+        "init { !F(A); }\n"
+    )
+
     def test_inline_preconditions_strengthens_contexts(self):
-        b = bat(
-            "object A;\nstatic P/1;\nfluent F/1;\naction m/1;\n"
-            "ssa F(x) { pos: a == m(x); }\n"
-            "poss m(x): P(x);\n"
-            "init { !F(A); }\n"
-        )
+        b = bat(self.ONE_FLUENT)
         b2 = inline_preconditions(b)
         d = b2.ssa("F").pos[0]
         assert ("P", 1) in signature_of(d.context).statics
+
+    def test_inlining_a_precondition_with_the_wrong_parameter_count_is_an_error(self):
+        b = bat(self.ONE_FLUENT)
+        (p,) = b.preconditions
+        b = replace(b, preconditions=(replace(p, params=(Var("x"), Var("y"))),))
+        with pytest.raises(SitcalcError) as e:
+            inline_preconditions(b)
+        assert str(e.value) == "precondition for m has 2 parameters, action term has 1"
+
+    @pytest.mark.parametrize("atom, message", [
+        (GroundAtom("G", ("A",), Stage.NOW), "no successor state axiom for G"),
+        (GroundAtom("F", ("A", "A"), Stage.NOW), "F instantiated with 2 arguments"),
+    ])
+    def test_an_atom_without_a_fitting_axiom_is_a_missing_axiom(self, atom, message):
+        b = bat(self.ONE_FLUENT)
+        with pytest.raises(MissingAxiom) as e:
+            instantiate_ssas(b, GroundAction("m", ("A",)), frozenset({atom}))
+        assert str(e.value) == message
 
 
 class TestGroundActionType:

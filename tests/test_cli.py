@@ -110,6 +110,11 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", path("decomp_lost.bat"), "--strict")
         assert code == 0
 
+    def test_a_theory_file_has_no_action_theory_to_check(self, capsys):
+        code, out, _ = run(capsys, "validate", path("propositional_chain.bat"))
+        assert code == 0
+        assert out == f"{path('propositional_chain.bat')}: theory file parses cleanly\n"
+
 
 class TestProgress:
     def test_axioms_are_printed_one_per_line(self, capsys):
@@ -149,6 +154,18 @@ class TestProgress:
         assert "// component 1" in out
         assert "// component 2" in out
         assert "exists x Block(x);" in out
+
+    def test_componentwise_output_file_holds_the_components(self, capsys, tmp_path):
+        out_file = tmp_path / "after.bat"
+        args = (
+            "progress", path("blocks_stacks.bat"), "--action", "move(A, B, C)", "--componentwise", "--delta2", "Block"
+        )
+        code, out, _ = run(capsys, *args, "-o", str(out_file))
+        assert (code, out) == (0, f"wrote {out_file}\n")
+        code, printed, _ = run(capsys, *args)
+        assert code == 0
+        b = parse_bat(out_file.read_text(), str(out_file))
+        assert [render(ax) + ";" for ax in b.init.axioms] == [s for s in printed.splitlines() if not s.startswith("//")]
 
     def test_componentwise_needs_a_decomposable_theory(self, capsys):
         code, out, _ = run(

@@ -157,6 +157,40 @@ class TestPreservation:
         assert not rep.passed
         assert any("Under" in str(v) for v in rep.violations)
 
+    def test_a_decomposition_on_another_delta_is_reported(self, blocks_stacks):
+        d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
+        rep = check_local_effect_preservation(
+            blocks_stacks, Signature(), DELTA_BLOCK, self.PARTITION, dataclasses.replace(d, delta=Signature())
+        )
+        assert [str(v) for v in rep.violations] == [
+            "the initial decomposition was built for a different delta than delta2"
+        ]
+
+    @pytest.mark.parametrize("partition, message", [
+        (PARTITION + (("Nope",),), "group 2 lists Nope, which has no successor state axiom"),
+        ((("On", "Clear"), ("Inheap", "Top", "Under", "On")), "fluent On appears in groups 0 and 1"),
+        ((("On", "Clear"), ("Inheap", "Top")), "the partition misses the axioms for Under"),
+    ])
+    def test_a_grouping_that_is_no_partition_of_the_axioms_is_reported(self, blocks_stacks, partition, message):
+        d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
+        rep = check_local_effect_preservation(blocks_stacks, Signature(), DELTA_BLOCK, partition, d)
+        assert [str(v) for v in rep.violations] == [message]
+
+    def test_a_component_at_the_next_stage_is_reported(self, blocks_stacks):
+        d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
+        heap = Theory(d.components[1].axioms + (parse_formula("exists x Top'(x)", blocks_stacks.sig),))
+        d = dataclasses.replace(d, components=(d.components[0], heap))
+        rep = check_local_effect_preservation(blocks_stacks, Signature(), DELTA_BLOCK, self.PARTITION, d)
+        assert [str(v) for v in rep.violations] == ["initial component 1 is not uniform in the current stage"]
+
+    def test_delta1_symbols_outside_delta2_are_reported(self, blocks_stacks):
+        d = syntactic_decompose(blocks_stacks.init, DELTA_BLOCK)
+        alpha = parse_ground_action("move(A, B, C)", blocks_stacks.sig)
+        delta1 = Signature(objects=frozenset({"C"}))
+        rep = check_strong_preservation(blocks_stacks, delta1, DELTA_BLOCK, alpha, self.PARTITION, d)
+        assert not rep.passed
+        assert [str(v) for v in rep.violations] == ["delta1 symbols C missing from delta2"]
+
     def test_fluents_in_delta_are_rejected(self, insep_lost):
         plain = Signature(objects=frozenset({"c"}), statics=frozenset({("R", 2)}))
         assert _fluent_violations(insep_lost, plain) == []

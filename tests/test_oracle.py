@@ -42,13 +42,20 @@ from sitcalc.syntax import (
     ActionTerm,
     And,
     Const,
+    Exists,
+    Forall,
     Formula,
     Iff,
+    Implies,
     Not,
+    Or,
     Signature,
+    Stage,
     StaticAtom,
     Theory,
+    Var,
     disj,
+    free_vars,
     signature_of,
 )
 
@@ -134,6 +141,41 @@ class TestDomainSpecs:
         cfg = OracleConfig(max_extra=2)
         assert list(_domain_specs(vocab, cfg, canonical=True)) == list(_domain_specs(vocab, cfg))
         assert [n for n, _ in _domain_specs(vocab, cfg)] == [3, 4, 5]
+
+    @staticmethod
+    def _three_branch_specs(vocab, cfg, canonical=False, quantified=True):
+        """_domain_specs as it was before its one loop over the sizes: a
+        branch for unique names, which drops repeated sizes, one for
+        quantifier-free questions without them, and one for the rest."""
+        names = sorted(vocab.objects)
+        m = len(names)
+        if cfg.una:
+            seen = set()
+            for j in range(cfg.max_extra + 1 if quantified else 1):
+                n = max(1, m + j)
+                if n in seen:
+                    continue
+                seen.add(n)
+                yield n, tuple((nm, i) for i, nm in enumerate(names))
+        elif not quantified:
+            for n in range(1, max(1, m) + 1):
+                for p in oracle._growth_strings(m, n):
+                    if max(p, default=0) == n - 1:
+                        yield n, tuple(zip(names, p))
+        else:
+            for n in range(1, max(1, m + cfg.max_extra) + 1):
+                placements = oracle._growth_strings(m, n) if canonical else itertools.product(range(n), repeat=m)
+                for p in placements:
+                    yield n, tuple(zip(names, p))
+
+    def test_one_loop_gives_the_specs_of_the_three_branches(self):
+        for k, extra, una, canonical, quantified in itertools.product(
+            range(5), range(3), (True, False), (False, True), (True, False)
+        ):
+            vocab = Signature(objects=frozenset(f"c{i}" for i in range(k)))
+            cfg = OracleConfig(max_extra=extra, una=una)
+            want = list(self._three_branch_specs(vocab, cfg, canonical, quantified))
+            assert list(_domain_specs(vocab, cfg, canonical, quantified)) == want
 
     def test_search_bound_is_the_largest_domain_searched(self):
         for k, extra, una in itertools.product(range(4), range(3), (True, False)):
@@ -346,6 +388,66 @@ class TestInseparability:
         monkeypatch.setattr(oracle, "_delta_sentences", no_search)
         one, two = self.renamed_pair()
         assert isinstance(check_inseparable(one, two, DELTA_P, CFG), InseparableFinite)
+
+    @staticmethod
+    def _memoized_sentences(delta, depth, include_consts, stages):
+        """_delta_sentences as it was, with its matrices built by recursion
+        through a memo keyed by (variables, connectives), and the filter
+        check_inseparable applied to each sentence in its pass with
+        constants."""
+        cap = oracle._WITNESS_CANDIDATES
+        memo = {}
+
+        def matrices(q, conn):
+            if (q, conn) in memo:
+                return memo[q, conn]
+            if conn == 0:
+                out = list(oracle._delta_atoms(delta, q, include_consts, stages))
+            else:
+                out = [Not(f) for f in matrices(q, conn - 1) if not isinstance(f, Not)]
+                for i in range(conn):
+                    for a in matrices(q, i):
+                        if len(out) > cap:
+                            break
+                        for b in matrices(q, conn - 1 - i):
+                            if repr(a) < repr(b):
+                                out += [And(a, b), Or(a, b)]
+                            if repr(a) != repr(b):
+                                out.append(Implies(a, b))
+                del out[cap + 1 :]
+            memo[q, conn] = out
+            return out
+
+        emitted = 0
+        for total in range(2 * depth + 1):
+            for q in range(min(total, depth) + 1):
+                if total - q > depth:
+                    continue
+                for matrix in matrices(q, total - q):
+                    if free_vars(matrix) != {f"v{i}" for i in range(q)}:
+                        continue
+                    for shape in itertools.product((Forall, Exists), repeat=q):
+                        f = matrix
+                        for i in reversed(range(q)):
+                            f = shape[i](Var(f"v{i}"), f)
+                        emitted += 1
+                        if emitted > cap:
+                            return
+                        if not include_consts or signature_of(f).objects:
+                            yield f
+
+    @pytest.mark.parametrize("include_consts", [False, True])
+    def test_witness_candidates_are_those_of_the_memoized_matrices(self, include_consts):
+        stages = frozenset({Stage.NOW})
+        cases = [
+            (Signature(objects=frozenset({"c1"}), statics=frozenset({("P", 1)})), 2),
+            # with constants this one reaches the cap of candidates
+            (Signature(objects=frozenset({"c1", "c2"}), statics=frozenset({("R", 2)})), 2),
+            (Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)})), 2),
+        ]
+        for delta, depth in cases:
+            got = list(oracle._delta_sentences(delta, depth, include_consts, stages))
+            assert got == list(self._memoized_sentences(delta, depth, include_consts, stages))
 
     def test_fluents_only_at_the_next_stage_are_searched_there(self):
         sig = Signature(objects=frozenset({"c"}), fluents=frozenset({("F", 1)}))

@@ -25,13 +25,13 @@ import pytest
 import simplify_reference as reference
 import transform_reference
 from test_property_suites import SEEDS, random_formula, random_target, random_theory
-from test_syntax import _wide_formulas
+from test_syntax import _negated_chains, _wide_formulas
 
 from sitcalc import bat, corpus_path, forgetting, progression, syntax
 from sitcalc.decomposition import group_ssas, syntactic_decompose
 from sitcalc.progression import progress, progress_componentwise
 from sitcalc.surface import parse_bat, parse_file, parse_ground_action, render
-from sitcalc.syntax import And, Not, Or, Signature, StaticAtom, conj, disj, simplify
+from sitcalc.syntax import FALSE, TRUE, And, Not, Or, Signature, StaticAtom, conj, disj, simplify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CORPUS = sorted(p.name for p in corpus_path("blocks_world.bat").parent.glob("*.bat"))
@@ -186,6 +186,20 @@ def stripped_disjunctions():
 
 def test_stripped_disjunctions_simplify_alike():
     check([(f, una) for f in stripped_disjunctions() for una in (False, True)])
+
+
+def test_chains_of_negated_links_simplify_alike():
+    # up to 30 links, over distinct atoms, where no rule fires, and over
+    # leaves drawn from a few atoms, TRUE and FALSE, where rules fire at
+    # many links
+    rng = random.Random(56)
+    pool = [StaticAtom(n, ()) for n in "DEF"] + [TRUE, FALSE, Not(StaticAtom("D", ()))]
+    cases = []
+    for n in range(2, 31):
+        distinct = [StaticAtom(f"P{i}", ()) for i in range(n)]
+        drawn = [rng.choice(pool) for _ in range(n)]
+        cases += [(f, una) for leaves in (distinct, drawn) for f in _negated_chains(leaves) for una in (False, True)]
+    check(cases)
 
 
 def test_wide_formulas_simplify_alike():

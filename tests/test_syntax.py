@@ -1,6 +1,8 @@
 """Formula AST: signatures, substitution, staging, simplification."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import subprocess
 import sys
@@ -182,6 +184,16 @@ class TestStages:
         assert stages_of(F(c, Stage.NEXT)) == {Stage.NEXT}
         assert stages_of(P(c)) == frozenset()
 
+    def test_a_stage_stays_one_object_hashed_by_identity(self):
+        # Stage hashes by identity, which holds only while each member is
+        # the one object of its value
+        for stage in Stage:
+            assert pickle.loads(pickle.dumps(stage)) is stage
+            assert copy.deepcopy(stage) is stage and copy.copy(stage) is stage
+            assert Stage(stage.value) is stage
+            assert hash(stage) == object.__hash__(stage)
+        assert Stage("now") is Stage.NOW
+
 
 class TestSimplify:
     def test_constant_equalities_decide_under_unique_names(self):
@@ -264,6 +276,17 @@ def _wide_formulas():
         else:
             out.append(disj(conjunction() for _ in range(rng.randint(2, 20))))
     return out
+
+
+def _negated_chains(leaves):
+    """P0 <-> !(P1 <-> !(... <-> !(Pn-2 <-> Pn-1))) and P0 -> !!(P1 -> !!(...
+    -> Pn-1)) over the leaves P0 .. Pn-1, built innermost first."""
+    iff, imp = Iff(leaves[-2], leaves[-1]), leaves[-1]
+    for p in reversed(leaves[:-2]):
+        iff = Iff(p, Not(iff))
+    for p in reversed(leaves[:-1]):
+        imp = Implies(p, Not(Not(imp)))
+    return iff, imp
 
 
 def _bottom_up(f):
@@ -502,6 +525,20 @@ class TestDeepAndWide:
             assert simplify(f, una) is f
         padded = chain([x for p in atoms[:-1] for x in (p, TRUE)] + atoms[-1:])
         assert spine(simplify(padded)) == atoms
+
+    def test_simplify_walks_chains_of_negated_links(self):
+        # a run of ! is one more link of the spine walk, so neither chain
+        # costs frames per link; results are compared link by link, as ==
+        # on the whole chain recurses
+        atoms = [StaticAtom(f"P{i}") for i in range(1_000)]
+        iff, imp = _negated_chains(atoms)
+        for una in (False, True):
+            assert simplify(iff, una) is iff
+            g, spine = simplify(imp, una), []
+            while type(g) is Implies:
+                spine.append(g.lhs)
+                g = g.rhs
+            assert spine + [g] == atoms
 
     def test_render_walks_a_chain_that_alternates_negation_and_biconditional(self):
         # P0 <-> !(P1 <-> !(P2 <-> ...)): each link is the last operand of
