@@ -48,8 +48,8 @@ from .syntax import (
     free_vars,
     signature_of,
     simplify,
-    stages_of,
     substitute,
+    symbols_and_stages,
 )
 
 # ---------------------------------------------------------------------------
@@ -229,10 +229,11 @@ def validate(b: BAT, strict: bool = False) -> ValidationReport:
 
     def check(f: Formula, bound: frozenset[str], key: str, subject: str, where: str) -> None:
         """f is at the current stage, declared, and free only in bound."""
-        if not stages_of(f) <= frozenset({Stage.NOW}):
+        sig, stages = symbols_and_stages(f)
+        if not stages <= frozenset({Stage.NOW}):
             err(f"{subject} is not at the current stage", key)
-        if not signature_of(f) <= b.sig:
-            bad = (signature_of(f) - b.sig).sorted_names()
+        if not sig <= b.sig:
+            bad = (sig - b.sig).sorted_names()
             err(f"undeclared symbols {', '.join(bad)} in {where}", key)
         loose = free_vars(f) - bound
         if loose:

@@ -10,17 +10,20 @@ returned.
 Every question is answered on one path.  One walk per theory per call
 compiles its axioms into a program: the grounding closures of the axioms,
 or the data of a literal one, the env slot of each constant they mention,
-the vocabulary and stages the walk met, and whether it met a quantifier,
-so no theory is walked a second time to find them.  From
-these each public call builds one search, _Search, which fixes for the
-whole call the vocabulary, the stages, the relation keys and domain bound
-they give, and the one budget that every phase spends from, so time_limit
-and max_models hold for the call.  Over each candidate domain the program
-is instantiated on one grounder, its constants placed once into one env
-that all its axioms share; _solve Tseitin-encodes the ground trees and runs a
-small DPLL solver; the model is read off the solver's assignment and
-re-validated by direct evaluation.  Every walker is a module-level
-function, so a question leaves no reference cycle for the garbage collector.
+the vocabulary and stages the walk met, and whether it met a quantifier, so
+no theory is walked a second time to find them.  The walk raises each
+grounding error, a free variable, a term that is not an object or a node
+that cannot be grounded, where it meets it, in the order grounding would
+meet it: a program holds no error to raise later.  From these each public
+call builds one search, _Search, which fixes for the whole call the
+vocabulary, the stages, the relation keys and domain bound they give, and
+the one budget that every phase spends from, so time_limit and max_models
+hold for the call.  Over each candidate domain the program is instantiated
+on one grounder, its constants placed once into one env that all its axioms
+share; _solve Tseitin-encodes the ground trees and runs a small DPLL
+solver; the model is read off the solver's assignment and re-validated by
+direct evaluation.  Every walker is a module-level function, so a question
+leaves no reference cycle for the garbage collector.
 
 A complete ground world is hundreds of literals over constants, and each
 costs what a literal costs: the compiler records it as data, its relation
@@ -69,7 +72,6 @@ from .errors import BudgetExceeded, SitcalcError
 from .forgetting import GroundAtom
 from .syntax import (
     FALSE,
-    ActionTerm,
     And,
     Const,
     Exists,
@@ -529,8 +531,7 @@ class _Program:
     """
 
     __slots__ = (
-        "theory", "roots", "consts", "nslots", "objects", "statics", "fluents", "actions", "stages", "vocab",
-        "quantified",
+        "theory", "roots", "consts", "nslots", "statics", "fluents", "stages", "vocab", "quantified",
     )
 
     def ground(self, g: _Grounder) -> list:
@@ -579,50 +580,49 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     alternates connectives.  The closures visit the nodes in the order of
     the recursive definition and never short-circuit, so the atoms are
     numbered in that order and the ground tree is the one _pand/_por fold
-    from it.  Errors are deferred to instantiation: a constant missing
-    from const_map is reported before anything is grounded, a free
-    variable or an ungroundable node when it is reached.
+    from it.  The walk visits the nodes in that order too, and raises a
+    grounding error where it meets one: a free variable, a term that is not
+    an object, a node that cannot be grounded.  Only a constant missing from
+    const_map is left to instantiation, which reports it before anything is
+    grounded.
 
-    An axiom that is a literal over constants, as each axiom of a complete
-    ground world is, skips _comp: its slots, symbol and stage are recorded
-    as _comp records them and its root is the data of its _atom node, which
-    ground resolves without a call.
+    An axiom that is a literal, as each axiom of a complete ground world
+    is, skips _comp: its slots, symbol and stage are recorded as _comp
+    records them and its root is the data of its _atom node, which ground
+    resolves without a call.
     """
     p = _Program()
     p.theory = Theory(tuple(formulas))
     consts = p.consts = {}
     p.nslots = 0
     p.quantified = False
-    p.objects, p.statics, p.fluents, p.actions, p.stages = set(), set(), set(), set(), set()
+    p.statics, p.fluents, p.stages = set(), set(), set()
     roots = p.roots = []
     for f in formulas:
         atom = literal_atom(f)
-        if atom is not None:
-            # a ground literal: what _comp records for it, by one slot per
-            # new constant, and the data of its _atom node
-            slots = []
-            for t in atom.args:
-                if type(t) is not Const:
-                    break
-                i = consts.get(t.name)
-                if i is None:
-                    i = consts[t.name] = p.nslots
-                    p.nslots += 1
-                slots.append(i)
-            else:
-                if type(atom) is FluentAtom:
-                    p.fluents.add((atom.fluent, len(slots)))
-                    p.stages.add(atom.stage)
-                    key = (atom.fluent, atom.stage._value_)  # Stage.value is Python-level
-                else:
-                    p.statics.add((atom.pred, len(slots)))
-                    key = (atom.pred, "")
-                roots.append((key, slots, atom is not f))
-                continue
-        roots.append(_comp(f, {}, False, p))
-    p.vocab = Signature(
-        frozenset(p.objects | p.consts.keys()), frozenset(p.statics), frozenset(p.fluents), frozenset(p.actions)
-    )
+        if atom is None:
+            roots.append(_comp(f, {}, False, p))
+            continue
+        # a literal: what _comp records for it, by one slot per new
+        # constant, and the data of its _atom node
+        slots = []
+        for t in atom.args:
+            if type(t) is not Const:
+                _term_slot(t, {}, p)  # raises: no binder is in scope at a root
+            i = consts.get(t.name)
+            if i is None:
+                i = consts[t.name] = p.nslots
+                p.nslots += 1
+            slots.append(i)
+        if type(atom) is FluentAtom:
+            p.fluents.add((atom.fluent, len(slots)))
+            p.stages.add(atom.stage)
+            key = (atom.fluent, atom.stage._value_)  # Stage.value is Python-level
+        else:
+            p.statics.add((atom.pred, len(slots)))
+            key = (atom.pred, "")
+        roots.append((key, slots, atom is not f))
+    p.vocab = Signature(frozenset(consts), frozenset(p.statics), frozenset(p.fluents))
     p.stages = frozenset(p.stages)
     return p
 
@@ -665,37 +665,24 @@ def _comp(f: Formula, scope: Mapping[str, int], flip: bool, p: _Program) -> _Nod
     if node is Truth or node is Falsity:
         val = _PFALSE if (node is Falsity) != flip else _PTRUE
         return lambda g, env: val
-    return _fail(f"cannot ground {f!r}")
+    raise SitcalcError(f"cannot ground {f!r}")
 
 
-def _term_slot(t, scope: Mapping[str, int], p: _Program) -> Union[int, str]:
-    """The env slot of a term, or the message of the error grounding it raises."""
+def _term_slot(t, scope: Mapping[str, int], p: _Program) -> int:
+    """The env slot of a term: its binder's, or its constant's."""
     if type(t) is Var:
-        return scope[t.name] if t.name in scope else f"formula has free variable {t.name}"
-    if type(t) is Const:
-        if t.name not in p.consts:
-            p.consts[t.name] = p.nslots
-            p.nslots += 1
-        return p.consts[t.name]
-    if type(t) is ActionTerm:
-        # not groundable, but its symbols are in the vocabulary all the same
-        sig = signature_of(t)
-        p.objects.update(sig.objects)
-        p.actions.update(sig.actions)
-    return f"cannot ground term {t!r}"
+        if t.name not in scope:
+            raise SitcalcError(f"formula has free variable {t.name}")
+        return scope[t.name]
+    if type(t) is not Const:
+        raise SitcalcError(f"cannot ground term {t!r}")
+    if t.name not in p.consts:
+        p.consts[t.name] = p.nslots
+        p.nslots += 1
+    return p.consts[t.name]
 
 
-def _fail(message: str) -> _Node:
-    def fail(g: _Grounder, env: list) -> object:
-        raise SitcalcError(message)
-
-    return fail
-
-
-def _atom(key: RelKey, slots: list, flip: bool) -> _Node:
-    for s in slots:
-        if type(s) is str:
-            return _fail(s)
+def _atom(key: RelKey, slots: list[int], flip: bool) -> _Node:
     if len(slots) == 1:
         i = slots[0]
         args = lambda env: (env[i],)  # noqa: E731
@@ -711,11 +698,7 @@ def _atom(key: RelKey, slots: list, flip: bool) -> _Node:
     return atom
 
 
-def _equality(i, j, flip: bool) -> _Node:
-    for s in (i, j):
-        if type(s) is str:
-            return _fail(s)
-
+def _equality(i: int, j: int, flip: bool) -> _Node:
     def equality(g: _Grounder, env: list) -> object:
         return _PTRUE if (env[i] == env[j]) != flip else _PFALSE
 

@@ -14,8 +14,8 @@ from blocks_worlds import ground_world_text
 from sitcalc import cli, corpus_path, oracle, surface
 from sitcalc.cli import main
 from sitcalc.errors import BudgetExceeded
-from sitcalc.surface import parse_bat, render
-from sitcalc.syntax import Const, substitute
+from sitcalc.surface import parse_bat, parse_theory, render
+from sitcalc.syntax import Const, Signature, substitute
 
 
 def run(capsys, *argv):
@@ -252,6 +252,17 @@ class TestForget:
         assert code == 0, err
         assert "Clear" not in out
 
+    def test_a_theory_file_written_by_forgetting_reparses(self, capsys, tmp_path):
+        out = tmp_path / "out.bat"
+        code, printed, err = run(
+            capsys, "forget", path("insep_forgetting_t1.bat"), "--atom", "R(c, a)", "-o", str(out)
+        )
+        assert code == 0, err
+        assert printed == f"wrote {out}\n"
+        sig, t = parse_theory(out.read_text(), str(out))
+        assert sig == Signature(objects=frozenset({"a", "c"}), statics=frozenset({("R", 2)}))
+        assert [render(ax) for ax in t.axioms] == ["a != c", "forall x exists y (x == c & y == a | R(x, y))"]
+
     def test_atom_and_symbol_are_mutually_exclusive(self, capsys):
         code, _, err = run(
             capsys, "forget", path("propositional_chain.bat"),
@@ -384,6 +395,17 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert "<formula>:1:1: an application cannot be an equality operand" in err
+
+    def test_equiv_positive(self, capsys, tmp_path):
+        # the contrapositives of the chain's two implications
+        other = tmp_path / "contrapositive.bat"
+        other.write_text("static A/0, P/0, B/0;\n\ntheory {\n  !P -> !A;\n  !B -> !P;\n}\n")
+        argv = ["oracle", "equiv", path("propositional_chain.bat"), str(other)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "equivalent in every model up to domain size 1\n", "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == {"kind": "equivalent", "bound": 1}
 
     def test_equiv_negative_shows_direction(self, capsys):
         code, out, _ = run(
@@ -656,20 +678,28 @@ class TestRemovedFlags:
 
 
 class TestClosedStdout:
-    def test_a_closed_pipe_keeps_the_verdict_exit_code(self):
+    @staticmethod
+    def _run(*argv):
+        """Run the command with its stdout on a pipe whose reader has gone."""
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        argv = [
-            sys.executable, "-m", "sitcalc.cli", "progress", path("blocks_stacks.bat"),
-            "--action", "move(A, B, C)", "--json",
-        ]
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            cmd = [sys.executable, "-m", "sitcalc.cli", *argv]
+            return subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write_end)
+
+    def test_a_closed_pipe_keeps_the_verdict_exit_code(self):
+        proc = self._run("progress", path("blocks_stacks.bat"), "--action", "move(A, B, C)", "--json")
         assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
+
+    def test_a_closed_pipe_keeps_a_negative_verdict_exit_code(self):
+        # a negative verdict, printed as text
+        proc = self._run("oracle", "equiv", path("insep_forgetting_t1.bat"), path("insep_forgetting_t2.bat"))
+        assert proc.returncode == 1, proc.stderr.decode()
         assert proc.stderr == b""
 
 

@@ -43,6 +43,14 @@ def t(*texts):
 Pc = GroundAtom("P", ("c",), None)
 
 
+class TestGroundAtom:
+    def test_only_a_next_stage_atom_prints_its_stage(self):
+        assert str(GroundAtom("F", ("a",), Stage.NEXT)) == "F(a)@next"
+        assert str(GroundAtom("F", ("a",), Stage.NOW)) == "F(a)"
+        assert str(GroundAtom("R", ("a", "b"), None)) == "R(a, b)"
+        assert str(GroundAtom("Q", (), None)) == "Q"
+
+
 class TestAtomForgetting:
     def test_forgetting_the_only_literal_leaves_no_information(self):
         out = forget_atom(t("!P(c)"), Pc)

@@ -108,11 +108,11 @@ class TestCompile:
                 with pytest.raises(SitcalcError, match="^constant d missing from oracle vocabulary$"):
                     program.ground(_Grounder(1, (("a", 0),)))
 
-    def test_a_literal_with_a_free_variable_fails_when_grounded(self, monkeypatch):
+    def test_a_literal_with_a_free_variable_fails_when_compiled(self, monkeypatch):
         for f in (StaticAtom("R", (Const("a"), x)), Not(FluentAtom("F", (x,)))):
-            for program in (_compile([f]), general_program(monkeypatch, [f])):
+            for compile_ in (_compile, lambda fs: general_program(monkeypatch, fs)):
                 with pytest.raises(SitcalcError, match="^formula has free variable x$"):
-                    program.ground(_Grounder(1, (("a", 0),)))
+                    compile_([f])
 
 
 KEYS = ((("P", ""), 1), (("R", ""), 2), (("Q", ""), 0), (("F", "now"), 1), (("F", "next"), 1), (("G", "now"), 2),

@@ -94,6 +94,19 @@ class TestEvaluation:
         assert evaluate(m, deep)
         assert not evaluate(m, Not(deep))
 
+    def test_an_inner_quantifier_puts_back_the_outer_binding_of_its_name(self):
+        # exists x ((exists x Q(x)) & P(x)): the inner loop ends with x at 1,
+        # and P(x) must read the outer x again
+        x = Var("x")
+        m = FiniteModel(2, (), ((("P", ""), frozenset({(0,)})), (("Q", ""), frozenset({(1,)}))))
+        inner = Exists(x, StaticAtom("Q", (x,)))
+        assert evaluate(m, Exists(x, And(inner, StaticAtom("P", (x,)))))
+
+    def test_a_term_that_is_not_an_object_cannot_be_evaluated(self):
+        m = FiniteModel(1, (), ((("P", ""), frozenset({(0,)})),))
+        with pytest.raises(SitcalcError, match=r"^cannot evaluate term ActionTerm\(fn='a', args=\(\)\)$"):
+            evaluate(m, StaticAtom("P", (ActionTerm("a", ()),)))
+
     def test_model_enumeration_counts(self):
         sig = Signature(objects=frozenset({"c"}), statics=frozenset({("P", 1)}))
         assert len(list(models(Theory(()), CFG, sig=sig))) == 6
@@ -240,15 +253,22 @@ class TestGroundingErrors:
         with pytest.raises(SitcalcError, match=r"^cannot ground term ActionTerm\(fn='a', args=\(\)\)$"):
             entails(t("P(c)"), bad, CFG)
 
+    def test_an_action_term_named_like_a_constant_is_reported_as_a_term(self):
+        # the term raises before the question's vocabulary is assembled, so
+        # the clash of its name with the constant c is never reached
+        bad = StaticAtom("P", (ActionTerm("c", ()),))
+        for query in (bad, And(f("P(c)"), bad)):
+            with pytest.raises(SitcalcError, match=r"^cannot ground term ActionTerm\(fn='c', args=\(\)\)$"):
+                entails(t("P(c)"), query, CFG)
+
     @pytest.mark.parametrize(
         "bad, message",
         [(f("P(x)"), "formula has free variable x"), (And(TRUE, Unsupported()), "cannot ground Unsupported()")],
         ids=["free-variable", "unknown-node"],
     )
-    def test_errors_are_raised_by_grounding_not_by_compiling(self, bad, message):
-        ground = _compile((Not(bad),)).ground
+    def test_errors_are_raised_by_compiling(self, bad, message):
         with pytest.raises(SitcalcError) as e:
-            ground(_Grounder(1, (("c", 0),)))
+            _compile((Not(bad),))
         assert str(e.value) == message
 
 

@@ -188,6 +188,17 @@ def test_stripped_disjunctions_simplify_alike():
     check([(f, una) for f in stripped_disjunctions() for una in (False, True)])
 
 
+def test_an_untouched_part_is_tested_against_the_parts_rebuilt_before_it():
+    # stripping the refuted !C leaves !Z | W, or Z | W, to be flattened into
+    # the next round; the untouched Z is then the complement, or a repeat,
+    # of a part rebuilt the round before
+    c, z, w = (StaticAtom(n, ()) for n in "CZW")
+    refuted, repeated = disj([c, And(Not(c), Or(Not(z), w)), z]), disj([c, And(Not(c), Or(z, w)), z])
+    check([(f, una) for f in (refuted, repeated) for una in (False, True)])
+    assert simplify(refuted) == TRUE
+    assert render(simplify(repeated)) == "C | Z | W"
+
+
 def test_chains_of_negated_links_simplify_alike():
     # up to 30 links, over distinct atoms, where no rule fires, and over
     # leaves drawn from a few atoms, TRUE and FALSE, where rules fire at

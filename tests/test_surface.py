@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from sitcalc import corpus_path, surface
-from sitcalc.errors import ParseError
+from sitcalc.errors import ParseError, SitcalcError
 from sitcalc.surface import (
     parse_bat,
     parse_formula,
@@ -211,11 +211,45 @@ class TestErrors:
             parse(text)
         assert str(ei.value) == f"<input>:{where} (quantify them, or declare missing constants)"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("object A;\nfluent F/1;\naction m/1;\nssa F(x) { pos: a == m(x); }\nssa F(x) { neg: a == m(x); }\n",
+             "5:5: duplicate ssa block for F"),
+            ("object A;\nfluent F/1;\naction m/1;\nposs m(x): F(x);\nposs m(x): !F(x);\n",
+             "5:6: duplicate poss block for m"),
+            ("object A;\nfluent F/2;\naction m/1;\nssa F(x) { pos: a == m(x); }\n",
+             "4:5: F declared with arity 2, ssa head has 1"),
+            ("object A;\nfluent F/1;\naction m/2;\nssa F(x) { pos: a == m(x, y); }\n",
+             "4:22: variable y in the action term is unbound"),
+        ],
+        ids=["duplicate-ssa", "duplicate-poss", "ssa-head-arity", "unbound-action-argument"],
+    )
+    def test_block_errors_name_the_block(self, text, message):
+        with pytest.raises(ParseError) as ei:
+            parse_bat(text, "f.bat")
+        assert str(ei.value) == f"f.bat:{message}"
+
+    def test_an_unknown_corpus_name_lists_the_bundled_files(self):
+        bundled = sorted(p.name for p in corpus_path("blocks_world.bat").parent.glob("*.bat"))
+        assert "blocks_world.bat" in bundled and "propositional_chain.bat" in bundled
+        with pytest.raises(SitcalcError) as ei:
+            corpus_path("nope.bat")
+        assert str(ei.value) == f"no bundled file 'nope.bat'; available: {', '.join(bundled)}"
+
     def test_free_variables_rejected_unless_allowed(self):
         with pytest.raises(ParseError):
             parse_formula("Block(x)", SIG)
         f = parse_formula("Block(x)", SIG, allow_free=True)
         assert render(f) == "Block(x)"
+
+
+class TestRenderTheory:
+    def test_a_theory_renders_one_axiom_a_line(self):
+        axioms = ("On(A, B)", "forall x (Block(x) -> Clear(x))", "!Z")
+        t = Theory(tuple(parse_formula(a, SIG) for a in axioms))
+        assert render(t) == "On(A, B);\nforall x (Block(x) -> Clear(x));\n!Z;\n"
+        assert render(Theory(())) == ""
 
 
 class TestFileRoundTrips:

@@ -168,6 +168,13 @@ class TestFreeVarsAndSubstitution:
         assert g.var != y
         assert free_vars(g) == {"y"}
 
+    def test_a_renamed_binder_skips_the_names_that_are_taken(self):
+        # x_1 is free in the body, so the fresh name for x is x_2
+        x_1 = Var("x_1")
+        f = Exists(x, And(P(x), StaticAtom("R", (x_1, y))))
+        g = substitute(f, {"y": x})
+        assert g == Exists(Var("x_2"), And(P(Var("x_2")), StaticAtom("R", (x_1, x))))
+
 
 class TestStages:
     def test_symbols_and_stages_in_one_walk(self):
